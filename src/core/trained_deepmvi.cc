@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "nn/serialize.h"
@@ -18,6 +20,14 @@ constexpr uint32_t kCheckpointVersion = 1;
 constexpr uint32_t kMaxDims = 64;
 constexpr uint32_t kMaxMembers = 1 << 24;
 constexpr uint32_t kMaxSeries = 1 << 26;
+// Architecture bounds, well above the paper's p = 32, w = 10/20, 4 heads,
+// d = 10. BuildDeepMviModules sizes its tensors from these fields before
+// any parameter record is read; at the bounds the transformer's
+// parameters, Adam moments included, stay under 0.5 GiB.
+constexpr int kMaxFilters = 128;
+constexpr int kMaxWindow = 512;
+constexpr int kMaxHeads = 32;
+constexpr int kMaxEmbeddingDim = 256;
 
 using nn::ReadPod;
 using nn::ReadString;
@@ -78,9 +88,18 @@ Status ReadConfig(std::istream& is, DeepMviConfig* config) {
                   read_bool(&config->use_fine_grained) &&
                   read_bool(&config->flatten_multidim);
   if (!ok) return Status::IoError("truncated file: checkpoint config missing");
-  if (config->filters <= 0 || config->window <= 0 || config->num_heads <= 0 ||
-      config->embedding_dim <= 0) {
-    return Status::InvalidArgument("corrupt file: implausible model config");
+  for (const auto& [name, value, max] :
+       {std::make_tuple("filters", config->filters, kMaxFilters),
+        std::make_tuple("window", config->window, kMaxWindow),
+        std::make_tuple("num_heads", config->num_heads, kMaxHeads),
+        std::make_tuple("embedding_dim", config->embedding_dim,
+                        kMaxEmbeddingDim)}) {
+    if (value <= 0 || value > max) {
+      return Status::InvalidArgument(
+          std::string("corrupt file: implausible model config: ") + name +
+          " " + std::to_string(value) + " outside [1, " +
+          std::to_string(max) + "]");
+    }
   }
   return Status::OK();
 }

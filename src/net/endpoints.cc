@@ -4,7 +4,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <future>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -56,39 +55,26 @@ HttpMessage HandleImpute(const ServingContext& ctx,
   if (!decoded.ok()) return ErrorResponse(decoded.status());
   const ImputeApiRequest& api = *decoded;
 
-  // Build the dataset + mask in locals first: Submit consumes the request
-  // by value (the shared_ptr moves out of it), and the encoders below
-  // still need both after the response comes back.
-  std::shared_ptr<const DataTensor> data;
-  Mask mask;
+  serve::ImputationRequest impute;
+  impute.model = api.model;
+  impute.request_id = request_id;
   if (api.has_inline_data) {
-    data = std::make_shared<const DataTensor>(
+    impute.data = std::make_shared<const DataTensor>(
         DataTensor::FromMatrix(api.inline_values));
-    mask = api.inline_mask;
+    impute.mask = api.inline_mask;
   } else {
     if (ctx.data == nullptr) {
       return ErrorResponse(Status::FailedPrecondition(
           "no dataset is being served; send inline 'values'"));
     }
-    data = ctx.data;
-    mask = api.has_query ? serve::ApplyQuery(ctx.base_mask, api.query)
-                         : ctx.base_mask;
+    impute.data = ctx.data;
+    impute.mask = api.has_query ? serve::ApplyQuery(ctx.base_mask, api.query)
+                                : ctx.base_mask;
   }
 
-  // The Submit path — HTTP workers' concurrent requests coalesce into the
-  // same micro-batches in-process callers get, with the same
-  // deterministic per-slot aggregation.
-  serve::ImputationRequest impute;
-  impute.model = api.model;
-  impute.data = data;
-  impute.mask = mask;
-  impute.request_id = request_id;
-  // Parent the service-side spans (queue.wait, service.process, ...) to
-  // the enclosing http.handle span even though they run on the dispatcher
-  // thread, not this worker.
-  if (ctx.tracer != nullptr) impute.trace_parent = ctx.tracer->CurrentContext();
-  serve::ImputationResponse response =
-      ctx.service->Submit(std::move(impute)).get();
+  // Imputed right here on the HTTP worker: service.process nests under
+  // this thread's http.handle span.
+  serve::ImputationResponse response = ctx.service->Impute(impute);
   if (!response.status.ok()) return ErrorResponse(response.status);
 
   Stopwatch encode_watch;
@@ -97,11 +83,11 @@ HttpMessage HandleImpute(const ServingContext& ctx,
     obs::Span encode_span(ctx.tracer, "impute.encode");
     if (encode_span.active()) encode_span.set_request_id(request_id);
     if (api.csv_response) {
-      reply = MakeResponse(200,
-                           EncodeImputedCsv(data->dims(), response.imputed),
-                           "text/csv");
+      reply = MakeResponse(
+          200, EncodeImputedCsv(impute.data->dims(), response.imputed),
+          "text/csv");
     } else {
-      reply = MakeResponse(200, EncodeImputedJson(response, mask),
+      reply = MakeResponse(200, EncodeImputedJson(response, impute.mask),
                            "application/json");
     }
   }
@@ -197,21 +183,22 @@ HttpMessage HandleDebugQuality(const ServingContext& ctx) {
 HttpMessage HandleHealthz(const ServingContext& ctx,
                           const HttpServer* server) {
   const serve::ServiceConfig& config = ctx.service->config();
-  const int queue_depth = ctx.service->queue_depth();
+  const int in_flight = ctx.service->in_flight();
   const int pending = server != nullptr ? server->pending_connections() : 0;
-  const int depth = queue_depth + pending;
-  // The same ladder Submit walks, re-derived for observers: shedding beats
-  // degrading beats ready; both watermarks at 0 means the ladder is off.
+  // The rung the next arriving request would be admitted on.
   const char* degradation = "off";
-  if (config.shed_watermark > 0 || config.degrade_watermark > 0) {
-    if (config.shed_watermark > 0 && depth >= config.shed_watermark) {
-      degradation = "shedding";
-    } else if (config.degrade_watermark > 0 &&
-               depth >= config.degrade_watermark) {
-      degradation = "degrading";
-    } else {
+  switch (serve::PickLadderRung(config, ctx.service->PressureDepth())) {
+    case serve::LadderRung::kOff:
+      break;
+    case serve::LadderRung::kFull:
       degradation = "ready";
-    }
+      break;
+    case serve::LadderRung::kDegrade:
+      degradation = "degrading";
+      break;
+    case serve::LadderRung::kShed:
+      degradation = "shedding";
+      break;
   }
 
   std::ostringstream os;
@@ -226,7 +213,7 @@ HttpMessage HandleHealthz(const ServingContext& ctx,
      << ",\n";
   os << "  \"num_times\": " << (ctx.data ? ctx.data->num_times() : 0)
      << ",\n";
-  os << "  \"queue_depth\": " << queue_depth << ",\n";
+  os << "  \"in_flight\": " << in_flight << ",\n";
   os << "  \"pending_connections\": " << pending << ",\n";
   os << "  \"degrade_watermark\": " << config.degrade_watermark << ",\n";
   os << "  \"shed_watermark\": " << config.shed_watermark << ",\n";
@@ -392,9 +379,9 @@ void RegisterServingEndpoints(HttpServer* server, ServingContext ctx) {
     std::ostringstream os;
     os << serve::TelemetryToPrometheus(ctx.service->telemetry());
     obs::AppendPrometheusGauge(
-        os, "dmvi_queue_depth",
-        "Requests queued for the batch dispatcher right now.",
-        static_cast<double>(ctx.service->queue_depth()));
+        os, "dmvi_in_flight_requests",
+        "Impute requests being answered right now.",
+        static_cast<double>(ctx.service->in_flight()));
     obs::AppendPrometheusGauge(
         os, "dmvi_pending_connections",
         "Accepted connections waiting for a free worker right now.",

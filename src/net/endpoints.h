@@ -34,8 +34,7 @@ struct ServingContext {
   /// Optional observability hooks (borrowed; null disables). The registry
   /// contributes its metrics to GET /metrics and receives the decode /
   /// encode stage histograms; the tracer wraps request decoding and
-  /// response encoding in spans and threads the current HTTP span into
-  /// ImputationRequest::trace_parent.
+  /// response encoding in spans.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
   /// Optional flight recorder (borrowed; null answers the /debug/requests
@@ -63,19 +62,20 @@ struct ServingContext {
 };
 
 /// Registers the serving API on `server`:
-///   POST /v1/impute    data path -> ImputationService::Submit (so HTTP
-///                      requests micro-batch and fan out exactly like
-///                      in-process Submit callers). Responses answered by
-///                      the degradation ladder carry an "x-dmvi-degraded"
-///                      header naming the fallback imputer (JSON bodies
-///                      additionally say "status": "degraded").
-///   GET  /healthz      {"status":"ok", models, dataset shape, queue
-///                      depth, pending connections, watermarks, and the
+///   POST /v1/impute    data path -> ImputationService::Impute, called on
+///                      the HTTP worker that read the request (the same
+///                      call in-process callers make). Responses answered
+///                      by the degradation ladder carry an
+///                      "x-dmvi-degraded" header naming the fallback
+///                      imputer (JSON bodies additionally say "status":
+///                      "degraded").
+///   GET  /healthz      {"status":"ok", models, dataset shape, in-flight
+///                      requests, pending connections, watermarks, and the
 ///                      current degradation state: off/ready/degrading/
 ///                      shedding}
 ///   GET  /metrics      Prometheus text exposition: the telemetry counters
 ///                      as dmvi_*_total, the request-latency histogram,
-///                      live queue-depth / pending-connections gauges, and
+///                      live in-flight / pending-connections gauges, and
 ///                      everything in ctx.metrics (stage histograms, HTTP
 ///                      counters)
 ///   GET  /metrics.json Telemetry JSON (serve/telemetry.h), including

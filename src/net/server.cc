@@ -353,8 +353,8 @@ void HttpServer::ServeConnection(int fd) {
       Stopwatch handle_watch;
       HttpMessage response;
       {
-        // Live scope so handlers find it via Tracer::CurrentContext() and
-        // parent their service-side spans across the dispatcher hop.
+        // Live scope: the handler's spans (decode, service.process,
+        // encode) run on this thread and nest under it.
         obs::Span handle_span(traced ? tracer : nullptr, "http.handle", root);
         if (handle_span.active()) handle_span.set_request_id(request_id);
         response = Dispatch(parser.message());

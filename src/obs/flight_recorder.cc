@@ -156,8 +156,6 @@ std::string FlightRecordsJson(const std::vector<RequestRecord>& records) {
        << "\", \"ok\": " << (record.ok ? "true" : "false")
        << ", \"latency_seconds\": ";
     AppendNumber(os, record.latency_seconds);
-    os << ", \"queue_seconds\": ";
-    AppendNumber(os, record.queue_seconds);
     os << ", \"predict_seconds\": ";
     AppendNumber(os, record.predict_seconds);
     os << ", \"cells_imputed\": " << record.cells_imputed

@@ -21,8 +21,7 @@ struct RequestRecord {
   /// "OK" or the Status rendering ("NotFound: no model ...").
   std::string status;
   bool ok = true;
-  double latency_seconds = 0.0;   // Caller-observed, queue included.
-  double queue_seconds = 0.0;     // Dispatcher queue wait (Submit path).
+  double latency_seconds = 0.0;   // Time inside the service.
   double predict_seconds = 0.0;   // Full-model Predict time; 0 otherwise.
   int64_t cells_imputed = 0;
   bool cache_hit = false;

@@ -44,8 +44,8 @@ struct HistogramSnapshot {
 /// seconds, i in [0, kNumBounds) — 1 microsecond up to ~50 minutes at a
 /// guaranteed <= sqrt(2) relative quantile error — plus one overflow
 /// bucket. The fixed layout makes histograms mergeable by bucket-wise
-/// addition and keeps percentile estimates deterministic, replacing the
-/// serving layer's reservoir sampling as the source of p50/p95.
+/// addition and keeps percentile estimates deterministic — the serving
+/// layer's p50/p95 come from here.
 class Histogram {
  public:
   static constexpr int kNumBounds = 64;

@@ -1,7 +1,5 @@
 #include "serve/service.h"
 
-#include <algorithm>
-#include <chrono>
 #include <exception>
 #include <utility>
 
@@ -29,6 +27,19 @@ int64_t CountRowsTouched(const Mask& mask) {
 
 }  // namespace
 
+LadderRung PickLadderRung(const ServiceConfig& config, int pressure) {
+  if (config.shed_watermark > 0 && pressure >= config.shed_watermark) {
+    return LadderRung::kShed;
+  }
+  if (config.degrade_watermark > 0 && pressure >= config.degrade_watermark) {
+    return LadderRung::kDegrade;
+  }
+  if (config.shed_watermark > 0 || config.degrade_watermark > 0) {
+    return LadderRung::kFull;
+  }
+  return LadderRung::kOff;
+}
+
 ImputationService::ImputationService(ServiceConfig config)
     : config_(config) {
   if (config_.cache_mb > 0.0) {
@@ -36,12 +47,6 @@ ImputationService::ImputationService(ServiceConfig config)
         static_cast<int64_t>(config_.cache_mb * 1024.0 * 1024.0));
   }
   if (config_.metrics != nullptr) {
-    stage_queue_wait_ = config_.metrics->HistogramNamed(
-        "dmvi_stage_queue_wait_seconds",
-        "Time a submitted request spent queued before its batch started.");
-    stage_batch_assemble_ = config_.metrics->HistogramNamed(
-        "dmvi_stage_batch_assemble_seconds",
-        "Dispatcher time from wake-up to a dispatched batch (linger included).");
     stage_predict_ = config_.metrics->HistogramNamed(
         "dmvi_stage_predict_seconds",
         "Full-model Predict time per request.");
@@ -54,12 +59,10 @@ ImputationService::ImputationService(ServiceConfig config)
   }
 }
 
-ImputationService::~ImputationService() { Shutdown(); }
-
 ImputationResponse ImputationService::Process(const ImputationRequest& request,
                                               bool degrade) {
   obs::ProfileLabelScope profile_label("service.process");
-  obs::Span span(config_.tracer, "service.process", request.trace_parent);
+  obs::Span span(config_.tracer, "service.process");
   if (span.active() && !request.request_id.empty()) {
     span.set_request_id(request.request_id);
   }
@@ -211,7 +214,6 @@ void ImputationService::RecordFlight(const ImputationRequest& request,
   record.status = response.status.ToString();
   record.ok = response.status.ok();
   record.latency_seconds = response.latency_seconds;
-  record.queue_seconds = response.queue_seconds;
   record.predict_seconds = response.predict_seconds;
   record.cells_imputed = response.cells_imputed;
   record.cache_hit = response.cache_hit;
@@ -223,207 +225,58 @@ void ImputationService::RecordFlight(const ImputationRequest& request,
 
 ImputationResponse ImputationService::Impute(const ImputationRequest& request) {
   Stopwatch watch;
-  ImputationResponse response = Process(request);
+  // Admission control. fetch_add returns the requests already in flight,
+  // so a request never counts itself and racing arrivals each see a
+  // distinct count.
+  const int ahead = in_flight_.fetch_add(1);
+  const LadderRung rung = PickLadderRung(config_, ahead + ProbeDepth());
+  ImputationResponse response;
+  if (rung == LadderRung::kShed) {
+    response.status = Status::FailedPrecondition(
+        "overloaded: pressure depth crossed the shed watermark (" +
+        std::to_string(config_.shed_watermark) + "); retry later");
+    telemetry_.RecordShed();
+  } else {
+    response = Process(request, rung == LadderRung::kDegrade);
+  }
+  in_flight_.fetch_sub(1);
   response.latency_seconds = watch.ElapsedSeconds();
   telemetry_.RecordRequest(response.latency_seconds, response.rows_touched,
                            response.cells_imputed, response.status.ok(),
                            request.request_id);
-  RecordFlight(request, response, /*shed=*/false);
+  RecordFlight(request, response, rung == LadderRung::kShed);
   return response;
 }
 
 std::vector<ImputationResponse> ImputationService::ImputeBatch(
     const std::vector<ImputationRequest>& requests) {
-  const int total = static_cast<int>(requests.size());
   // Pre-allocated slots: worker i writes response i only, so the aggregate
   // is identical to a serial run regardless of scheduling (the RunSuite
   // pattern).
   std::vector<ImputationResponse> responses(requests.size());
-  telemetry_.RecordBatch(total);
-  ParallelFor(total, config_.threads, [&](int i) {
-    Stopwatch watch;
-    responses[i] = Process(requests[i]);
-    responses[i].latency_seconds = watch.ElapsedSeconds();
-    telemetry_.RecordRequest(responses[i].latency_seconds,
-                             responses[i].rows_touched,
-                             responses[i].cells_imputed,
-                             responses[i].status.ok(),
-                             requests[i].request_id);
-    RecordFlight(requests[i], responses[i], /*shed=*/false);
-  });
+  ParallelFor(static_cast<int>(requests.size()), config_.threads,
+              [&](int i) { responses[i] = Impute(requests[i]); });
   return responses;
 }
 
-int ImputationService::queue_depth() const {
-  MutexLock lock(&queue_mutex_);
-  return static_cast<int>(queue_.size());
-}
-
 void ImputationService::SetPressureProbe(std::function<int()> probe) {
-  MutexLock lock(&queue_mutex_);
+  MutexLock lock(&probe_mutex_);
   pressure_probe_ = std::move(probe);
 }
 
-int ImputationService::PressureDepth() const {
+int ImputationService::ProbeDepth() const {
   std::function<int()> probe;
-  int depth = 0;
   {
-    MutexLock lock(&queue_mutex_);
-    depth = static_cast<int>(queue_.size());
+    MutexLock lock(&probe_mutex_);
     probe = pressure_probe_;
   }
-  // The probe runs outside queue_mutex_ — it may take its own locks (the
-  // HTTP server's accept queue) and must not be able to deadlock against
-  // Submit.
-  if (probe) depth += probe();
-  return depth;
+  // The probe runs outside probe_mutex_ — it may take its own locks (the
+  // HTTP server's accept queue).
+  return probe ? probe() : 0;
 }
 
-std::future<ImputationResponse> ImputationService::Submit(
-    ImputationRequest request) {
-  PendingRequest pending;
-  pending.request = std::move(request);
-  std::future<ImputationResponse> future = pending.promise.get_future();
-
-  // Admission control: read the pressure signal before touching the
-  // queue. Racing Submits may see slightly stale depths — watermarks are
-  // thresholds, not exact counters, and the jitter is bounded by the
-  // number of in-flight Submits.
-  bool shed = false, degrade = false;
-  if (config_.shed_watermark > 0 || config_.degrade_watermark > 0) {
-    const int depth = PressureDepth();
-    if (config_.shed_watermark > 0 && depth >= config_.shed_watermark) {
-      shed = true;
-    } else if (config_.degrade_watermark > 0 &&
-               depth >= config_.degrade_watermark) {
-      degrade = true;
-    }
-  }
-  if (shed) {
-    ImputationResponse response;
-    response.status = Status::FailedPrecondition(
-        "overloaded: pressure depth crossed the shed watermark (" +
-        std::to_string(config_.shed_watermark) + "); retry later");
-    response.latency_seconds = pending.queued.ElapsedSeconds();
-    telemetry_.RecordShed();
-    telemetry_.RecordRequest(response.latency_seconds, 0, 0, false,
-                             pending.request.request_id);
-    RecordFlight(pending.request, response, /*shed=*/true);
-    pending.promise.set_value(std::move(response));
-    return future;
-  }
-  pending.degrade = degrade;
-  if (config_.tracer != nullptr && config_.tracer->enabled()) {
-    pending.submitted_at = config_.tracer->Now();
-  }
-  {
-    MutexLock lock(&queue_mutex_);
-    DMVI_CHECK(!stop_) << "Submit after Shutdown";
-    queue_.push_back(std::move(pending));
-    EnsureDispatcherLocked();
-  }
-  queue_cv_.SignalAll();
-  return future;
-}
-
-void ImputationService::EnsureDispatcherLocked() {
-  // Lazy start keeps purely synchronous users thread-free.
-  if (dispatcher_started_) return;
-  dispatcher_started_ = true;
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
-}
-
-void ImputationService::RunBatch(std::vector<PendingRequest>& batch) {
-  const int total = static_cast<int>(batch.size());
-  telemetry_.RecordBatch(total);
-  obs::Span batch_span(config_.tracer, "batch.run");
-  if (batch_span.active()) {
-    batch_span.AddArg("batch_size", std::to_string(total));
-  }
-  ParallelFor(total, config_.threads, [&](int i) {
-    // Queue wait ends when its batch starts: record it retrospectively as
-    // a sibling preceding service.process under the request's parent.
-    const double queue_seconds = batch[i].queued.ElapsedSeconds();
-    if (stage_queue_wait_ != nullptr) {
-      stage_queue_wait_->Observe(queue_seconds);
-    }
-    obs::Tracer* tracer = config_.tracer;
-    if (tracer != nullptr && tracer->enabled()) {
-      obs::SpanContext parent = batch[i].request.trace_parent;
-      obs::SpanContext wait;
-      wait.trace_id = parent.trace_id != 0 ? parent.trace_id : tracer->NewId();
-      wait.span_id = tracer->NewId();
-      tracer->RecordSpan("queue.wait", wait,
-                         parent.trace_id != 0 ? parent.span_id : 0,
-                         batch[i].submitted_at,
-                         tracer->Now() - batch[i].submitted_at,
-                         batch[i].request.request_id);
-    }
-    ImputationResponse response = Process(batch[i].request, batch[i].degrade);
-    // Caller-observed latency: queue wait + batch formation + compute.
-    response.latency_seconds = batch[i].queued.ElapsedSeconds();
-    response.queue_seconds = queue_seconds;
-    telemetry_.RecordRequest(response.latency_seconds, response.rows_touched,
-                             response.cells_imputed, response.status.ok(),
-                             batch[i].request.request_id);
-    RecordFlight(batch[i].request, response, /*shed=*/false);
-    batch[i].promise.set_value(std::move(response));
-  });
-}
-
-void ImputationService::DispatchLoop() {
-  for (;;) {
-    std::vector<PendingRequest> batch;
-    {
-      MutexLock lock(&queue_mutex_);
-      // Explicit wait loops (rather than predicate overloads) so the
-      // thread-safety analysis sees the lock across the whole condition.
-      while (!stop_ && queue_.empty()) queue_cv_.Wait(&queue_mutex_);
-      if (queue_.empty() && stop_) return;
-      Stopwatch assemble_watch;
-
-      // Micro-batching: after the first request arrives, linger briefly so
-      // concurrent callers coalesce into one batch (unless it is already
-      // full or the service is draining).
-      if (config_.batch_linger_ms > 0.0 && !stop_ &&
-          static_cast<int>(queue_.size()) < config_.max_batch_size) {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double, std::milli>(
-                    config_.batch_linger_ms));
-        while (!stop_ &&
-               static_cast<int>(queue_.size()) < config_.max_batch_size) {
-          if (!queue_cv_.WaitUntil(&queue_mutex_, deadline)) break;
-        }
-      }
-
-      const int take = std::min<int>(static_cast<int>(queue_.size()),
-                                     std::max(1, config_.max_batch_size));
-      for (int i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      if (stage_batch_assemble_ != nullptr && !batch.empty()) {
-        stage_batch_assemble_->Observe(assemble_watch.ElapsedSeconds());
-      }
-    }
-    if (!batch.empty()) RunBatch(batch);
-  }
-}
-
-void ImputationService::Shutdown() {
-  // The thread handle is moved out under the lock (it is written by
-  // EnsureDispatcherLocked under the same lock) and joined outside it, so
-  // the join cannot deadlock against the dispatcher draining the queue.
-  std::thread dispatcher;
-  {
-    MutexLock lock(&queue_mutex_);
-    stop_ = true;
-    dispatcher = std::move(dispatcher_);
-  }
-  queue_cv_.SignalAll();
-  if (dispatcher.joinable()) dispatcher.join();
+int ImputationService::PressureDepth() const {
+  return in_flight() + ProbeDepth();
 }
 
 }  // namespace serve

@@ -1,12 +1,10 @@
 #ifndef DEEPMVI_SERVE_SERVICE_H_
 #define DEEPMVI_SERVE_SERVICE_H_
 
-#include <deque>
+#include <atomic>
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -28,7 +26,7 @@ namespace serve {
 /// One imputation query: a dataset slice plus the availability mask whose
 /// missing cells the named model should fill. The dataset is shared, not
 /// copied — a replayed workload of N queries against one dataset must
-/// queue O(dataset) memory, not N dense copies.
+/// hold O(dataset) memory, not N dense copies.
 struct ImputationRequest {
   std::string model;  // Registry key.
   std::shared_ptr<const DataTensor> data;
@@ -37,10 +35,6 @@ struct ImputationRequest {
   /// layer echoes it as x-dmvi-request-id). Empty is fine: spans are then
   /// anonymous.
   std::string request_id;
-  /// Span the request's service-side work should parent to — set by the
-  /// HTTP handler so the span tree stays connected across the worker /
-  /// dispatcher thread hop. Zero means "start a fresh trace".
-  obs::SpanContext trace_parent;
 };
 
 /// The answer to one request. `status` is non-OK for unknown models,
@@ -48,8 +42,7 @@ struct ImputationRequest {
 struct ImputationResponse {
   Status status;
   Matrix imputed;
-  /// Caller-observed latency: compute only on the synchronous paths,
-  /// queue + batch + compute on the Submit path.
+  /// Time spent inside Impute: admission, lookup, validation, and compute.
   double latency_seconds = 0.0;
   int64_t cells_imputed = 0;   // Missing cells filled.
   int64_t rows_touched = 0;    // Series rows with >= 1 filled cell.
@@ -64,19 +57,11 @@ struct ImputationResponse {
   bool cache_hit = false;
   /// Full-model Predict time; 0 on cache hits, fallback, and errors.
   double predict_seconds = 0.0;
-  /// Dispatcher queue wait (Submit path; 0 on the synchronous paths).
-  double queue_seconds = 0.0;
 };
 
-/// Tuning knobs of the serving loop.
+/// Tuning knobs of the service.
 struct ServiceConfig {
-  /// Upper bound on requests fused into one micro-batch (Submit path).
-  int max_batch_size = 8;
-  /// After the first queued request, the dispatcher lingers this long for
-  /// more arrivals before launching a partial batch. 0 dispatches
-  /// immediately.
-  double batch_linger_ms = 1.0;
-  /// Worker threads fanned over a batch (<= 0: hardware concurrency).
+  /// Worker threads ImputeBatch fans over (<= 0: hardware concurrency).
   int threads = 0;
   /// Response cache budget in MB, keyed on (model, data fingerprint, mask
   /// fingerprint). 0 disables caching — the default, so the determinism
@@ -84,22 +69,22 @@ struct ServiceConfig {
   /// state. Hits are bit-identical to recomputing (Predict is
   /// deterministic); they only change latency.
   double cache_mb = 0.0;
-  /// Degradation ladder (Submit path only; 0 disables a rung). The
-  /// pressure signal is the service backlog plus whatever the pressure
-  /// probe reports (dmvi_serve wires the HTTP accept queue in). At or
-  /// above `degrade_watermark`, new requests are answered by the cheap
-  /// `degrade_method` imputer instead of the model — accuracy traded for
-  /// latency instead of stalling. At or above `shed_watermark`, new
-  /// requests are rejected immediately with FailedPrecondition (the HTTP
-  /// layer maps it to 503).
+  /// Degradation ladder (0 disables a rung). The pressure an arriving
+  /// request sees is the number of requests already in flight (not
+  /// counting itself) plus whatever the pressure probe reports (dmvi_serve
+  /// wires the HTTP accept queue in). At or above `degrade_watermark`, new
+  /// requests are answered by the cheap `degrade_method` imputer instead of
+  /// the model — accuracy traded for latency instead of stalling. At or
+  /// above `shed_watermark`, new requests are rejected immediately with
+  /// FailedPrecondition (the HTTP layer maps it to 503).
   int degrade_watermark = 0;
   int shed_watermark = 0;
   /// Fallback imputer: "LinearInterp" (default) or "Mean".
   std::string degrade_method = "LinearInterp";
   /// Optional observability hooks, both borrowed (must outlive the
   /// service; null disables). The registry receives per-stage latency
-  /// histograms (queue wait, batch assembly, predict, cache probe,
-  /// fallback); the tracer receives per-request spans.
+  /// histograms (predict, cache probe, fallback); the tracer receives
+  /// per-request spans.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
   /// Optional flight recorder, borrowed like the hooks above (null
@@ -116,66 +101,60 @@ struct ServiceConfig {
   QualityMonitor* quality = nullptr;
 };
 
-/// Long-lived imputation service: owns loaded models (via the registry),
-/// micro-batches concurrent requests, and fans batch inference over
-/// ParallelFor with deterministic per-slot aggregation mirroring RunSuite
-/// (src/eval/suite.cc) — each request writes only its own pre-allocated
-/// response slot, so results are bit-identical for any thread count and
-/// any batching schedule (Predict itself consumes no randomness).
+/// The degradation ladder's rungs, in the order rising pressure walks
+/// them. kOff means both watermarks are 0: every request gets the model.
+enum class LadderRung { kOff, kFull, kDegrade, kShed };
+
+/// The rung the ladder stands on at `pressure`: shedding beats degrading
+/// beats the full model. Admission control and /healthz both read it.
+LadderRung PickLadderRung(const ServiceConfig& config, int pressure);
+
+/// Long-lived imputation service: owns loaded models (via the registry)
+/// and answers each request on the calling thread. Requests share no
+/// compute, so there is nothing to queue: the HTTP front-end calls Impute
+/// on its worker, and ImputeBatch fans Impute over ParallelFor with
+/// deterministic per-slot aggregation mirroring RunSuite
+/// (src/eval/suite.cc) — results are bit-identical for any thread count
+/// (Predict itself consumes no randomness). The service starts no thread.
 ///
-/// Three entry points, all thread-safe:
-///  - Impute: synchronous single request.
-///  - ImputeBatch: synchronous, responses in request order.
-///  - Submit: enqueue and get a future; a background dispatcher fuses
-///    queued requests into micro-batches (up to max_batch_size, lingering
-///    batch_linger_ms for co-arrivals) — the serving pattern for heavy
-///    query traffic.
+/// Both entry points are thread-safe:
+///  - Impute: one request, admitted through the degradation ladder.
+///  - ImputeBatch: Impute over ParallelFor, responses in request order.
 class ImputationService {
  public:
   explicit ImputationService(ServiceConfig config = {});
-  ~ImputationService();
   ImputationService(const ImputationService&) = delete;
   ImputationService& operator=(const ImputationService&) = delete;
 
   ModelRegistry& registry() { return registry_; }
   const ServiceConfig& config() const { return config_; }
 
-  /// Synchronously answers one request.
+  /// Answers one request on the calling thread. Admission control picks
+  /// the ladder rung first: a shed request is answered FailedPrecondition
+  /// at once, a degraded one by the fallback imputer.
   ImputationResponse Impute(const ImputationRequest& request);
 
-  /// Synchronously answers a batch; response i belongs to request i.
+  /// Answers a batch by fanning Impute over ParallelFor (config.threads);
+  /// response i belongs to request i.
   std::vector<ImputationResponse> ImputeBatch(
       const std::vector<ImputationRequest>& requests);
-
-  /// Enqueues a request for micro-batched execution. The returned future
-  /// is fulfilled by the dispatcher; safe to call from many threads.
-  std::future<ImputationResponse> Submit(ImputationRequest request);
-
-  /// Drains the queue — every already-submitted request is still executed
-  /// and its future fulfilled — then stops the dispatcher. Called by the
-  /// destructor; safe to call twice. Submitting after Shutdown aborts.
-  void Shutdown();
-
-  /// Graceful-stop alias of Shutdown, matching the net server's verb.
-  void Stop() { Shutdown(); }
 
   /// The response cache, or nullptr when cache_mb is 0. Exposed for stats
   /// reporting and tests.
   ResponseCache* response_cache() const { return cache_.get(); }
 
-  /// Requests queued for the dispatcher right now (the service half of the
-  /// overload pressure signal; /healthz reports it).
-  int queue_depth() const;
+  /// Requests inside Impute right now (the service half of the overload
+  /// pressure signal; /healthz reports it).
+  int in_flight() const { return in_flight_.load(); }
 
-  /// Extra backlog added to the watermark comparison in Submit — the HTTP
+  /// Extra backlog added to the watermark comparison in Impute — the HTTP
   /// front-end wires its accept-queue depth in so admission control sees
-  /// connection pressure before those requests reach the service queue.
-  /// Set before traffic starts; the probe must be thread-safe and must not
-  /// call back into this service.
+  /// connection pressure before those requests reach a worker. The probe
+  /// must be thread-safe and must not call back into this service.
   void SetPressureProbe(std::function<int()> probe);
 
-  /// queue_depth() plus the pressure probe — the number admission control
-  /// compares against the watermarks.
+  /// in_flight() plus the pressure probe — the pressure the next arriving
+  /// request would be admitted at (/healthz reports its ladder rung).
   int PressureDepth() const;
 
   TelemetrySnapshot telemetry() const { return telemetry_.Snapshot(); }
@@ -185,27 +164,16 @@ class ImputationService {
   void ResetTelemetry() { telemetry_.Reset(); }
 
  private:
-  struct PendingRequest {
-    ImputationRequest request;
-    std::promise<ImputationResponse> promise;
-    Stopwatch queued;  // Started at Submit; measures caller latency.
-    /// Stamped at admission when the pressure signal crossed the degrade
-    /// watermark: the dispatcher answers with the fallback imputer.
-    bool degrade = false;
-    /// Tracer timestamp at Submit, for the retrospective queue.wait span
-    /// recorded when the batch picks the request up. Meaningless (and
-    /// unused) without a tracer.
-    double submitted_at = 0.0;
-  };
+  /// What the pressure probe reports (0 without one).
+  int ProbeDepth() const;
 
-  /// Answers one request (no latency telemetry, no locking): registry
-  /// lookup, validation, cache probe, Predict. With `degrade`, the model
+  /// Answers one admitted request (no latency telemetry): registry lookup,
+  /// validation, cache probe, Predict. With `degrade`, the model
   /// is still looked up and the input validated, but the configured
   /// fallback imputer produces the answer (cache bypassed — fallback
   /// results must never alias model results). Exceptions become kInternal
   /// responses.
-  ImputationResponse Process(const ImputationRequest& request,
-                             bool degrade = false);
+  ImputationResponse Process(const ImputationRequest& request, bool degrade);
 
   /// FingerprintData with a one-entry memo: the serving pattern shares one
   /// long-lived dataset across every request (workload replay, the HTTP
@@ -217,24 +185,16 @@ class ImputationService {
   uint64_t MemoizedDataFingerprint(
       const std::shared_ptr<const DataTensor>& data);
 
-  /// Runs `batch` through ParallelFor, fulfilling promises per slot.
-  void RunBatch(std::vector<PendingRequest>& batch);
-
   /// Appends the request's flight-recorder record (no-op without a
   /// recorder). `shed` marks admission-control rejections.
   void RecordFlight(const ImputationRequest& request,
                     const ImputationResponse& response, bool shed);
-
-  void DispatchLoop() DMVI_EXCLUDES(queue_mutex_);
-  void EnsureDispatcherLocked() DMVI_REQUIRES(queue_mutex_);
 
   const ServiceConfig config_;
   ModelRegistry registry_;
   Telemetry telemetry_;
   // Stage-latency histograms from config_.metrics; null when no registry
   // is wired in (every observation site is then one branch).
-  obs::Histogram* stage_queue_wait_ = nullptr;
-  obs::Histogram* stage_batch_assemble_ = nullptr;
   obs::Histogram* stage_predict_ = nullptr;
   obs::Histogram* stage_cache_probe_ = nullptr;
   obs::Histogram* stage_fallback_ = nullptr;
@@ -244,13 +204,9 @@ class ImputationService {
       DMVI_GUARDED_BY(fingerprint_mutex_);
   uint64_t fingerprint_value_ DMVI_GUARDED_BY(fingerprint_mutex_) = 0;
 
-  mutable Mutex queue_mutex_;
-  CondVar queue_cv_;
-  std::function<int()> pressure_probe_ DMVI_GUARDED_BY(queue_mutex_);
-  std::deque<PendingRequest> queue_ DMVI_GUARDED_BY(queue_mutex_);
-  std::thread dispatcher_ DMVI_GUARDED_BY(queue_mutex_);
-  bool dispatcher_started_ DMVI_GUARDED_BY(queue_mutex_) = false;
-  bool stop_ DMVI_GUARDED_BY(queue_mutex_) = false;
+  std::atomic<int> in_flight_{0};
+  mutable Mutex probe_mutex_;
+  std::function<int()> pressure_probe_ DMVI_GUARDED_BY(probe_mutex_);
 };
 
 }  // namespace serve

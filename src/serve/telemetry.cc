@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -28,20 +27,6 @@ void Telemetry::RecordRequest(double latency_seconds, int64_t rows,
   busy_seconds_ += latency_seconds;
   latency_max_seconds_ = std::max(latency_max_seconds_, latency_seconds);
   latency_histogram_.ObserveWithExemplar(latency_seconds, request_id);
-  // Algorithm R: keep the first C latencies, then replace a uniformly
-  // chosen slot with probability C / requests_ — an unbiased sample of
-  // the whole stream in bounded memory. Retained as a cross-check for
-  // the histogram estimate, not as the percentile source.
-  if (static_cast<int>(latency_reservoir_.size()) < kLatencyReservoirCapacity) {
-    latency_reservoir_.push_back(latency_seconds);
-  } else {
-    const int64_t slot =
-        reservoir_rng_.UniformInt(static_cast<int>(
-            std::min<int64_t>(requests_, std::numeric_limits<int>::max())));
-    if (slot < kLatencyReservoirCapacity) {
-      latency_reservoir_[static_cast<size_t>(slot)] = latency_seconds;
-    }
-  }
 }
 
 void Telemetry::RecordDegraded() {
@@ -54,13 +39,6 @@ void Telemetry::RecordShed() {
   MutexLock lock(&mutex_);
   TouchClockLocked();
   ++shed_;
-}
-
-void Telemetry::RecordBatch(int size) {
-  MutexLock lock(&mutex_);
-  TouchClockLocked();
-  ++batches_;
-  batched_requests_ += size;
 }
 
 void Telemetry::RecordCacheLookup(bool hit) {
@@ -80,7 +58,6 @@ TelemetrySnapshot Telemetry::Snapshot() const {
   snap.failures = failures_;
   snap.degraded = degraded_;
   snap.shed = shed_;
-  snap.batches = batches_;
   snap.rows_served = rows_served_;
   snap.cells_imputed = cells_imputed_;
   snap.cache_hits = cache_hits_;
@@ -94,23 +71,14 @@ TelemetrySnapshot Telemetry::Snapshot() const {
   snap.latency_p50_ms = snap.latency_histogram.Percentile(0.50) * 1e3;
   snap.latency_p95_ms = snap.latency_histogram.Percentile(0.95) * 1e3;
   // Max comes from the exact running counter (a bucket bound would round
-  // it up, the reservoir may have evicted the extreme).
+  // it up).
   snap.latency_max_ms = latency_max_seconds_ * 1e3;
-
-  std::vector<double> sorted = latency_reservoir_;
-  std::sort(sorted.begin(), sorted.end());
-  snap.reservoir_p50_ms = SortedPercentile(sorted, 0.50) * 1e3;
-  snap.reservoir_p95_ms = SortedPercentile(sorted, 0.95) * 1e3;
 
   if (snap.wall_seconds > 0.0) {
     snap.requests_per_second = static_cast<double>(requests_) / snap.wall_seconds;
     snap.rows_per_second = static_cast<double>(rows_served_) / snap.wall_seconds;
     snap.cells_per_second =
         static_cast<double>(cells_imputed_) / snap.wall_seconds;
-  }
-  if (batches_ > 0) {
-    snap.mean_batch_size =
-        static_cast<double>(batched_requests_) / static_cast<double>(batches_);
   }
   return snap;
 }
@@ -121,8 +89,6 @@ void Telemetry::Reset() {
   failures_ = 0;
   degraded_ = 0;
   shed_ = 0;
-  batches_ = 0;
-  batched_requests_ = 0;
   rows_served_ = 0;
   cells_imputed_ = 0;
   cache_hits_ = 0;
@@ -130,7 +96,6 @@ void Telemetry::Reset() {
   busy_seconds_ = 0.0;
   latency_max_seconds_ = 0.0;
   latency_histogram_.Reset();
-  latency_reservoir_.clear();
   // The wall clock restarts lazily: it stays at zero until the next
   // recorded event, so throughput derived from wall_seconds reflects the
   // post-Reset traffic window only.
@@ -162,7 +127,6 @@ std::string TelemetryToJson(const TelemetrySnapshot& snap) {
   os << "  \"failures\": " << snap.failures << ",\n";
   os << "  \"degraded\": " << snap.degraded << ",\n";
   os << "  \"shed\": " << snap.shed << ",\n";
-  os << "  \"batches\": " << snap.batches << ",\n";
   os << "  \"rows_served\": " << snap.rows_served << ",\n";
   os << "  \"cells_imputed\": " << snap.cells_imputed << ",\n";
   os << "  \"cache_hits\": " << snap.cache_hits << ",\n";
@@ -172,13 +136,10 @@ std::string TelemetryToJson(const TelemetrySnapshot& snap) {
   os << "  \"latency_p50_ms\": " << number(snap.latency_p50_ms) << ",\n";
   os << "  \"latency_p95_ms\": " << number(snap.latency_p95_ms) << ",\n";
   os << "  \"latency_max_ms\": " << number(snap.latency_max_ms) << ",\n";
-  os << "  \"reservoir_p50_ms\": " << number(snap.reservoir_p50_ms) << ",\n";
-  os << "  \"reservoir_p95_ms\": " << number(snap.reservoir_p95_ms) << ",\n";
   os << "  \"requests_per_second\": " << number(snap.requests_per_second)
      << ",\n";
   os << "  \"rows_per_second\": " << number(snap.rows_per_second) << ",\n";
-  os << "  \"cells_per_second\": " << number(snap.cells_per_second) << ",\n";
-  os << "  \"mean_batch_size\": " << number(snap.mean_batch_size) << "\n";
+  os << "  \"cells_per_second\": " << number(snap.cells_per_second) << "\n";
   os << "}\n";
   return os.str();
 }
@@ -198,8 +159,6 @@ std::string TelemetryToPrometheus(const TelemetrySnapshot& snap) {
   obs::AppendPrometheusCounter(os, "dmvi_shed_total",
                                "Requests rejected at admission (503).",
                                snap.shed);
-  obs::AppendPrometheusCounter(os, "dmvi_batches_total",
-                               "Micro-batches dispatched.", snap.batches);
   obs::AppendPrometheusCounter(os, "dmvi_rows_served_total",
                                "Series rows carrying at least one imputed cell.",
                                snap.rows_served);
@@ -211,7 +170,7 @@ std::string TelemetryToPrometheus(const TelemetrySnapshot& snap) {
                                "Response-cache misses.", snap.cache_misses);
   obs::AppendPrometheusHistogram(
       os, "dmvi_request_latency_seconds",
-      "End-to-end request latency, queue time included.",
+      "Request latency inside the service (admission through compute).",
       snap.latency_histogram);
   obs::AppendPrometheusGauge(os, "dmvi_busy_seconds",
                              "Sum of per-request latencies.",
@@ -223,9 +182,6 @@ std::string TelemetryToPrometheus(const TelemetrySnapshot& snap) {
   obs::AppendPrometheusGauge(os, "dmvi_requests_per_second",
                              "Request throughput over the wall-clock window.",
                              snap.requests_per_second);
-  obs::AppendPrometheusGauge(os, "dmvi_mean_batch_size",
-                             "Mean dispatched micro-batch size.",
-                             snap.mean_batch_size);
   obs::AppendPrometheusGauge(os, "dmvi_request_latency_max_seconds",
                              "Largest observed request latency.",
                              snap.latency_max_ms / 1e3);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/thread_annotations.h"
 #include "obs/histogram.h"
@@ -23,24 +22,19 @@ struct TelemetrySnapshot {
   int64_t failures = 0;        // Requests answered with a non-OK status.
   int64_t degraded = 0;        // Requests answered by the fallback imputer.
   int64_t shed = 0;            // Requests rejected at admission (503).
-  int64_t batches = 0;         // Micro-batches dispatched.
   int64_t rows_served = 0;     // Series rows carrying >= 1 imputed cell.
   int64_t cells_imputed = 0;   // Missing cells filled.
   double busy_seconds = 0.0;   // Sum of per-request latencies.
   double wall_seconds = 0.0;   // Since the first event after start/Reset.
   // Latency distribution over completed requests, milliseconds. p50/p95
-  // are deterministic histogram estimates; the reservoir_* pair is the
-  // legacy sampled estimate, kept as a cross-check.
+  // are deterministic histogram estimates.
   double latency_p50_ms = 0.0;
   double latency_p95_ms = 0.0;
   double latency_max_ms = 0.0;
-  double reservoir_p50_ms = 0.0;
-  double reservoir_p95_ms = 0.0;
   // Throughput over the wall-clock window.
   double requests_per_second = 0.0;
   double rows_per_second = 0.0;
   double cells_per_second = 0.0;
-  double mean_batch_size = 0.0;
   // Response-cache lookups (0/0 when the cache is disabled).
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
@@ -49,11 +43,8 @@ struct TelemetrySnapshot {
 };
 
 /// Thread-safe latency/throughput counters owned by ImputationService.
-/// Counters are exact. The latency distribution is kept two ways: a
-/// fixed-bucket obs::Histogram — the authoritative, deterministic source
-/// of the p50/p95 in snapshots — and a bounded reservoir sample (Vitter's
-/// algorithm R), retained only as an independent cross-check that tests
-/// compare against the histogram estimate.
+/// Counters are exact; the latency distribution is a fixed-bucket
+/// obs::Histogram, the deterministic source of the p50/p95 in snapshots.
 ///
 /// The wall clock is lazy: it starts at the first recorded event after
 /// construction or Reset(), so wall_seconds (and the derived throughput
@@ -62,18 +53,11 @@ struct TelemetrySnapshot {
 /// instead of a shrinking rate.
 class Telemetry {
  public:
-  static constexpr int kLatencyReservoirCapacity = 4096;
-
-  /// Records one completed request. `latency_seconds` should include queue
-  /// time for async requests so percentiles reflect what callers observe.
-  /// A non-empty `request_id` becomes the latency histogram's bucket
-  /// exemplar, so the exposition links slow buckets to replayable
-  /// requests.
+  /// Records one completed request. A non-empty `request_id` becomes the
+  /// latency histogram's bucket exemplar, so the exposition links slow
+  /// buckets to replayable requests.
   void RecordRequest(double latency_seconds, int64_t rows, int64_t cells,
                      bool ok, const std::string& request_id = std::string());
-
-  /// Records one dispatched micro-batch of `size` requests.
-  void RecordBatch(int size);
 
   /// Records one request answered by the degradation ladder's fallback
   /// imputer instead of the full model.
@@ -101,8 +85,6 @@ class Telemetry {
   int64_t failures_ DMVI_GUARDED_BY(mutex_) = 0;
   int64_t degraded_ DMVI_GUARDED_BY(mutex_) = 0;
   int64_t shed_ DMVI_GUARDED_BY(mutex_) = 0;
-  int64_t batches_ DMVI_GUARDED_BY(mutex_) = 0;
-  int64_t batched_requests_ DMVI_GUARDED_BY(mutex_) = 0;
   int64_t rows_served_ DMVI_GUARDED_BY(mutex_) = 0;
   int64_t cells_imputed_ DMVI_GUARDED_BY(mutex_) = 0;
   int64_t cache_hits_ DMVI_GUARDED_BY(mutex_) = 0;
@@ -113,13 +95,11 @@ class Telemetry {
   /// critical section as the exact counters so a Snapshot is one
   /// consistent cut across all of them.
   obs::Histogram latency_histogram_;
-  Rng reservoir_rng_ DMVI_GUARDED_BY(mutex_){
-      0x7e1e /* fixed: telemetry needs no seeding API */};
-  std::vector<double> latency_reservoir_ DMVI_GUARDED_BY(mutex_);
 };
 
 /// Linear-interpolated percentile (q in [0, 1]) of `sorted` ascending
-/// values; 0 when empty. Exposed for tests and report printing.
+/// values; 0 when empty. The exact-order-statistic oracle the histogram
+/// tests compare against, and the percentile dmvi_loadgen reports.
 double SortedPercentile(const std::vector<double>& sorted, double q);
 
 /// Renders a snapshot as a small JSON document (two-space indent, stable

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -566,6 +568,45 @@ TEST(QualityProfileTest, CorruptTrailingRecordIsAnError) {
     out << bytes;
   }
   EXPECT_FALSE(TrainedDeepMvi::Load(path).ok());
+}
+
+TEST(CheckpointTest, OutOfRangeArchitectureFieldsFailBeforeAllocating) {
+  testutil::SeasonalCase c = testutil::MakeSeasonalCase(89, 5, 120);
+  TrainedDeepMvi trained =
+      DeepMviImputer(testutil::TinyDeepMviConfig()).Fit(c.data, c.mask);
+  const std::string path = testutil::TempPath("header_bounds.dmvi");
+  ASSERT_TRUE(trained.Save(path).ok());
+  const std::string bytes = FileBytes(path);
+
+  // The header is "DMVC", a uint32 version, then int32 filters, window,
+  // num_heads and embedding_dim. Unbounded, the large values make
+  // BuildDeepMviModules allocate tens to hundreds of GB.
+  struct Field {
+    const char* name;
+    size_t offset;
+  };
+  const Field fields[] = {{"filters", 8},
+                          {"window", 12},
+                          {"num_heads", 16},
+                          {"embedding_dim", 20}};
+  const std::string mutated_path = testutil::TempPath("header_mutated.dmvi");
+  for (const Field& field : fields) {
+    for (const int32_t value : {1 << 16, 1 << 20, 0, -1}) {
+      std::string mutated = bytes;
+      std::memcpy(&mutated[field.offset], &value, sizeof(value));
+      {
+        std::ofstream out(mutated_path, std::ios::binary);
+        out << mutated;
+      }
+      StatusOr<TrainedDeepMvi> loaded = TrainedDeepMvi::Load(mutated_path);
+      ASSERT_FALSE(loaded.ok()) << field.name << " = " << value;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(loaded.status().message().find(field.name), std::string::npos)
+          << loaded.status().ToString();
+    }
+  }
+  // The untouched file still loads.
+  EXPECT_TRUE(TrainedDeepMvi::Load(path).ok());
 }
 
 TEST(QualityProfileTest, ComputeIsMaskAware) {

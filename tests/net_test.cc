@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -873,8 +875,8 @@ TEST(ServingEndpointsTest, InlineValuesModeImputesWithoutServedDataset) {
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->at("cells").array_items().size(), 2u);
 
-  // Inline values + CSV reply (regression: the response must be encoded
-  // from the inline dataset after the request was moved into Submit).
+  // Inline values + CSV reply: the response must be encoded from the
+  // inline dataset, not the served one.
   StatusOr<net::HttpMessage> csv =
       client.Post("/v1/impute", body.str(), "application/json", "text/csv");
   ASSERT_TRUE(csv.ok()) << csv.status().ToString();
@@ -927,7 +929,7 @@ TEST(ServingEndpointsTest, AdminEndpointsHealthMetricsReload) {
   EXPECT_NE(metrics->body.find("dmvi_cache_hits_total"), std::string::npos);
   EXPECT_NE(metrics->body.find("dmvi_request_latency_seconds_bucket"),
             std::string::npos);
-  EXPECT_NE(metrics->body.find("dmvi_queue_depth"), std::string::npos);
+  EXPECT_NE(metrics->body.find("dmvi_in_flight_requests"), std::string::npos);
 
   StatusOr<net::HttpMessage> metrics_json = client.Get("/metrics.json");
   ASSERT_TRUE(metrics_json.ok());
@@ -960,6 +962,67 @@ TEST(ServingEndpointsTest, AdminEndpointsHealthMetricsReload) {
                 ->status_code,
             400);
   server.Stop();
+}
+
+TEST(ServingEndpointsTest, ReloadOfOversizedHeaderIs400AndKeepsBytes) {
+  // A checkpoint whose window or num_heads header field is corrupt would
+  // make the model skeleton allocate tens of GB. The reload must fail as
+  // a 400 and the old weights keep serving the same bytes.
+  ServedCase served;
+  const std::string good_path = TempPath("reload_header_good.dmvi");
+  ASSERT_TRUE(served.service.registry().Get("default")->Save(good_path).ok());
+  std::string good_bytes;
+  {
+    std::ifstream in(good_path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    good_bytes = buffer.str();
+  }
+  net::ServingContext ctx = served.Context();
+  ctx.reload = [&served](const std::string& model, const std::string& path) {
+    return served.service.registry().LoadFromFile(model, path);
+  };
+  net::HttpServer server;
+  net::RegisterServingEndpoints(&server, ctx);
+  ASSERT_TRUE(server.Start().ok());
+  net::Client client("127.0.0.1", server.port());
+  const std::string csv_request = R"({"format": "csv"})";
+  StatusOr<net::HttpMessage> before =
+      client.Post("/v1/impute", csv_request, "application/json");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->status_code, 200) << before->body;
+
+  // Header: "DMVC", uint32 version, int32 filters, window (offset 12),
+  // num_heads (offset 16), embedding_dim.
+  for (const auto& [offset, value] :
+       {std::pair<size_t, int32_t>{12, 1 << 20},
+        std::pair<size_t, int32_t>{16, 1 << 16}}) {
+    std::string bytes = good_bytes;
+    std::memcpy(&bytes[offset], &value, sizeof(value));
+    const std::string bad_path = TempPath("reload_header_bad.dmvi");
+    {
+      std::ofstream out(bad_path, std::ios::binary);
+      out << bytes;
+    }
+    StatusOr<net::HttpMessage> reload = client.Post(
+        "/admin/reload",
+        R"({"model": "default", "path": ")" + bad_path + R"("})",
+        "application/json");
+    ASSERT_TRUE(reload.ok()) << reload.status().ToString();
+    EXPECT_EQ(reload->status_code, 400) << reload->body;
+    EXPECT_NE(reload->body.find("implausible model config"), std::string::npos)
+        << reload->body;
+
+    StatusOr<net::HttpMessage> after =
+        client.Post("/v1/impute", csv_request, "application/json");
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    ASSERT_EQ(after->status_code, 200) << after->body;
+    EXPECT_EQ(after->body, before->body) << "header offset " << offset;
+    std::remove(bad_path.c_str());
+  }
+  EXPECT_EQ(served.service.registry().reload_info().reloads, 0);
+  server.Stop();
+  std::remove(good_path.c_str());
 }
 
 TEST(ServingEndpointsTest, DebugEndpointsServeRecorderAndState) {
@@ -1204,7 +1267,7 @@ TEST(ServingEndpointsTest, CacheOnAndOffServeIdenticalBytesOverLoopback) {
   uncached_server.Stop();
 }
 
-TEST(ServingEndpointsTest, HealthzReportsQueueDepthAndLadderState) {
+TEST(ServingEndpointsTest, HealthzReportsInFlightAndLadderState) {
   // Ladder off (both watermarks 0): /healthz says so and still reports
   // the pressure signals.
   ServedCase off;
@@ -1220,7 +1283,7 @@ TEST(ServingEndpointsTest, HealthzReportsQueueDepthAndLadderState) {
   EXPECT_EQ(doc->at("degradation").string_value(), "off");
   EXPECT_EQ(doc->at("degrade_watermark").number_value(), 0.0);
   EXPECT_EQ(doc->at("shed_watermark").number_value(), 0.0);
-  EXPECT_FALSE(doc->at("queue_depth").is_null());
+  EXPECT_EQ(doc->at("in_flight").number_value(), 0.0);
   EXPECT_FALSE(doc->at("pending_connections").is_null());
   off_server.Stop();
 
@@ -1400,9 +1463,9 @@ TEST(HttpServerTest, RequestSpanFamilyCoversTheWholeRequestPath) {
   server.Stop();
 
   // Expected family: one root http.request with read/handle/write
-  // children, and the handler chain (decode, queue.wait, service.process
-  // with model.predict inside, encode) all under http.handle — one
-  // connected trace stamped with the request id.
+  // children, and the handler chain (decode, service.process with
+  // model.predict inside, encode) all under http.handle — one connected
+  // trace stamped with the request id.
   std::vector<obs::SpanRecord> records = sink.records();
   std::map<std::string, obs::SpanRecord> by_name;
   for (const obs::SpanRecord& record : records) {
@@ -1412,7 +1475,7 @@ TEST(HttpServerTest, RequestSpanFamilyCoversTheWholeRequestPath) {
   }
   for (const char* name :
        {"http.request", "http.read", "http.handle", "http.write",
-        "impute.decode", "queue.wait", "service.process", "model.predict",
+        "impute.decode", "service.process", "model.predict",
         "impute.encode"}) {
     EXPECT_TRUE(by_name.count(name)) << "missing span " << name;
   }
@@ -1425,10 +1488,12 @@ TEST(HttpServerTest, RequestSpanFamilyCoversTheWholeRequestPath) {
   EXPECT_EQ(by_name.at("http.read").parent_span_id, root.span_id);
   EXPECT_EQ(by_name.at("http.write").parent_span_id, root.span_id);
   EXPECT_EQ(by_name.at("impute.decode").parent_span_id, handle_id);
-  EXPECT_EQ(by_name.at("queue.wait").parent_span_id, handle_id);
   EXPECT_EQ(by_name.at("service.process").parent_span_id, handle_id);
   EXPECT_EQ(by_name.at("model.predict").parent_span_id,
             by_name.at("service.process").span_id);
+  // No thread hop: the service imputes on the HTTP worker.
+  EXPECT_EQ(by_name.at("service.process").thread_index,
+            by_name.at("http.handle").thread_index);
 
   // The shared registry saw the HTTP counter and stage histograms.
   EXPECT_GE(metrics.CounterNamed("dmvi_http_requests_total", "")->value(), 1);

@@ -718,7 +718,6 @@ TEST(FlightRecorderTest, JsonRendersAllFieldsAndEscapes) {
   record.request_id = "req \"quoted\"\n";
   record.status = "NotFound: no model";
   record.ok = false;
-  record.queue_seconds = 0.25;
   record.predict_seconds = 0.0625;
   record.cache_hit = true;
   record.degraded = true;
@@ -734,7 +733,6 @@ TEST(FlightRecorderTest, JsonRendersAllFieldsAndEscapes) {
   EXPECT_EQ(entry.at("status").string_value(), "NotFound: no model");
   EXPECT_FALSE(entry.at("ok").bool_value());
   EXPECT_DOUBLE_EQ(entry.at("latency_seconds").number_value(), 0.125);
-  EXPECT_DOUBLE_EQ(entry.at("queue_seconds").number_value(), 0.25);
   EXPECT_DOUBLE_EQ(entry.at("predict_seconds").number_value(), 0.0625);
   EXPECT_TRUE(entry.at("cache_hit").bool_value());
   EXPECT_TRUE(entry.at("degraded").bool_value());

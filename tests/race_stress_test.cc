@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -94,17 +93,14 @@ std::vector<Mask> DistinctMasks(int count) {
   return masks;
 }
 
-// ---- Service: Submit vs. registry reload vs. cache eviction -----------------
+// ---- Service: Impute vs. registry reload vs. cache eviction -----------------
 
 // The flagship scenario: request traffic, warm model reloads, and response
 // cache eviction all running at once — the production shape of a
-// deployment update under load. Every future must still resolve OK.
-TEST(RaceStressTest, SubmitDuringRegistryReloadAndCacheThrash) {
+// deployment update under load. Every request must still be answered OK.
+TEST(RaceStressTest, ImputeDuringRegistryReloadAndCacheThrash) {
   const SharedModel& shared = GetSharedModel();
   ServiceConfig config;
-  config.max_batch_size = 4;
-  config.batch_linger_ms = 0.2;
-  config.threads = 2;
   // Budget of a couple of responses: probes constantly evict.
   config.cache_mb = 12.0 * 1024.0 / (1024.0 * 1024.0);
   ImputationService service(config);
@@ -112,22 +108,24 @@ TEST(RaceStressTest, SubmitDuringRegistryReloadAndCacheThrash) {
       service.registry().LoadFromFile("m", shared.checkpoint_path).ok());
 
   const std::vector<Mask> masks = DistinctMasks(6);
-  const int submits_per_thread = 25 * StressScale();
+  const int requests_per_thread = 25 * StressScale();
   const int reloads = 15 * StressScale();
   const int scrapes = 60 * StressScale();
 
-  std::vector<std::future<ImputationResponse>> futures[2];
+  std::atomic<int64_t> answered{0};
   std::atomic<bool> done{false};
 
-  std::thread submitters[2];
+  std::thread callers[2];
   for (int t = 0; t < 2; ++t) {
-    submitters[t] = std::thread([&, t] {
-      for (int i = 0; i < submits_per_thread; ++i) {
+    callers[t] = std::thread([&, t] {
+      for (int i = 0; i < requests_per_thread; ++i) {
         ImputationRequest request;
         request.model = "m";
         request.data = shared.data;
-        request.mask = masks[(t * submits_per_thread + i) % masks.size()];
-        futures[t].push_back(service.Submit(std::move(request)));
+        request.mask = masks[(t * requests_per_thread + i) % masks.size()];
+        ImputationResponse response = service.Impute(request);
+        EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+        answered.fetch_add(1);
       }
     });
   }
@@ -144,7 +142,7 @@ TEST(RaceStressTest, SubmitDuringRegistryReloadAndCacheThrash) {
     for (int i = 0; i < scrapes && !done.load(); ++i) {
       TelemetrySnapshot snapshot = service.telemetry();
       EXPECT_GE(snapshot.requests, 0);
-      (void)service.queue_depth();
+      (void)service.in_flight();
       (void)service.PressureDepth();
       if (service.response_cache() != nullptr) {
         ResponseCache::Stats stats = service.response_cache()->stats();
@@ -153,55 +151,13 @@ TEST(RaceStressTest, SubmitDuringRegistryReloadAndCacheThrash) {
     }
   });
 
-  for (auto& submitter : submitters) submitter.join();
+  for (auto& caller : callers) caller.join();
   reloader.join();
-  int64_t answered = 0;
-  for (auto& lane : futures) {
-    for (auto& future : lane) {
-      ImputationResponse response = future.get();
-      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-      ++answered;
-    }
-  }
   done = true;
   scraper.join();
-  EXPECT_EQ(answered, 2 * submits_per_thread);
-  service.Shutdown();
-  EXPECT_EQ(service.telemetry().requests, 2 * submits_per_thread);
-}
-
-// Shutdown racing the dispatcher's lazy start: the dispatcher thread
-// handle is written by the first Submit and consumed by Shutdown; every
-// already-submitted future must still be drained. Regression shape for
-// the unlocked dispatcher_ read Shutdown used to do.
-TEST(RaceStressTest, ShutdownDrainsRacingSubmits) {
-  const SharedModel& shared = GetSharedModel();
-  const int rounds = 10 * StressScale();
-  for (int round = 0; round < rounds; ++round) {
-    ServiceConfig config;
-    config.max_batch_size = 2;
-    config.batch_linger_ms = 0.0;
-    config.threads = 1;
-    ImputationService service(config);
-    ASSERT_TRUE(
-        service.registry().LoadFromFile("m", shared.checkpoint_path).ok());
-    std::vector<std::future<ImputationResponse>> futures;
-    for (int i = 0; i < 3; ++i) {
-      ImputationRequest request;
-      request.model = "m";
-      request.data = shared.data;
-      request.mask = shared.data_case.mask;
-      futures.push_back(service.Submit(std::move(request)));
-    }
-    // Shutdown from another thread while the dispatcher may still be
-    // between "started" and "first batch".
-    std::thread stopper([&] { service.Shutdown(); });
-    stopper.join();
-    for (auto& future : futures) {
-      ImputationResponse response = future.get();
-      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-    }
-  }
+  EXPECT_EQ(answered.load(), 2 * requests_per_thread);
+  EXPECT_EQ(service.telemetry().requests, 2 * requests_per_thread);
+  EXPECT_EQ(service.in_flight(), 0);
 }
 
 // ---- Metrics: scrape during load --------------------------------------------
@@ -327,7 +283,6 @@ TEST(RaceStressTest, TelemetryRecordSnapshotResetStorm) {
     for (int i = 0; i < iters; ++i) {
       telemetry.RecordRequest(1e-4 * (i % 50), /*rows=*/1, /*cells=*/3,
                               /*ok=*/i % 7 != 0);
-      if (i % 16 == 0) telemetry.RecordBatch(4);
       if (i % 5 == 0) telemetry.RecordCacheLookup(i % 10 == 0);
       if (i % 11 == 0) telemetry.RecordDegraded();
       (void)w;
@@ -355,7 +310,7 @@ TEST(RaceStressTest, TelemetryRecordSnapshotResetStorm) {
 // profiler's Stop must synchronize with its signal handler, and label
 // scopes on the storm threads race the handler's TLS reads by design —
 // TSan gets a labels-only handler, everywhere else the native unwinder
-// runs. Every future still resolves OK and the recorder's totals are
+// runs. Every request is still answered OK and the recorder's totals are
 // exact.
 TEST(RaceStressTest, ProfilerWindowsDuringScrapeAndRequestStorm) {
   const SharedModel& shared = GetSharedModel();
@@ -363,9 +318,6 @@ TEST(RaceStressTest, ProfilerWindowsDuringScrapeAndRequestStorm) {
                                /*slow_threshold_seconds=*/0.5);
   obs::MetricsRegistry registry;
   ServiceConfig config;
-  config.max_batch_size = 4;
-  config.batch_linger_ms = 0.2;
-  config.threads = 2;
   config.recorder = &recorder;
   config.metrics = &registry;
   ImputationService service(config);
@@ -373,7 +325,7 @@ TEST(RaceStressTest, ProfilerWindowsDuringScrapeAndRequestStorm) {
       service.registry().LoadFromFile("m", shared.checkpoint_path).ok());
 
   const std::vector<Mask> masks = DistinctMasks(6);
-  const int submits_per_thread = 20 * StressScale();
+  const int requests_per_thread = 20 * StressScale();
   const int windows = 8 * StressScale();
   std::atomic<bool> done{false};
 
@@ -400,37 +352,30 @@ TEST(RaceStressTest, ProfilerWindowsDuringScrapeAndRequestStorm) {
     }
   });
 
-  std::vector<std::future<ImputationResponse>> futures[2];
-  std::thread submitters[2];
+  std::atomic<int64_t> answered{0};
+  std::thread callers[2];
   for (int t = 0; t < 2; ++t) {
-    submitters[t] = std::thread([&, t] {
-      for (int i = 0; i < submits_per_thread; ++i) {
-        obs::ProfileLabelScope label("race_stress.submit");
+    callers[t] = std::thread([&, t] {
+      for (int i = 0; i < requests_per_thread; ++i) {
+        obs::ProfileLabelScope label("race_stress.impute");
         ImputationRequest request;
         request.model = "m";
         request.request_id =
             "rs-" + std::to_string(t) + "-" + std::to_string(i);
         request.data = shared.data;
-        request.mask = masks[(t * submits_per_thread + i) % masks.size()];
-        futures[t].push_back(service.Submit(std::move(request)));
+        request.mask = masks[(t * requests_per_thread + i) % masks.size()];
+        ImputationResponse response = service.Impute(request);
+        EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+        answered.fetch_add(1);
       }
     });
   }
-  for (auto& submitter : submitters) submitter.join();
-  int64_t answered = 0;
-  for (auto& lane : futures) {
-    for (auto& future : lane) {
-      ImputationResponse response = future.get();
-      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-      ++answered;
-    }
-  }
+  for (auto& caller : callers) caller.join();
   profiler_churn.join();
   done = true;
   scraper.join();
-  service.Shutdown();
-  EXPECT_EQ(answered, 2 * submits_per_thread);
-  EXPECT_EQ(recorder.total_recorded(), 2 * submits_per_thread);
+  EXPECT_EQ(answered.load(), 2 * requests_per_thread);
+  EXPECT_EQ(recorder.total_recorded(), 2 * requests_per_thread);
   EXPECT_FALSE(obs::CpuProfiler::IsRunning());
 }
 

@@ -1,9 +1,9 @@
 // Tests for the train-once/serve-many split: TrainedDeepMvi (Fit /
-// Predict / Save / Load) and the src/serve layer (registry, micro-batching
-// service, telemetry, workload helpers). The central contract is
-// determinism: Predict consumes no randomness, so repeated calls, loaded
-// checkpoints, and any thread count / batching schedule must all produce
-// bit-identical matrices.
+// Predict / Save / Load) and the src/serve layer (registry, service,
+// telemetry, workload helpers). The central contract is determinism:
+// Predict consumes no randomness, so repeated calls, loaded checkpoints,
+// and any thread count or interleaving of concurrent callers must all
+// produce bit-identical matrices.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -309,6 +308,25 @@ std::vector<serve::ImputationRequest> MakeWorkloadRequests(
   return requests;
 }
 
+/// Answers `requests` by calling Impute from `callers` threads at once;
+/// caller c takes requests c, c + callers, ... and writes only those
+/// response slots, so slot i always belongs to request i.
+std::vector<serve::ImputationResponse> ImputeConcurrently(
+    serve::ImputationService& service,
+    const std::vector<serve::ImputationRequest>& requests, int callers) {
+  std::vector<serve::ImputationResponse> responses(requests.size());
+  std::vector<std::thread> threads;
+  for (int caller = 0; caller < callers; ++caller) {
+    threads.emplace_back([&, caller] {
+      for (size_t i = caller; i < requests.size(); i += callers) {
+        responses[i] = service.Impute(requests[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return responses;
+}
+
 TEST(ImputationServiceTest, ConcurrentBatchesMatchSingleThreadBitForBit) {
   TrainedCase c = MakeTrainedCase();
   std::vector<serve::ImputationRequest> requests = MakeWorkloadRequests(c, 10);
@@ -342,32 +360,20 @@ TEST(ImputationServiceTest, ConcurrentBatchesMatchSingleThreadBitForBit) {
                        "ImputeBatch slot " + std::to_string(i));
   }
 
-  // ...and through the async micro-batching path, submitted from several
-  // threads at once so batches actually fuse.
-  std::vector<std::future<serve::ImputationResponse>> futures(requests.size());
-  {
-    std::vector<std::thread> submitters;
-    for (int worker = 0; worker < 2; ++worker) {
-      submitters.emplace_back([&, worker] {
-        for (size_t i = worker; i < requests.size(); i += 2) {
-          futures[i] = parallel.Submit(requests[i]);
-        }
-      });
-    }
-    for (auto& thread : submitters) thread.join();
-  }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    serve::ImputationResponse response = futures[i].get();
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    ExpectMatricesBitIdentical(response.imputed, reference[i],
-                       "Submit slot " + std::to_string(i));
-    EXPECT_GT(response.latency_seconds, 0.0);
+  // ...and through Impute called from several threads at once, the way
+  // HTTP workers call it.
+  std::vector<serve::ImputationResponse> concurrent =
+      ImputeConcurrently(parallel, requests, 2);
+  for (size_t i = 0; i < concurrent.size(); ++i) {
+    ASSERT_TRUE(concurrent[i].status.ok()) << concurrent[i].status.ToString();
+    ExpectMatricesBitIdentical(concurrent[i].imputed, reference[i],
+                       "concurrent Impute slot " + std::to_string(i));
+    EXPECT_GT(concurrent[i].latency_seconds, 0.0);
   }
 
   serve::TelemetrySnapshot snap = parallel.telemetry();
   EXPECT_EQ(snap.requests, static_cast<int64_t>(2 * requests.size()));
   EXPECT_EQ(snap.failures, 0);
-  EXPECT_GT(snap.batches, 0);
   EXPECT_GT(snap.cells_imputed, 0);
   EXPECT_GT(snap.latency_p95_ms, 0.0);
   EXPECT_GE(snap.latency_p95_ms, snap.latency_p50_ms);
@@ -390,13 +396,15 @@ TEST(ImputationServiceTest, DegradedResponsesUseFallbackAndAreMarked) {
   config.threads = 2;
   serve::ImputationService service(config);
   ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
-  // A probe pinned far above the watermark: every Submit is admitted on
+  // A probe pinned far above the watermark: every request is admitted on
   // the degraded rung — deterministic, no timing needed.
   service.SetPressureProbe([] { return 100; });
   EXPECT_GE(service.PressureDepth(), 100);
 
+  std::vector<serve::ImputationResponse> responses =
+      ImputeConcurrently(service, requests, 2);
   for (size_t i = 0; i < requests.size(); ++i) {
-    serve::ImputationResponse response = service.Submit(requests[i]).get();
+    const serve::ImputationResponse& response = responses[i];
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     EXPECT_TRUE(response.degraded);
     EXPECT_EQ(response.degrade_method, "LinearInterp");
@@ -423,7 +431,7 @@ TEST(ImputationServiceTest, MeanDegradeMethodIsHonored) {
   ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
   service.SetPressureProbe([] { return 100; });
 
-  serve::ImputationResponse response = service.Submit(requests[0]).get();
+  serve::ImputationResponse response = service.Impute(requests[0]);
   ASSERT_TRUE(response.status.ok());
   EXPECT_TRUE(response.degraded);
   EXPECT_EQ(response.degrade_method, "Mean");
@@ -441,18 +449,20 @@ TEST(ImputationServiceTest, ShedBeyondWatermarkIsFailedPrecondition) {
   ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
   service.SetPressureProbe([] { return 100; });  // Above both rungs.
 
-  serve::ImputationResponse response = service.Submit(requests[0]).get();
-  EXPECT_FALSE(response.status.ok());
-  EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(response.imputed.rows() == 0);
+  for (const serve::ImputationResponse& response :
+       ImputeConcurrently(service, requests, 2)) {
+    EXPECT_FALSE(response.status.ok());
+    EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_TRUE(response.imputed.rows() == 0);
+  }
   serve::TelemetrySnapshot snap = service.telemetry();
-  EXPECT_EQ(snap.shed, 1);
+  EXPECT_EQ(snap.shed, 2);
   EXPECT_EQ(snap.degraded, 0);
-  EXPECT_EQ(snap.failures, 1);
+  EXPECT_EQ(snap.failures, 2);
 
   // Dropping the pressure below both watermarks restores full service.
   service.SetPressureProbe([] { return 0; });
-  serve::ImputationResponse healthy = service.Submit(requests[1]).get();
+  serve::ImputationResponse healthy = service.Impute(requests[1]);
   ASSERT_TRUE(healthy.status.ok()) << healthy.status.ToString();
   EXPECT_FALSE(healthy.degraded);
   EXPECT_TRUE(healthy.degrade_method.empty());
@@ -473,8 +483,10 @@ TEST(ImputationServiceTest, LadderInactiveBelowWatermarks) {
   config.shed_watermark = 2000;
   serve::ImputationService service(config);
   ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
+  std::vector<serve::ImputationResponse> responses =
+      ImputeConcurrently(service, requests, 2);
   for (size_t i = 0; i < requests.size(); ++i) {
-    serve::ImputationResponse response = service.Submit(requests[i]).get();
+    const serve::ImputationResponse& response = responses[i];
     ASSERT_TRUE(response.status.ok());
     EXPECT_FALSE(response.degraded);
     ExpectMatricesBitIdentical(response.imputed, expected[i],
@@ -482,6 +494,33 @@ TEST(ImputationServiceTest, LadderInactiveBelowWatermarks) {
   }
   EXPECT_EQ(service.telemetry().degraded, 0);
   EXPECT_EQ(service.telemetry().shed, 0);
+}
+
+TEST(ImputationServiceTest, ArrivingRequestDoesNotCountItselfAsPressure) {
+  TrainedCase c = MakeTrainedCase();
+  std::vector<serve::ImputationRequest> requests = MakeWorkloadRequests(c, 8);
+  const Matrix expected =
+      c.model.Predict(*requests[0].data, requests[0].mask);
+
+  serve::ServiceConfig config;
+  config.degrade_watermark = 1;
+  serve::ImputationService service(config);
+  ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
+  service.SetPressureProbe([] { return 0; });
+
+  // Alone, with the probe at 0, the pressure is 0: below the watermark.
+  serve::ImputationResponse lone = service.Impute(requests[0]);
+  ASSERT_TRUE(lone.status.ok()) << lone.status.ToString();
+  EXPECT_FALSE(lone.degraded);
+  ExpectMatricesBitIdentical(lone.imputed, expected, "lone request");
+
+  // After a concurrent storm every request has left the service.
+  for (const serve::ImputationResponse& response :
+       ImputeConcurrently(service, requests, 4)) {
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  }
+  EXPECT_EQ(service.in_flight(), 0);
+  EXPECT_EQ(service.PressureDepth(), 0);
 }
 
 // ---- Response cache ---------------------------------------------------------
@@ -593,26 +632,6 @@ TEST(ImputationServiceTest, CachedResponsesAreBitIdenticalAndCounted) {
   ASSERT_TRUE(cached.Impute(requests[0]).status.ok());
   EXPECT_EQ(cached.telemetry().cache_misses, 7);
   EXPECT_EQ(cached.telemetry().cache_hits, 2);
-
-  cached.Stop();  // Graceful-stop alias; destructor Shutdown stays safe.
-}
-
-TEST(ImputationServiceTest, ShutdownDrainsOutstandingFutures) {
-  TrainedCase c = MakeTrainedCase();
-  serve::ServiceConfig config;
-  config.batch_linger_ms = 50.0;  // Long linger: Shutdown must cut it short.
-  auto service = std::make_unique<serve::ImputationService>(config);
-  ASSERT_TRUE(service->registry().Register("m", std::move(c.model)).ok());
-  std::vector<serve::ImputationRequest> requests = MakeWorkloadRequests(c, 4);
-  std::vector<std::future<serve::ImputationResponse>> futures;
-  for (const auto& request : requests) {
-    futures.push_back(service->Submit(request));
-  }
-  service.reset();  // Destructor -> Shutdown -> drain.
-  for (auto& future : futures) {
-    serve::ImputationResponse response = future.get();
-    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-  }
 }
 
 TEST(ImputationServiceTest, CacheThrashDuringReloadRaceNeverServesStaleBytes) {
@@ -708,19 +727,15 @@ TEST(TelemetryTest, PercentilesAndCounters) {
   serve::Telemetry telemetry;
   telemetry.RecordRequest(0.010, 2, 20, true);
   telemetry.RecordRequest(0.030, 1, 10, false);
-  telemetry.RecordBatch(2);
   serve::TelemetrySnapshot snap = telemetry.Snapshot();
   EXPECT_EQ(snap.requests, 2);
   EXPECT_EQ(snap.failures, 1);
-  EXPECT_EQ(snap.batches, 1);
   EXPECT_EQ(snap.rows_served, 3);
   EXPECT_EQ(snap.cells_imputed, 30);
-  // The reservoir cross-check is exact interpolation; the histogram
-  // estimate is deterministic but only bucket-accurate (within sqrt 2).
-  EXPECT_NEAR(snap.reservoir_p50_ms, 20.0, 1e-9);
+  // The histogram estimate is deterministic but only bucket-accurate
+  // (within sqrt 2 of the exact median, 20 ms).
   EXPECT_GE(snap.latency_p50_ms, 20.0 / std::sqrt(2.0));
   EXPECT_LE(snap.latency_p50_ms, 20.0 * std::sqrt(2.0));
-  EXPECT_NEAR(snap.mean_batch_size, 2.0, 1e-12);
 
   const std::string json = serve::TelemetryToJson(snap);
   EXPECT_NE(json.find("\"requests\": 2"), std::string::npos);
@@ -751,30 +766,30 @@ TEST(TelemetryTest, DegradedAndShedCountersRoundTripThroughJson) {
   EXPECT_EQ(telemetry.Snapshot().shed, 0);
 }
 
-TEST(TelemetryTest, HistogramAndReservoirPercentilesStayConsistent) {
-  // The histogram is the percentile source of record; the reservoir stays
-  // as a cross-check. On identical observations both are exact; on spread
-  // observations the histogram must stay within its bucket-growth factor
-  // of the reservoir's exact interpolation.
+TEST(TelemetryTest, HistogramPercentilesStayWithinBucketFactor) {
+  // The histogram is the percentile source of record. On identical
+  // observations it is exact; on spread observations it must stay within
+  // its bucket-growth factor of the exact interpolated order statistic.
   serve::Telemetry uniform;
   for (int i = 0; i < 100; ++i) uniform.RecordRequest(0.025, 1, 1, true);
   serve::TelemetrySnapshot usnap = uniform.Snapshot();
   EXPECT_NEAR(usnap.latency_p50_ms, 25.0, 1e-9);
   EXPECT_NEAR(usnap.latency_p95_ms, 25.0, 1e-9);
-  EXPECT_NEAR(usnap.reservoir_p95_ms, 25.0, 1e-9);
 
   serve::Telemetry spread;
+  std::vector<double> sorted_ms;
   for (int i = 1; i <= 200; ++i) {
     spread.RecordRequest(1e-3 * static_cast<double>(i), 1, 1, true);
+    sorted_ms.push_back(static_cast<double>(i));
   }
   serve::TelemetrySnapshot snap = spread.Snapshot();
-  for (const auto& [histogram_ms, reservoir_ms] :
-       {std::pair<double, double>{snap.latency_p50_ms, snap.reservoir_p50_ms},
+  for (const auto& [histogram_ms, exact_ms] :
+       {std::pair<double, double>{snap.latency_p50_ms,
+                                  serve::SortedPercentile(sorted_ms, 0.50)},
         std::pair<double, double>{snap.latency_p95_ms,
-                                  snap.reservoir_p95_ms}}) {
-    EXPECT_GT(reservoir_ms, 0.0);
-    EXPECT_GE(histogram_ms, reservoir_ms / std::sqrt(2.0));
-    EXPECT_LE(histogram_ms, reservoir_ms * std::sqrt(2.0));
+                                  serve::SortedPercentile(sorted_ms, 0.95)}}) {
+    EXPECT_GE(histogram_ms, exact_ms / std::sqrt(2.0));
+    EXPECT_LE(histogram_ms, exact_ms * std::sqrt(2.0));
   }
   // The histogram snapshot rides along for exposition.
   EXPECT_EQ(snap.latency_histogram.count, 200);
@@ -811,33 +826,38 @@ TEST(TelemetryTest, ResetRestartsWallClockLazily) {
   EXPECT_GT(restarted.requests_per_second, 0.0);
 }
 
+/// The byte-identity bars' workload: six full-mask requests with request
+/// ids, answered by two concurrent Impute callers. Returns the matrices in
+/// request order.
+std::vector<Matrix> ImputeSixConcurrently(serve::ImputationService& service,
+                                          const TrainedCase& c) {
+  auto data = std::make_shared<const DataTensor>(c.data_case.data);
+  std::vector<serve::ImputationRequest> requests(6);
+  for (int i = 0; i < 6; ++i) {
+    requests[i].model = "default";
+    requests[i].data = data;
+    requests[i].mask = c.data_case.mask;
+    requests[i].request_id = "req-" + std::to_string(i);
+  }
+  std::vector<Matrix> imputed;
+  for (serve::ImputationResponse& response :
+       ImputeConcurrently(service, requests, 2)) {
+    EXPECT_TRUE(response.status.ok());
+    imputed.push_back(std::move(response.imputed));
+  }
+  return imputed;
+}
+
 TEST(ImputationServiceTest, TracingAndMetricsDoNotChangeResponseBytes) {
   // The observability bar: running the identical workload with tracing
   // and metrics wired in must not move a single response bit.
   TrainedCase c = MakeTrainedCase();
   auto run = [&](serve::ServiceConfig config) {
-    config.max_batch_size = 4;
     serve::ImputationService service(config);
     // Fit is deterministic, so a re-trained copy is the identical model.
     EXPECT_TRUE(
         service.registry().Register("default", MakeTrainedCase().model).ok());
-    std::vector<Matrix> imputed;
-    std::vector<std::future<serve::ImputationResponse>> futures;
-    auto data = std::make_shared<const DataTensor>(c.data_case.data);
-    for (int i = 0; i < 6; ++i) {
-      serve::ImputationRequest request;
-      request.model = "default";
-      request.data = data;
-      request.mask = c.data_case.mask;
-      request.request_id = "req-" + std::to_string(i);
-      futures.push_back(service.Submit(std::move(request)));
-    }
-    for (auto& future : futures) {
-      serve::ImputationResponse response = future.get();
-      EXPECT_TRUE(response.status.ok());
-      imputed.push_back(std::move(response.imputed));
-    }
-    return imputed;
+    return ImputeSixConcurrently(service, c);
   };
 
   std::vector<Matrix> plain = run(serve::ServiceConfig());
@@ -857,16 +877,14 @@ TEST(ImputationServiceTest, TracingAndMetricsDoNotChangeResponseBytes) {
   // The traced run actually produced spans and stage observations.
   std::vector<obs::SpanRecord> records = sink.records();
   EXPECT_FALSE(records.empty());
-  int process_spans = 0, wait_spans = 0;
+  int process_spans = 0;
   for (const obs::SpanRecord& record : records) {
-    if (record.name == "service.process") ++process_spans;
-    if (record.name == "queue.wait") ++wait_spans;
     if (record.name == "service.process") {
+      ++process_spans;
       EXPECT_FALSE(record.request_id.empty());
     }
   }
   EXPECT_EQ(process_spans, 6);
-  EXPECT_EQ(wait_spans, 6);
   EXPECT_GT(metrics.HistogramNamed("dmvi_stage_predict_seconds", "")
                 ->Snapshot()
                 .count,
@@ -891,9 +909,9 @@ TEST(ImputationServiceTest, FlightRecorderSeesEveryOutcomeKind) {
   ASSERT_TRUE(service.Impute(requests[0]).status.ok());
   requests[0].request_id = "fr-cached";
   ASSERT_TRUE(service.Impute(requests[0]).status.ok());
-  // Queue path.
-  requests[1].request_id = "fr-queued";
-  ASSERT_TRUE(service.Submit(requests[1]).get().status.ok());
+  // A different mask: a second full predict.
+  requests[1].request_id = "fr-second";
+  ASSERT_TRUE(service.Impute(requests[1]).status.ok());
   // Failure.
   serve::ImputationRequest unknown;
   unknown.model = "missing";
@@ -902,7 +920,7 @@ TEST(ImputationServiceTest, FlightRecorderSeesEveryOutcomeKind) {
   // Shed at admission.
   service.SetPressureProbe([] { return 100; });
   requests[2].request_id = "fr-shed";
-  EXPECT_EQ(service.Submit(requests[2]).get().status.code(),
+  EXPECT_EQ(service.Impute(requests[2]).status.code(),
             StatusCode::kFailedPrecondition);
 
   const std::vector<obs::RequestRecord> records = recorder.Snapshot();
@@ -922,10 +940,10 @@ TEST(ImputationServiceTest, FlightRecorderSeesEveryOutcomeKind) {
   EXPECT_TRUE(cached.ok);
   EXPECT_TRUE(cached.cache_hit);
   EXPECT_DOUBLE_EQ(cached.predict_seconds, 0.0);
-  const obs::RequestRecord& queued = by_id.at("fr-queued");
-  EXPECT_TRUE(queued.ok);
-  EXPECT_GE(queued.queue_seconds, 0.0);
-  EXPECT_GE(queued.latency_seconds, queued.queue_seconds);
+  const obs::RequestRecord& second = by_id.at("fr-second");
+  EXPECT_TRUE(second.ok);
+  EXPECT_GT(second.predict_seconds, 0.0);
+  EXPECT_GE(second.latency_seconds, second.predict_seconds);
   const obs::RequestRecord& failed = by_id.at("fr-failed");
   EXPECT_FALSE(failed.ok);
   EXPECT_NE(failed.status.find("NotFound"), std::string::npos);
@@ -942,27 +960,10 @@ TEST(ImputationServiceTest, ProfilerAndRecorderDoNotChangeResponseBytes) {
   // and must not move a single response bit either.
   TrainedCase c = MakeTrainedCase();
   auto run = [&](serve::ServiceConfig config) {
-    config.max_batch_size = 4;
     serve::ImputationService service(config);
     EXPECT_TRUE(
         service.registry().Register("default", MakeTrainedCase().model).ok());
-    std::vector<Matrix> imputed;
-    std::vector<std::future<serve::ImputationResponse>> futures;
-    auto data = std::make_shared<const DataTensor>(c.data_case.data);
-    for (int i = 0; i < 6; ++i) {
-      serve::ImputationRequest request;
-      request.model = "default";
-      request.data = data;
-      request.mask = c.data_case.mask;
-      request.request_id = "req-" + std::to_string(i);
-      futures.push_back(service.Submit(std::move(request)));
-    }
-    for (auto& future : futures) {
-      serve::ImputationResponse response = future.get();
-      EXPECT_TRUE(response.status.ok());
-      imputed.push_back(std::move(response.imputed));
-    }
-    return imputed;
+    return ImputeSixConcurrently(service, c);
   };
 
   std::vector<Matrix> plain = run(serve::ServiceConfig());
@@ -1126,17 +1127,17 @@ TEST(ImputationServiceTest, QualityMonitorDoesNotChangeResponseBytes) {
   // the live path, yet every served byte is identical with it on or off.
   TrainedCase c = MakeTrainedCase();
   auto run = [&](serve::ServiceConfig config) {
-    config.max_batch_size = 4;
     serve::ImputationService service(config);
     EXPECT_TRUE(
         service.registry().Register("default", MakeTrainedCase().model).ok());
     std::vector<serve::ImputationRequest> requests =
         MakeWorkloadRequests(c, 12);
-    std::vector<Matrix> imputed;
     for (serve::ImputationRequest& request : requests) {
       request.model = "default";
-      serve::ImputationResponse response =
-          service.Submit(std::move(request)).get();
+    }
+    std::vector<Matrix> imputed;
+    for (serve::ImputationResponse& response :
+         ImputeConcurrently(service, requests, 2)) {
       EXPECT_TRUE(response.status.ok());
       imputed.push_back(std::move(response.imputed));
     }

@@ -46,7 +46,7 @@
 // requests_total grew by completed + shed, degraded_total by the
 // x-dmvi-degraded count, shed_total by the 503 count. The report also
 // fetches /metrics.json afterwards and prints server-observed p50/p95
-// (queue + compute, from the server's histogram) beside client-observed
+// (admission + compute, from the server's histogram) beside client-observed
 // p50/p95 (adds HTTP encode/transport) — the gap between them is the
 // network front-end's cost. --scrape-metrics FILE is a standalone mode:
 // fetch /metrics, write it verbatim, exit (CI uses it to snapshot a
@@ -692,7 +692,7 @@ int Run(int argc, char** argv) {
       rps, rows_per_second);
 
   // ---- Server-observed latency beside client-observed. --------------------
-  // The server's histogram covers queue wait + batch compute; the client's
+  // The server's histogram covers admission + compute; the client's
   // stopwatch additionally sees HTTP decode/encode and the loopback
   // transport — the gap between the two p95s is the front-end's cost.
   double server_p50_ms = -1.0, server_p95_ms = -1.0;
@@ -705,8 +705,8 @@ int Run(int argc, char** argv) {
         server_p95_ms = doc->at("latency_p95_ms").number_value();
         std::printf(
             "latency attribution: server-observed p50 %.2f ms, p95 %.2f ms "
-            "(queue + compute) vs client-observed p50 %.2f ms, p95 %.2f ms "
-            "(adds HTTP + transport)\n",
+            "(admission + compute) vs client-observed p50 %.2f ms, "
+            "p95 %.2f ms (adds HTTP + transport)\n",
             server_p50_ms, server_p95_ms, p50_ms, p95_ms);
       }
     }

@@ -10,22 +10,24 @@
 //   --workload FILE            replay `row,t_start,block_len` lines
 //   --synth N [--block B]      N random block queries (deterministic in
 //                              --workload-seed)
-// Service knobs: --batch (micro-batch cap), --linger-ms, --threads,
-// --cache-mb (response cache; 0 = off).
-// Overload ladder: --degrade-watermark N answers requests with the cheap
-// --degrade-method imputer (LinearInterp/Mean) once the backlog (service
-// queue + HTTP accept queue) reaches N; --shed-watermark M rejects with
-// 503 at depth M. 0 (default) disables a rung.
+// The replay answers the queries with ImputeBatch, --threads at a time.
+// Service knobs: --threads, --cache-mb (response cache; 0 = off).
+// Overload ladder: --degrade-watermark N answers a request with the cheap
+// --degrade-method imputer (LinearInterp/Mean) once the pressure it
+// arrives at (requests already in flight + HTTP connections waiting for a
+// worker) reaches N; --shed-watermark M rejects with 503 at pressure M.
+// 0 (default) disables a rung.
 // Reports p50/p95/max latency, rows/sec, and the full telemetry JSON
 // (--telemetry-json PATH to persist it).
 //
 // Network mode: --listen HOST:PORT starts the src/net HTTP front-end
 // (POST /v1/impute, GET /healthz, GET /metrics — Prometheus text,
 // GET /metrics.json — telemetry JSON, POST /admin/reload) over the same
-// service and blocks until SIGINT/SIGTERM. --http-workers sets the
-// connection pool width, --port-file writes the bound HOST:PORT (port 0
-// picks a free one) for scripts, and --reload-on-sighup makes SIGHUP
-// warm-reload the checkpoint from --model without dropping connections.
+// service and blocks until SIGINT/SIGTERM. Each request is imputed on the
+// HTTP worker that read it. --http-workers sets the connection pool width,
+// --port-file writes the bound HOST:PORT (port 0 picks a free one) for
+// scripts, and --reload-on-sighup makes SIGHUP warm-reload the checkpoint
+// from --model without dropping connections.
 // Bind/listen failures exit non-zero instead of aborting.
 // Observability: --trace-out FILE exports Chrome trace-event JSON of the
 // per-request span tree on shutdown (open in Perfetto); every response
@@ -54,7 +56,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,10 +128,6 @@ int Run(int argc, char** argv) {
       impute_csv = value;
     } else if ((value = next("--telemetry-json"))) {
       telemetry_json = value;
-    } else if ((value = next("--batch"))) {
-      service_config.max_batch_size = std::atoi(value);
-    } else if ((value = next("--linger-ms"))) {
-      service_config.batch_linger_ms = std::atof(value);
     } else if ((value = next("--threads"))) {
       service_config.threads = std::atoi(value);
     } else if ((value = next("--cache-mb"))) {
@@ -199,8 +196,7 @@ int Run(int argc, char** argv) {
           "                   [--mask mask.csv])\n"
           "                  [--workload FILE | --synth N [--block B]\n"
           "                   [--workload-seed S]]\n"
-          "                  [--batch N] [--linger-ms X] [--threads N]\n"
-          "                  [--cache-mb MB]\n"
+          "                  [--threads N] [--cache-mb MB]\n"
           "                  [--degrade-watermark N] [--shed-watermark N]\n"
           "                  [--degrade-method LinearInterp|Mean]\n"
           "                  [--impute-csv out.csv] [--telemetry-json out.json]\n"
@@ -308,7 +304,7 @@ int Run(int argc, char** argv) {
                 response.latency_seconds * 1e3);
   }
 
-  // ---- Workload replay through the micro-batching path. ------------------
+  // ---- Workload replay through ImputeBatch. --------------------------------
   std::vector<serve::WorkloadQuery> queries;
   if (!workload_path.empty()) {
     StatusOr<std::vector<serve::WorkloadQuery>> read =
@@ -327,24 +323,23 @@ int Run(int argc, char** argv) {
     // The replay report must describe the replay alone — not checkpoint
     // load, not the one-shot --impute-csv request above.
     service.ResetTelemetry();
-    std::vector<std::future<serve::ImputationResponse>> futures;
-    futures.reserve(queries.size());
+    std::vector<serve::ImputationRequest> requests;
+    requests.reserve(queries.size());
     for (const serve::WorkloadQuery& query : queries) {
-      futures.push_back(
-          service.Submit(serve::MakeQueryRequest("default", data, mask, query)));
+      requests.push_back(serve::MakeQueryRequest("default", data, mask, query));
     }
     int failed = 0;
-    for (auto& future : futures) {
-      if (!future.get().status.ok()) ++failed;
+    for (const serve::ImputationResponse& response :
+         service.ImputeBatch(requests)) {
+      if (!response.status.ok()) ++failed;
     }
     serve::TelemetrySnapshot snap = service.telemetry();
     std::printf(
         "replayed %zu queries (%d failed) in %.2fs: p50 %.2f ms, p95 %.2f ms, "
-        "max %.2f ms | %.1f req/s, %.1f rows/s, %.0f cells/s | mean batch "
-        "%.2f\n",
+        "max %.2f ms | %.1f req/s, %.1f rows/s, %.0f cells/s\n",
         queries.size(), failed, snap.wall_seconds, snap.latency_p50_ms,
         snap.latency_p95_ms, snap.latency_max_ms, snap.requests_per_second,
-        snap.rows_per_second, snap.cells_per_second, snap.mean_batch_size);
+        snap.rows_per_second, snap.cells_per_second);
     if (failed > 0) return 1;
   }
 
@@ -384,8 +379,8 @@ int Run(int argc, char** argv) {
     };
     net::RegisterServingEndpoints(&server, context);
     // Admission control should see connection pressure before those
-    // requests reach the service queue: fold the accept-queue depth into
-    // the watermark comparison.
+    // requests reach a worker: fold the accept-queue depth into the
+    // watermark comparison.
     service.SetPressureProbe(
         [&server] { return server.pending_connections(); });
 
@@ -430,7 +425,6 @@ int Run(int argc, char** argv) {
     }
     std::printf("shutting down: draining connections...\n");
     server.Stop();
-    service.Stop();
     std::printf("served %lld requests\n",
                 static_cast<long long>(server.requests_served()));
   }
