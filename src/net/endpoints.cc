@@ -15,7 +15,6 @@
 #include "obs/process_stats.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "serve/telemetry.h"
 #include "serve/workload.h"
 
 namespace deepmvi {
@@ -30,18 +29,13 @@ HttpMessage ErrorResponse(const Status& status) {
 HttpMessage HandleImpute(const ServingContext& ctx,
                          const HttpMessage& request) {
   const std::string& request_id = request.Header("x-request-id");
-  obs::Histogram* stage_decode =
-      ctx.metrics != nullptr
-          ? ctx.metrics->HistogramNamed(
-                "dmvi_stage_decode_seconds",
-                "Impute request body decode time per request.")
-          : nullptr;
-  obs::Histogram* stage_encode =
-      ctx.metrics != nullptr
-          ? ctx.metrics->HistogramNamed(
-                "dmvi_stage_encode_seconds",
-                "Impute response body encode time per request.")
-          : nullptr;
+  obs::MetricsRegistry& metrics = ctx.service->metrics();
+  obs::Histogram* stage_decode = metrics.HistogramNamed(
+      "dmvi_stage_decode_seconds",
+      "Impute request body decode time per request.");
+  obs::Histogram* stage_encode = metrics.HistogramNamed(
+      "dmvi_stage_encode_seconds",
+      "Impute response body encode time per request.");
 
   Stopwatch decode_watch;
   StatusOr<ImputeApiRequest> decoded = [&] {
@@ -49,9 +43,7 @@ HttpMessage HandleImpute(const ServingContext& ctx,
     if (decode_span.active()) decode_span.set_request_id(request_id);
     return DecodeImputeRequest(request);
   }();
-  if (stage_decode != nullptr) {
-    stage_decode->Observe(decode_watch.ElapsedSeconds());
-  }
+  stage_decode->Observe(decode_watch.ElapsedSeconds());
   if (!decoded.ok()) return ErrorResponse(decoded.status());
   const ImputeApiRequest& api = *decoded;
 
@@ -91,9 +83,7 @@ HttpMessage HandleImpute(const ServingContext& ctx,
                            "application/json");
     }
   }
-  if (stage_encode != nullptr) {
-    stage_encode->Observe(encode_watch.ElapsedSeconds());
-  }
+  stage_encode->Observe(encode_watch.ElapsedSeconds());
   // The degradation marker rides a header too so CSV responses (whose body
   // must stay byte-identical to the dataset format) still carry it.
   if (response.degraded) {
@@ -289,26 +279,26 @@ HttpMessage HandleDebugRequests(const ServingContext& ctx, bool slow_only) {
 
 /// Refreshes the dmvi_process_* gauges from /proc/self; registration is
 /// idempotent, so the scrape and /debug/state paths share the names.
-void RefreshProcessGauges(obs::MetricsRegistry* metrics,
+void RefreshProcessGauges(obs::MetricsRegistry& metrics,
                           const obs::ProcessStats& stats) {
-  if (metrics == nullptr || !stats.ok) return;
+  if (!stats.ok) return;
   metrics
-      ->GaugeNamed("dmvi_process_resident_bytes",
-                   "Resident set size of the serving process.")
+      .GaugeNamed("dmvi_process_resident_bytes",
+                  "Resident set size of the serving process.")
       ->Set(stats.rss_bytes);
   metrics
-      ->GaugeNamed("dmvi_process_cpu_seconds",
-                   "User plus system CPU time consumed by the process.")
+      .GaugeNamed("dmvi_process_cpu_seconds",
+                  "User plus system CPU time consumed by the process.")
       ->Set(stats.cpu_seconds);
   metrics
-      ->GaugeNamed("dmvi_process_open_fds",
-                   "Open file descriptors in the serving process.")
+      .GaugeNamed("dmvi_process_open_fds",
+                  "Open file descriptors in the serving process.")
       ->Set(static_cast<double>(stats.open_fds));
 }
 
 HttpMessage HandleDebugState(const ServingContext& ctx) {
   const obs::ProcessStats stats = obs::ReadProcessStats();
-  RefreshProcessGauges(ctx.metrics, stats);
+  RefreshProcessGauges(ctx.service->metrics(), stats);
   std::ostringstream os;
   os.precision(9);
   os << "{\n";
@@ -373,11 +363,11 @@ void RegisterServingEndpoints(HttpServer* server, ServingContext ctx) {
     return HandleHealthz(ctx, server);
   });
   server->Handle("GET", "/metrics", [ctx, server](const HttpMessage&) {
-    // Prometheus text exposition: telemetry counters + latency histogram,
-    // live pressure gauges, then whatever the shared registry carries
-    // (stage histograms, HTTP counters).
+    // Prometheus text exposition: live pressure gauges and the other
+    // scrape-time families, then the service's registry (serving
+    // counters, latency and stage histograms, HTTP counters).
+    obs::MetricsRegistry& metrics = ctx.service->metrics();
     std::ostringstream os;
-    os << serve::TelemetryToPrometheus(ctx.service->telemetry());
     obs::AppendPrometheusGauge(
         os, "dmvi_in_flight_requests",
         "Impute requests being answered right now.",
@@ -419,7 +409,7 @@ void RegisterServingEndpoints(HttpServer* server, ServingContext ctx) {
     // Model-quality gauges refresh at scrape time like the process
     // gauges below. The drift gauge is registered only once a reference
     // profile exists — legacy profile-less checkpoints scrape without it.
-    if (ctx.quality != nullptr && ctx.metrics != nullptr) {
+    if (ctx.quality != nullptr) {
       const serve::QualitySnapshot snapshot = ctx.quality->Snapshot();
       int64_t cells = 0;
       int64_t missing = 0;
@@ -428,31 +418,26 @@ void RegisterServingEndpoints(HttpServer* server, ServingContext ctx) {
         missing += model.cells_missing;
       }
       if (cells + missing > 0) {
-        ctx.metrics
-            ->GaugeNamed("dmvi_model_input_missing_rate",
-                         "Missing-cell fraction of live request inputs "
-                         "across models.")
+        metrics
+            .GaugeNamed("dmvi_model_input_missing_rate",
+                        "Missing-cell fraction of live request inputs "
+                        "across models.")
             ->Set(static_cast<double>(missing) /
                   static_cast<double>(cells + missing));
       }
       if (snapshot.max_drift_score >= 0.0) {
-        ctx.metrics
-            ->GaugeNamed("dmvi_model_drift_score",
-                         "Max PSI of live inputs vs the training reference "
-                         "profile over models and series.")
+        metrics
+            .GaugeNamed("dmvi_model_drift_score",
+                        "Max PSI of live inputs vs the training reference "
+                        "profile over models and series.")
             ->Set(snapshot.max_drift_score);
       }
     }
     // Self-observation gauges refresh at scrape time (procfs reads are
     // three file touches, not worth a poller thread).
-    RefreshProcessGauges(ctx.metrics, obs::ReadProcessStats());
-    if (ctx.metrics != nullptr) os << ctx.metrics->PrometheusText();
+    RefreshProcessGauges(metrics, obs::ReadProcessStats());
+    os << metrics.PrometheusText();
     return MakeResponse(200, os.str(), "text/plain; version=0.0.4");
-  });
-  server->Handle("GET", "/metrics.json", [ctx](const HttpMessage&) {
-    return MakeResponse(200,
-                        serve::TelemetryToJson(ctx.service->telemetry()),
-                        "application/json");
   });
   server->Handle("POST", "/admin/reload", [ctx](const HttpMessage& request) {
     return HandleReload(ctx, request);

@@ -31,11 +31,9 @@ struct ServingContext {
   /// call it.
   std::function<Status(const std::string& model, const std::string& path)>
       reload;
-  /// Optional observability hooks (borrowed; null disables). The registry
-  /// contributes its metrics to GET /metrics and receives the decode /
-  /// encode stage histograms; the tracer wraps request decoding and
-  /// response encoding in spans.
-  obs::MetricsRegistry* metrics = nullptr;
+  /// Optional tracer (borrowed; null disables): wraps request decoding and
+  /// response encoding in spans. Metrics need no hook — the routes record
+  /// into and render service->metrics().
   obs::Tracer* tracer = nullptr;
   /// Optional flight recorder (borrowed; null answers the /debug/requests
   /// and /debug/slow routes with 503). Feeding it is the service's job —
@@ -73,14 +71,12 @@ struct ServingContext {
 ///                      requests, pending connections, watermarks, and the
 ///                      current degradation state: off/ready/degrading/
 ///                      shedding}
-///   GET  /metrics      Prometheus text exposition: the telemetry counters
-///                      as dmvi_*_total, the request-latency histogram,
-///                      live in-flight / pending-connections gauges, and
-///                      everything in ctx.metrics (stage histograms, HTTP
-///                      counters)
-///   GET  /metrics.json Telemetry JSON (serve/telemetry.h), including
-///                      degraded/shed counters — the pre-Prometheus
-///                      /metrics payload, kept for scripted consumers
+///   GET  /metrics      Prometheus text exposition: live in-flight /
+///                      pending-connections gauges and the other
+///                      scrape-time families, then everything in
+///                      service->metrics() (the dmvi_*_total serving
+///                      counters, the request-latency histogram, stage
+///                      histograms, HTTP counters)
 ///   POST /admin/reload warm checkpoint swap via ctx.reload
 ///   GET  /debug/profile?seconds=N&hz=H   on-demand CPU profiling window:
 ///                      blocks for N seconds (default 2, max 30) sampling

@@ -69,7 +69,9 @@ std::string IsoUtc(double unix_seconds) {
   if (gmtime_r(&whole, &parts) == nullptr) return "";
   const int millis = std::min(
       999, static_cast<int>((unix_seconds - static_cast<double>(whole)) * 1e3));
-  char buffer[40];
+  // Sized for seven worst-case ints (11 chars each) plus the separators,
+  // so the compiler can prove the rendering never truncates.
+  char buffer[96];
   std::snprintf(buffer, sizeof(buffer), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 parts.tm_year + 1900, parts.tm_mon + 1, parts.tm_mday,
                 parts.tm_hour, parts.tm_min, parts.tm_sec, millis);

@@ -125,21 +125,10 @@ HistogramSnapshot Histogram::Snapshot() const {
   return snap;
 }
 
-void Histogram::Reset() {
-  MutexLock lock(&mutex_);
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-  exemplar_labels_.clear();
-  exemplar_values_.clear();
-}
-
 double HistogramSnapshot::Percentile(double q) const {
   if (count == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  // The same rank convention as serve::SortedPercentile: interpolate
+  // The same rank convention as SortedPercentile: interpolate
   // between the order statistics floor(pos) and ceil(pos).
   const double pos = q * static_cast<double>(count - 1);
   const int64_t lo_rank = static_cast<int64_t>(std::floor(pos));
@@ -174,6 +163,16 @@ double HistogramSnapshot::Percentile(double q) const {
   const double lo_value = order_stat(lo_rank);
   const double hi_value = hi_rank == lo_rank ? lo_value : order_stat(hi_rank);
   return lo_value + (hi_value - lo_value) * frac;
+}
+
+double SortedPercentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(std::floor(pos));
+  const size_t hi = static_cast<size_t>(std::ceil(pos));
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
 }  // namespace obs

@@ -2,6 +2,7 @@
 #define DEEPMVI_OBS_HISTOGRAM_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/mutex.h"
@@ -38,6 +39,13 @@ struct HistogramSnapshot {
   double Percentile(double q) const;
 };
 
+/// Exact linear-interpolated percentile (q in [0, 1]) of `sorted`
+/// ascending values; 0 when empty. The same rank convention as
+/// HistogramSnapshot::Percentile, whose tests use it as the exact-order-
+/// statistic oracle; dmvi_loadgen and dmvi_serve report it over their own
+/// recorded latencies.
+double SortedPercentile(const std::vector<double>& sorted, double q);
+
 /// Thread-safe latency histogram over a fixed exponential bucket layout
 /// shared by every instance: bucket i covers values in
 /// (UpperBound(i-1), UpperBound(i)] with UpperBound(i) = 1e-6 * sqrt(2)^i
@@ -65,7 +73,6 @@ class Histogram {
   /// merge exactly). Buckets where `other` carries an exemplar adopt it.
   void Merge(const HistogramSnapshot& other);
   HistogramSnapshot Snapshot() const;
-  void Reset();
 
  private:
   void ObserveLocked(double value, const std::string* exemplar_label)

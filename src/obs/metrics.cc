@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/logging.h"
@@ -152,6 +153,21 @@ void AppendPrometheusHistogram(std::ostream& os, const std::string& name,
      << ExemplarSuffix(snapshot, Histogram::kNumBounds) << "\n";
   os << name << "_sum " << FormatNumber(snapshot.sum) << "\n";
   os << name << "_count " << snapshot.count << "\n";
+}
+
+double PrometheusValue(const std::string& text, const std::string& name) {
+  const std::string prefix = name + " ";
+  size_t pos = 0;
+  while (pos < text.size()) {
+    const size_t end = text.find('\n', pos);
+    const size_t len = (end == std::string::npos ? text.size() : end) - pos;
+    if (len > prefix.size() && text.compare(pos, prefix.size(), prefix) == 0) {
+      return std::atof(text.c_str() + pos + prefix.size());
+    }
+    if (end == std::string::npos) break;
+    pos = end + 1;
+  }
+  return -1.0;
 }
 
 }  // namespace obs

@@ -78,8 +78,9 @@ class MetricsRegistry {
   std::map<std::string, Entry> entries_ DMVI_GUARDED_BY(mutex_);
 };
 
-/// Exposition building blocks, shared with renderers that carry their
-/// counts outside a registry (serve::Telemetry's snapshot).
+/// Exposition building blocks, shared with renderers that append
+/// scrape-time values outside a registry (the /metrics route's live
+/// gauges).
 void AppendPrometheusCounter(std::ostream& os, const std::string& name,
                              const std::string& help, int64_t value);
 void AppendPrometheusGauge(std::ostream& os, const std::string& name,
@@ -87,6 +88,10 @@ void AppendPrometheusGauge(std::ostream& os, const std::string& name,
 void AppendPrometheusHistogram(std::ostream& os, const std::string& name,
                                const std::string& help,
                                const HistogramSnapshot& snapshot);
+
+/// Value of the unlabeled sample line `name value` in a Prometheus text
+/// exposition, or -1 when the sample is absent.
+double PrometheusValue(const std::string& text, const std::string& name);
 
 }  // namespace obs
 }  // namespace deepmvi

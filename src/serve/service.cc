@@ -46,17 +46,40 @@ ImputationService::ImputationService(ServiceConfig config)
     cache_ = std::make_unique<ResponseCache>(
         static_cast<int64_t>(config_.cache_mb * 1024.0 * 1024.0));
   }
-  if (config_.metrics != nullptr) {
-    stage_predict_ = config_.metrics->HistogramNamed(
-        "dmvi_stage_predict_seconds",
-        "Full-model Predict time per request.");
-    stage_cache_probe_ = config_.metrics->HistogramNamed(
-        "dmvi_stage_cache_probe_seconds",
-        "Response-cache lookup time per probed request.");
-    stage_fallback_ = config_.metrics->HistogramNamed(
-        "dmvi_stage_fallback_seconds",
-        "Degraded-mode fallback imputer time per request.");
+  metrics_ = config_.metrics;
+  if (metrics_ == nullptr) {
+    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics_ = owned_metrics_.get();
   }
+  requests_ = metrics_->CounterNamed("dmvi_requests_total",
+                                     "Completed requests, including failures.");
+  failures_ = metrics_->CounterNamed("dmvi_failures_total",
+                                     "Requests answered with a non-OK status.");
+  degraded_ = metrics_->CounterNamed(
+      "dmvi_degraded_total",
+      "Requests answered by the degradation-ladder fallback imputer.");
+  shed_ = metrics_->CounterNamed("dmvi_shed_total",
+                                 "Requests rejected at admission (503).");
+  rows_served_ = metrics_->CounterNamed(
+      "dmvi_rows_served_total",
+      "Series rows carrying at least one imputed cell.");
+  cells_imputed_ =
+      metrics_->CounterNamed("dmvi_cells_imputed_total", "Missing cells filled.");
+  cache_hits_ =
+      metrics_->CounterNamed("dmvi_cache_hits_total", "Response-cache hits.");
+  cache_misses_ = metrics_->CounterNamed("dmvi_cache_misses_total",
+                                         "Response-cache misses.");
+  request_latency_ = metrics_->HistogramNamed(
+      "dmvi_request_latency_seconds",
+      "Request latency inside the service (admission through compute).");
+  stage_predict_ = metrics_->HistogramNamed(
+      "dmvi_stage_predict_seconds", "Full-model Predict time per request.");
+  stage_cache_probe_ = metrics_->HistogramNamed(
+      "dmvi_stage_cache_probe_seconds",
+      "Response-cache lookup time per probed request.");
+  stage_fallback_ = metrics_->HistogramNamed(
+      "dmvi_stage_fallback_seconds",
+      "Degraded-mode fallback imputer time per request.");
 }
 
 ImputationResponse ImputationService::Process(const ImputationRequest& request,
@@ -108,16 +131,14 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
           LinearInterpolationImputer fallback;
           response.imputed = fallback.Impute(*request.data, request.mask);
         }
-        if (stage_fallback_ != nullptr) {
-          stage_fallback_->Observe(fallback_watch.ElapsedSeconds());
-        }
+        stage_fallback_->Observe(fallback_watch.ElapsedSeconds());
       }
       response.degraded = true;
       response.degrade_method =
           config_.degrade_method == "Mean" ? "Mean" : "LinearInterp";
       response.cells_imputed = request.mask.CountMissing();
       response.rows_touched = CountRowsTouched(request.mask);
-      telemetry_.RecordDegraded();
+      degraded_->Increment();
       return response;
     }
 
@@ -132,21 +153,19 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
       data_fp = MemoizedDataFingerprint(request.data);
       mask_fp = FingerprintMask(request.mask);
       ResponseCache::ResponsePtr hit = cache_->Get(model, data_fp, mask_fp);
-      if (stage_cache_probe_ != nullptr) {
-        stage_cache_probe_->Observe(probe_watch.ElapsedSeconds());
-      }
+      stage_cache_probe_->Observe(probe_watch.ElapsedSeconds());
       if (probe_span.active()) {
         probe_span.AddArg("hit", hit != nullptr ? "true" : "false");
       }
       if (hit != nullptr) {
-        telemetry_.RecordCacheLookup(true);
+        cache_hits_->Increment();
         response.cache_hit = true;
         response.imputed = hit->imputed;
         response.cells_imputed = hit->cells_imputed;
         response.rows_touched = hit->rows_touched;
         return response;
       }
-      telemetry_.RecordCacheLookup(false);
+      cache_misses_->Increment();
     }
 
     {
@@ -155,9 +174,7 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
       Stopwatch predict_watch;
       response.imputed = model->Predict(*request.data, request.mask);
       response.predict_seconds = predict_watch.ElapsedSeconds();
-      if (stage_predict_ != nullptr) {
-        stage_predict_->Observe(response.predict_seconds);
-      }
+      stage_predict_->Observe(response.predict_seconds);
     }
     response.cells_imputed = request.mask.CountMissing();
     response.rows_touched = CountRowsTouched(request.mask);
@@ -235,15 +252,20 @@ ImputationResponse ImputationService::Impute(const ImputationRequest& request) {
     response.status = Status::FailedPrecondition(
         "overloaded: pressure depth crossed the shed watermark (" +
         std::to_string(config_.shed_watermark) + "); retry later");
-    telemetry_.RecordShed();
+    shed_->Increment();
   } else {
     response = Process(request, rung == LadderRung::kDegrade);
   }
   in_flight_.fetch_sub(1);
   response.latency_seconds = watch.ElapsedSeconds();
-  telemetry_.RecordRequest(response.latency_seconds, response.rows_touched,
-                           response.cells_imputed, response.status.ok(),
-                           request.request_id);
+  requests_->Increment();
+  if (!response.status.ok()) failures_->Increment();
+  rows_served_->Increment(response.rows_touched);
+  cells_imputed_->Increment(response.cells_imputed);
+  // The request id becomes the latency bucket's exemplar, so /metrics
+  // links slow buckets to replayable requests.
+  request_latency_->ObserveWithExemplar(response.latency_seconds,
+                                        request.request_id);
   RecordFlight(request, response, rung == LadderRung::kShed);
   return response;
 }

@@ -16,7 +16,6 @@
 #include "serve/quality_monitor.h"
 #include "serve/registry.h"
 #include "serve/response_cache.h"
-#include "serve/telemetry.h"
 #include "tensor/data_tensor.h"
 #include "tensor/mask.h"
 
@@ -82,9 +81,11 @@ struct ServiceConfig {
   /// Fallback imputer: "LinearInterp" (default) or "Mean".
   std::string degrade_method = "LinearInterp";
   /// Optional observability hooks, both borrowed (must outlive the
-  /// service; null disables). The registry receives per-stage latency
-  /// histograms (predict, cache probe, fallback); the tracer receives
-  /// per-request spans.
+  /// service). The registry receives the serving counters
+  /// (dmvi_*_total), the request-latency histogram, and the per-stage
+  /// latency histograms (predict, cache probe, fallback); null makes the
+  /// service record into a registry of its own. The tracer receives
+  /// per-request spans (null disables).
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
   /// Optional flight recorder, borrowed like the hooks above (null
@@ -157,17 +158,15 @@ class ImputationService {
   /// request would be admitted at (/healthz reports its ladder rung).
   int PressureDepth() const;
 
-  TelemetrySnapshot telemetry() const { return telemetry_.Snapshot(); }
-
-  /// Zeroes the counters and restarts the wall clock — for reports that
-  /// must describe only the traffic from this point on.
-  void ResetTelemetry() { telemetry_.Reset(); }
+  /// The registry every serving metric is counted in: config.metrics when
+  /// one is wired in, else the service's own. /metrics renders it.
+  obs::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
   /// What the pressure probe reports (0 without one).
   int ProbeDepth() const;
 
-  /// Answers one admitted request (no latency telemetry): registry lookup,
+  /// Answers one admitted request (no request counters): registry lookup,
   /// validation, cache probe, Predict. With `degrade`, the model
   /// is still looked up and the input validated, but the configured
   /// fallback imputer produces the answer (cache bypassed — fallback
@@ -192,9 +191,20 @@ class ImputationService {
 
   const ServiceConfig config_;
   ModelRegistry registry_;
-  Telemetry telemetry_;
-  // Stage-latency histograms from config_.metrics; null when no registry
-  // is wired in (every observation site is then one branch).
+  // Null when config_.metrics is wired in.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  // Instruments in metrics_, registered at construction so every family
+  // is exported even while its count is zero.
+  obs::Counter* requests_ = nullptr;
+  obs::Counter* failures_ = nullptr;
+  obs::Counter* degraded_ = nullptr;
+  obs::Counter* shed_ = nullptr;
+  obs::Counter* rows_served_ = nullptr;
+  obs::Counter* cells_imputed_ = nullptr;
+  obs::Counter* cache_hits_ = nullptr;
+  obs::Counter* cache_misses_ = nullptr;
+  obs::Histogram* request_latency_ = nullptr;
   obs::Histogram* stage_predict_ = nullptr;
   obs::Histogram* stage_cache_probe_ = nullptr;
   obs::Histogram* stage_fallback_ = nullptr;

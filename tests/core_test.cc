@@ -477,7 +477,9 @@ TEST(QualityProfileTest, FitAttachesProfileMatchingTrainingData) {
     for (size_t d = 0; d < series.decile_edges.size(); ++d) {
       EXPECT_GE(series.decile_edges[d], lo);
       EXPECT_LE(series.decile_edges[d], hi);
-      if (d > 0) EXPECT_GE(series.decile_edges[d], series.decile_edges[d - 1]);
+      if (d > 0) {
+        EXPECT_GE(series.decile_edges[d], series.decile_edges[d - 1]);
+      }
     }
   }
   EXPECT_NEAR(profile->MissingRate(), 0.1, 0.05);

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -496,6 +497,24 @@ struct ServedCase {
   }
 };
 
+/// The serving counters and the request-latency histogram each appear in
+/// a /metrics body exactly once — one metric system, no second renderer.
+void ExpectServingFamiliesOnce(const std::string& text) {
+  for (const char* family :
+       {"dmvi_requests_total", "dmvi_failures_total", "dmvi_degraded_total",
+        "dmvi_shed_total", "dmvi_rows_served_total",
+        "dmvi_cells_imputed_total", "dmvi_cache_hits_total",
+        "dmvi_cache_misses_total", "dmvi_request_latency_seconds"}) {
+    const std::string type_line = std::string("# TYPE ") + family + " ";
+    size_t found = 0;
+    for (size_t at = text.find(type_line); at != std::string::npos;
+         at = text.find(type_line, at + 1)) {
+      ++found;
+    }
+    EXPECT_EQ(found, 1u) << family;
+  }
+}
+
 TEST(HttpServerTest, StartStopAndBindFailureIsStatusNotAbort) {
   net::ServerConfig config;
   net::HttpServer server(config);
@@ -918,8 +937,8 @@ TEST(ServingEndpointsTest, AdminEndpointsHealthMetricsReload) {
   EXPECT_EQ(health_doc->at("models").array_items()[0].string_value(),
             "default");
 
-  // /metrics is Prometheus text exposition now; the legacy JSON payload
-  // moved to /metrics.json.
+  // /metrics is the one exposition. The context and the service carry no
+  // registry here, so everything comes from the service's own.
   StatusOr<net::HttpMessage> metrics = client.Get("/metrics");
   ASSERT_TRUE(metrics.ok());
   ASSERT_EQ(metrics->status_code, 200);
@@ -930,14 +949,11 @@ TEST(ServingEndpointsTest, AdminEndpointsHealthMetricsReload) {
   EXPECT_NE(metrics->body.find("dmvi_request_latency_seconds_bucket"),
             std::string::npos);
   EXPECT_NE(metrics->body.find("dmvi_in_flight_requests"), std::string::npos);
-
-  StatusOr<net::HttpMessage> metrics_json = client.Get("/metrics.json");
-  ASSERT_TRUE(metrics_json.ok());
-  ASSERT_EQ(metrics_json->status_code, 200);
-  StatusOr<net::JsonValue> metrics_doc = net::ParseJson(metrics_json->body);
-  ASSERT_TRUE(metrics_doc.ok()) << metrics_json->body;
-  EXPECT_TRUE(metrics_doc->at("requests").is_number());
-  EXPECT_TRUE(metrics_doc->at("cache_hits").is_number());
+  ExpectServingFamiliesOnce(metrics->body);
+  EXPECT_EQ(obs::PrometheusValue(metrics->body, "dmvi_requests_total"),
+            0.0);
+  // The JSON twin of /metrics is gone.
+  EXPECT_EQ(client.Get("/metrics.json")->status_code, 404);
 
   // Reload: default model, explicit path, unknown model, malformed body.
   EXPECT_EQ(client.Post("/admin/reload", "", "application/json")
@@ -1031,10 +1047,8 @@ TEST(ServingEndpointsTest, DebugEndpointsServeRecorderAndState) {
   serve::ServiceConfig service_config;
   service_config.recorder = &recorder;
   ServedCase served(service_config);
-  obs::MetricsRegistry metrics;
   net::ServingContext ctx = served.Context();
   ctx.recorder = &recorder;
-  ctx.metrics = &metrics;
   ctx.build_commit = "cafef00d";
   net::HttpServer server;
   net::RegisterServingEndpoints(&server, ctx);
@@ -1143,9 +1157,7 @@ TEST(ServingEndpointsTest, DebugProfileAnswersCollapsedStacksOrBusy) {
 TEST(ServingEndpointsTest, MetricsExportProcessPoolAndTraceGauges) {
   obs::CollectingTraceSink sink;
   ServedCase served;
-  obs::MetricsRegistry metrics;
   net::ServingContext ctx = served.Context();
-  ctx.metrics = &metrics;
   ctx.trace_sink = &sink;
   net::HttpServer server;
   net::RegisterServingEndpoints(&server, ctx);
@@ -1255,13 +1267,16 @@ TEST(ServingEndpointsTest, CacheOnAndOffServeIdenticalBytesOverLoopback) {
       EXPECT_EQ(cells(hot->body), first_body);
     }
   }
-  serve::TelemetrySnapshot snap = cached.service.telemetry();
-  EXPECT_EQ(snap.cache_misses, 1);
-  EXPECT_EQ(snap.cache_hits, 2);
+  obs::MetricsRegistry& metrics = cached.service.metrics();
+  EXPECT_EQ(metrics.CounterNamed("dmvi_cache_misses_total", "")->value(), 1);
+  EXPECT_EQ(metrics.CounterNamed("dmvi_cache_hits_total", "")->value(), 2);
   ASSERT_NE(cached.service.response_cache(), nullptr);
   EXPECT_EQ(cached.service.response_cache()->stats().hits, 2);
   EXPECT_EQ(uncached.service.response_cache(), nullptr);
-  EXPECT_EQ(uncached.service.telemetry().cache_hits, 0);
+  EXPECT_EQ(uncached.service.metrics()
+                .CounterNamed("dmvi_cache_hits_total", "")
+                ->value(),
+            0);
 
   cached_server.Stop();
   uncached_server.Stop();
@@ -1359,19 +1374,16 @@ TEST(ServingEndpointsTest, DegradedResponsesCarryMarkerInJsonCsvAndMetrics) {
   EXPECT_EQ(csv->body.find("degraded"), std::string::npos)
       << "CSV body format must not change under degradation";
 
-  StatusOr<net::HttpMessage> metrics = client.Get("/metrics.json");
-  ASSERT_TRUE(metrics.ok());
-  StatusOr<net::JsonValue> metrics_doc = net::ParseJson(metrics->body);
-  ASSERT_TRUE(metrics_doc.ok()) << metrics->body;
-  EXPECT_GE(metrics_doc->at("degraded").number_value(), 2.0);
-  EXPECT_EQ(metrics_doc->at("shed").number_value(), 0.0);
-  // The Prometheus exposition carries the same counters.
+  // The Prometheus exposition counts both degraded answers, once each.
   StatusOr<net::HttpMessage> prom = client.Get("/metrics");
   ASSERT_TRUE(prom.ok());
   EXPECT_NE(prom->body.find("# TYPE dmvi_degraded_total counter"),
             std::string::npos)
       << prom->body;
-  EXPECT_NE(prom->body.find("dmvi_shed_total 0"), std::string::npos);
+  EXPECT_EQ(obs::PrometheusValue(prom->body, "dmvi_degraded_total"), 2.0);
+  EXPECT_EQ(obs::PrometheusValue(prom->body, "dmvi_requests_total"), 2.0);
+  EXPECT_EQ(obs::PrometheusValue(prom->body, "dmvi_shed_total"), 0.0);
+  ExpectServingFamiliesOnce(prom->body);
   server.Stop();
 }
 
@@ -1448,7 +1460,6 @@ TEST(HttpServerTest, RequestSpanFamilyCoversTheWholeRequestPath) {
   net::HttpServer server(server_config);
   net::ServingContext ctx = served.Context();
   ctx.tracer = &tracer;
-  ctx.metrics = &metrics;
   net::RegisterServingEndpoints(&server, ctx);
   ASSERT_TRUE(server.Start().ok());
   net::Client client("127.0.0.1", server.port());
@@ -1505,7 +1516,8 @@ TEST(HttpServerTest, RequestSpanFamilyCoversTheWholeRequestPath) {
 
 TEST(ServingEndpointsTest, TracingDoesNotChangeServedBytes) {
   // Serve the identical base-mask imputation twice — once plain, once with
-  // tracing + metrics wired through server, context, and service — and
+  // tracing wired through server, context, and service and metrics
+  // through server and service — and
   // compare the response bodies byte for byte (the same bar CI enforces
   // with cmp on the loadgen CSV).
   auto fetch = [](bool traced, std::string* csv_body, std::string* json_body) {
@@ -1526,10 +1538,7 @@ TEST(ServingEndpointsTest, TracingDoesNotChangeServedBytes) {
     }
     net::HttpServer server(server_config);
     net::ServingContext ctx = served.Context();
-    if (traced) {
-      ctx.tracer = &tracer;
-      ctx.metrics = &metrics;
-    }
+    if (traced) ctx.tracer = &tracer;
     net::RegisterServingEndpoints(&server, ctx);
     ASSERT_TRUE(server.Start().ok());
     net::Client client("127.0.0.1", server.port());
@@ -1599,10 +1608,8 @@ TEST(ServingEndpointsTest, QualityEndpointsScoreDriftAcrossTheStack) {
   serve::ServiceConfig service_config;
   service_config.quality = &monitor;
   ServedCase served(service_config);
-  obs::MetricsRegistry metrics;
   net::ServingContext ctx = served.Context();
   ctx.quality = &monitor;
-  ctx.metrics = &metrics;
   net::HttpServer server;
   net::RegisterServingEndpoints(&server, ctx);
   ASSERT_TRUE(server.Start().ok());

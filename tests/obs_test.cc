@@ -21,7 +21,6 @@
 #include "obs/profiler.h"
 #include "obs/quantile_sketch.h"
 #include "obs/trace.h"
-#include "serve/telemetry.h"
 
 namespace deepmvi {
 namespace {
@@ -80,16 +79,6 @@ TEST(HistogramTest, SnapshotTracksExactMomenta) {
   EXPECT_EQ(total, 3);
 }
 
-TEST(HistogramTest, ResetClears) {
-  obs::Histogram histogram;
-  histogram.Observe(0.1);
-  histogram.Reset();
-  const obs::HistogramSnapshot snap = histogram.Snapshot();
-  EXPECT_EQ(snap.count, 0);
-  EXPECT_DOUBLE_EQ(snap.sum, 0.0);
-  EXPECT_DOUBLE_EQ(snap.Percentile(0.95), 0.0);
-}
-
 // ---- Merge ----------------------------------------------------------------
 
 TEST(HistogramTest, MergeMatchesCombinedObservation) {
@@ -143,6 +132,16 @@ TEST(HistogramTest, PercentileOfSingleValueIsExact) {
   }
 }
 
+TEST(HistogramTest, SortedPercentileInterpolatesBetweenOrderStatistics) {
+  // The exact oracle the histogram estimate is checked against.
+  EXPECT_EQ(obs::SortedPercentile({}, 0.5), 0.0);
+  EXPECT_EQ(obs::SortedPercentile({3.0}, 0.95), 3.0);
+  const std::vector<double> sorted = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_NEAR(obs::SortedPercentile(sorted, 0.5), 2.5, 1e-12);
+  EXPECT_NEAR(obs::SortedPercentile(sorted, 0.0), 1.0, 1e-12);
+  EXPECT_NEAR(obs::SortedPercentile(sorted, 1.0), 4.0, 1e-12);
+}
+
 TEST(HistogramTest, PercentileWithinBucketFactorOfExactOrderStatistic) {
   // The histogram replaces reservoir sampling as the percentile source;
   // its contract is a deterministic estimate within one bucket-growth
@@ -158,7 +157,7 @@ TEST(HistogramTest, PercentileWithinBucketFactorOfExactOrderStatistic) {
   std::sort(values.begin(), values.end());
   const obs::HistogramSnapshot snap = histogram.Snapshot();
   for (double q : {0.05, 0.25, 0.50, 0.90, 0.95, 0.99}) {
-    const double exact = serve::SortedPercentile(values, q);
+    const double exact = obs::SortedPercentile(values, q);
     const double estimate = snap.Percentile(q);
     EXPECT_GE(estimate, exact / std::sqrt(2.0) - 1e-12) << "q=" << q;
     EXPECT_LE(estimate, exact * std::sqrt(2.0) + 1e-12) << "q=" << q;
@@ -236,6 +235,21 @@ TEST(MetricsTest, PrometheusExpositionGolden) {
             "dmvi_tiny_seconds_bucket{le=\"+Inf\"} 2\n"
             "dmvi_tiny_seconds_sum 1e-06\n"
             "dmvi_tiny_seconds_count 2\n");
+}
+
+TEST(MetricsTest, PrometheusValueReadsOnlyWholeUnlabeledSamples) {
+  obs::MetricsRegistry registry;
+  registry.CounterNamed("dmvi_a_total", "a")->Increment(3);
+  registry.CounterNamed("dmvi_a_total_more", "b")->Increment(5);
+  registry.GaugeNamed("dmvi_g", "g")->Set(2.5);
+  const std::string text = registry.PrometheusText();
+  EXPECT_EQ(obs::PrometheusValue(text, "dmvi_a_total"), 3.0);
+  EXPECT_EQ(obs::PrometheusValue(text, "dmvi_a_total_more"), 5.0);
+  EXPECT_EQ(obs::PrometheusValue(text, "dmvi_g"), 2.5);
+  // A name that only prefixes other samples, or is absent, reads -1.
+  EXPECT_EQ(obs::PrometheusValue(text, "dmvi_a"), -1.0);
+  EXPECT_EQ(obs::PrometheusValue(text, "dmvi_missing_total"), -1.0);
+  EXPECT_EQ(obs::PrometheusValue("", "dmvi_a_total"), -1.0);
 }
 
 TEST(MetricsTest, PrometheusHistogramBucketsAreCumulative) {
@@ -505,14 +519,16 @@ TEST(ExemplarTest, PlainObservationsRenderWithoutSuffix) {
 }
 
 TEST(ExemplarTest, SuffixIsInvisibleToWhitespaceSplittingParsers) {
-  // dmvi_loadgen's PrometheusValue (and the CI greps) read `name value`
-  // from the first two whitespace-separated fields; an exemplar suffix on
-  // a bucket line must not perturb the _count/_sum lines they consume.
+  // obs::PrometheusValue (and the CI greps) read `name value` from the
+  // first two whitespace-separated fields; an exemplar suffix on a bucket
+  // line must not perturb the _count/_sum lines they consume.
   obs::MetricsRegistry registry;
   registry.HistogramNamed("dmvi_lat_seconds", "h")
       ->ObserveWithExemplar(0.002, "req-3");
   const std::string text = registry.PrometheusText();
   EXPECT_NE(text.find("dmvi_lat_seconds_count 1\n"), std::string::npos);
+  EXPECT_EQ(obs::PrometheusValue(text, "dmvi_lat_seconds_count"), 1.0);
+  EXPECT_EQ(obs::PrometheusValue(text, "dmvi_lat_seconds_sum"), 0.002);
   EXPECT_NE(text.find("# {request_id=\"req-3\"} 0.002"), std::string::npos);
 }
 

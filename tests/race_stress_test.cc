@@ -42,7 +42,6 @@ using serve::ImputationResponse;
 using serve::ImputationService;
 using serve::ResponseCache;
 using serve::ServiceConfig;
-using serve::TelemetrySnapshot;
 
 /// Iteration multiplier from DMVI_RACE_STRESS_ITERS (default 1 = thin).
 int StressScale() {
@@ -137,11 +136,11 @@ TEST(RaceStressTest, ImputeDuringRegistryReloadAndCacheThrash) {
           service.registry().LoadFromFile("m", shared.checkpoint_path).ok());
     }
   });
-  // Observability scrape riding the same locks as the hot path.
+  // Observability scrape riding the same instruments as the hot path.
   std::thread scraper([&] {
     for (int i = 0; i < scrapes && !done.load(); ++i) {
-      TelemetrySnapshot snapshot = service.telemetry();
-      EXPECT_GE(snapshot.requests, 0);
+      const std::string text = service.metrics().PrometheusText();
+      EXPECT_NE(text.find("\ndmvi_requests_total "), std::string::npos);
       (void)service.in_flight();
       (void)service.PressureDepth();
       if (service.response_cache() != nullptr) {
@@ -156,7 +155,10 @@ TEST(RaceStressTest, ImputeDuringRegistryReloadAndCacheThrash) {
   done = true;
   scraper.join();
   EXPECT_EQ(answered.load(), 2 * requests_per_thread);
-  EXPECT_EQ(service.telemetry().requests, 2 * requests_per_thread);
+  EXPECT_NE(service.metrics().PrometheusText().find(
+                "\ndmvi_requests_total " +
+                std::to_string(2 * requests_per_thread) + "\n"),
+            std::string::npos);
   EXPECT_EQ(service.in_flight(), 0);
 }
 
@@ -259,47 +261,6 @@ TEST(RaceStressTest, NestedParallelForAndExceptionTeardown) {
   std::atomic<int> after{0};
   ParallelFor(8, 4, [&](int) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 8);
-}
-
-// ---- Telemetry: record / snapshot / reset -----------------------------------
-
-TEST(RaceStressTest, TelemetryRecordSnapshotResetStorm) {
-  serve::Telemetry telemetry;
-  const int writers = 3;
-  const int iters = 500 * StressScale();
-  std::atomic<bool> done{false};
-  std::thread snapshotter([&] {
-    while (!done.load()) {
-      serve::TelemetrySnapshot snapshot = telemetry.Snapshot();
-      // Internal consistency of one cut: failures never exceed requests.
-      EXPECT_LE(snapshot.failures, snapshot.requests);
-      EXPECT_GE(snapshot.wall_seconds, 0.0);
-    }
-  });
-  std::thread resetter([&] {
-    for (int i = 0; i < 20 * StressScale(); ++i) telemetry.Reset();
-  });
-  ParallelFor(writers, writers, [&](int w) {
-    for (int i = 0; i < iters; ++i) {
-      telemetry.RecordRequest(1e-4 * (i % 50), /*rows=*/1, /*cells=*/3,
-                              /*ok=*/i % 7 != 0);
-      if (i % 5 == 0) telemetry.RecordCacheLookup(i % 10 == 0);
-      if (i % 11 == 0) telemetry.RecordDegraded();
-      (void)w;
-    }
-  });
-  done = true;
-  snapshotter.join();
-  resetter.join();
-  // Deterministic epilogue: after a final reset the counters are exact.
-  telemetry.Reset();
-  telemetry.RecordRequest(0.001, 2, 5, true);
-  telemetry.RecordRequest(0.002, 1, 4, false);
-  serve::TelemetrySnapshot snapshot = telemetry.Snapshot();
-  EXPECT_EQ(snapshot.requests, 2);
-  EXPECT_EQ(snapshot.failures, 1);
-  EXPECT_EQ(snapshot.rows_served, 3);
-  EXPECT_EQ(snapshot.cells_imputed, 9);
 }
 
 // ---- Profiler: windows vs. scrapes vs. request storm ------------------------

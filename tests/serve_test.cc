@@ -1,6 +1,6 @@
 // Tests for the train-once/serve-many split: TrainedDeepMvi (Fit /
-// Predict / Save / Load) and the src/serve layer (registry, service,
-// telemetry, workload helpers). The central contract is determinism:
+// Predict / Save / Load) and the src/serve layer (registry, service and
+// its metrics, workload helpers). The central contract is determinism:
 // Predict consumes no randomness, so repeated calls, loaded checkpoints,
 // and any thread count or interleaving of concurrent callers must all
 // produce bit-identical matrices.
@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -54,6 +53,12 @@ TrainedCase MakeTrainedCase(uint64_t seed = 31) {
   DeepMviImputer imputer(config);
   out.model = imputer.Fit(out.data_case.data, out.data_case.mask);
   return out;
+}
+
+/// A serving counter's current value in the service's registry.
+int64_t CounterValue(serve::ImputationService& service,
+                     const std::string& name) {
+  return service.metrics().CounterNamed(name, "")->value();
 }
 
 // ---- TrainedDeepMvi ---------------------------------------------------------
@@ -252,7 +257,7 @@ TEST(ImputationServiceTest, UnknownModelYieldsNotFound) {
   serve::ImputationResponse response = service.Impute(request);
   EXPECT_FALSE(response.status.ok());
   EXPECT_EQ(response.status.code(), StatusCode::kNotFound);
-  EXPECT_EQ(service.telemetry().failures, 1);
+  EXPECT_EQ(CounterValue(service, "dmvi_failures_total"), 1);
 }
 
 TEST(ImputationServiceTest, BadShapeYieldsErrorResponseNotCrash) {
@@ -371,13 +376,36 @@ TEST(ImputationServiceTest, ConcurrentBatchesMatchSingleThreadBitForBit) {
     EXPECT_GT(concurrent[i].latency_seconds, 0.0);
   }
 
-  serve::TelemetrySnapshot snap = parallel.telemetry();
-  EXPECT_EQ(snap.requests, static_cast<int64_t>(2 * requests.size()));
-  EXPECT_EQ(snap.failures, 0);
-  EXPECT_GT(snap.cells_imputed, 0);
-  EXPECT_GT(snap.latency_p95_ms, 0.0);
-  EXPECT_GE(snap.latency_p95_ms, snap.latency_p50_ms);
-  EXPECT_GE(snap.latency_max_ms, snap.latency_p95_ms);
+  // One failed request: counted as a request and a failure, and it adds
+  // no rows or cells.
+  serve::ImputationRequest unknown = requests[0];
+  unknown.model = "missing";
+  EXPECT_EQ(parallel.Impute(unknown).status.code(), StatusCode::kNotFound);
+
+  // The counters hold exactly what the responses report.
+  int64_t rows = 0;
+  int64_t cells = 0;
+  for (const auto* responses : {&batched, &concurrent}) {
+    for (const auto& response : *responses) {
+      rows += response.rows_touched;
+      cells += response.cells_imputed;
+    }
+  }
+  ASSERT_GT(rows, 0);
+  ASSERT_NE(rows, cells);  // So a counter fed the other field cannot pass.
+  const int64_t total = static_cast<int64_t>(2 * requests.size()) + 1;
+  EXPECT_EQ(CounterValue(parallel, "dmvi_requests_total"), total);
+  EXPECT_EQ(CounterValue(parallel, "dmvi_failures_total"), 1);
+  EXPECT_EQ(CounterValue(parallel, "dmvi_rows_served_total"), rows);
+  EXPECT_EQ(CounterValue(parallel, "dmvi_cells_imputed_total"), cells);
+  const obs::HistogramSnapshot latency =
+      parallel.metrics()
+          .HistogramNamed("dmvi_request_latency_seconds", "")
+          ->Snapshot();
+  EXPECT_EQ(latency.count, total);
+  EXPECT_GT(latency.Percentile(0.95), 0.0);
+  EXPECT_GE(latency.Percentile(0.95), latency.Percentile(0.50));
+  EXPECT_GE(latency.max, latency.Percentile(0.95));
 }
 
 // ---- Degradation ladder -----------------------------------------------------
@@ -412,10 +440,10 @@ TEST(ImputationServiceTest, DegradedResponsesUseFallbackAndAreMarked) {
                                "degraded slot " + std::to_string(i));
     EXPECT_EQ(response.cells_imputed, requests[i].mask.CountMissing());
   }
-  serve::TelemetrySnapshot snap = service.telemetry();
-  EXPECT_EQ(snap.degraded, static_cast<int64_t>(requests.size()));
-  EXPECT_EQ(snap.shed, 0);
-  EXPECT_EQ(snap.failures, 0);
+  EXPECT_EQ(CounterValue(service, "dmvi_degraded_total"),
+            static_cast<int64_t>(requests.size()));
+  EXPECT_EQ(CounterValue(service, "dmvi_shed_total"), 0);
+  EXPECT_EQ(CounterValue(service, "dmvi_failures_total"), 0);
 }
 
 TEST(ImputationServiceTest, MeanDegradeMethodIsHonored) {
@@ -455,10 +483,9 @@ TEST(ImputationServiceTest, ShedBeyondWatermarkIsFailedPrecondition) {
     EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
     EXPECT_TRUE(response.imputed.rows() == 0);
   }
-  serve::TelemetrySnapshot snap = service.telemetry();
-  EXPECT_EQ(snap.shed, 2);
-  EXPECT_EQ(snap.degraded, 0);
-  EXPECT_EQ(snap.failures, 2);
+  EXPECT_EQ(CounterValue(service, "dmvi_shed_total"), 2);
+  EXPECT_EQ(CounterValue(service, "dmvi_degraded_total"), 0);
+  EXPECT_EQ(CounterValue(service, "dmvi_failures_total"), 2);
 
   // Dropping the pressure below both watermarks restores full service.
   service.SetPressureProbe([] { return 0; });
@@ -492,8 +519,8 @@ TEST(ImputationServiceTest, LadderInactiveBelowWatermarks) {
     ExpectMatricesBitIdentical(response.imputed, expected[i],
                                "below-watermark slot " + std::to_string(i));
   }
-  EXPECT_EQ(service.telemetry().degraded, 0);
-  EXPECT_EQ(service.telemetry().shed, 0);
+  EXPECT_EQ(CounterValue(service, "dmvi_degraded_total"), 0);
+  EXPECT_EQ(CounterValue(service, "dmvi_shed_total"), 0);
 }
 
 TEST(ImputationServiceTest, ArrivingRequestDoesNotCountItselfAsPressure) {
@@ -617,10 +644,11 @@ TEST(ImputationServiceTest, CachedResponsesAreBitIdenticalAndCounted) {
     EXPECT_EQ(hot.cells_imputed, cold.cells_imputed);
     EXPECT_EQ(hot.rows_touched, cold.rows_touched);
   }
-  serve::TelemetrySnapshot snap = cached.telemetry();
-  EXPECT_EQ(snap.cache_hits, 2);
-  EXPECT_EQ(snap.cache_misses, 6);
-  EXPECT_EQ(plain.telemetry().cache_hits + plain.telemetry().cache_misses, 0);
+  EXPECT_EQ(CounterValue(cached, "dmvi_cache_hits_total"), 2);
+  EXPECT_EQ(CounterValue(cached, "dmvi_cache_misses_total"), 6);
+  EXPECT_EQ(CounterValue(plain, "dmvi_cache_hits_total") +
+                CounterValue(plain, "dmvi_cache_misses_total"),
+            0);
   ASSERT_NE(cached.response_cache(), nullptr);
   EXPECT_EQ(cached.response_cache()->stats().hits, 2);
   EXPECT_EQ(plain.response_cache(), nullptr);
@@ -630,8 +658,8 @@ TEST(ImputationServiceTest, CachedResponsesAreBitIdenticalAndCounted) {
   TrainedCase swapped = MakeTrainedCase(37);
   ASSERT_TRUE(cached.registry().Register("m", std::move(swapped.model)).ok());
   ASSERT_TRUE(cached.Impute(requests[0]).status.ok());
-  EXPECT_EQ(cached.telemetry().cache_misses, 7);
-  EXPECT_EQ(cached.telemetry().cache_hits, 2);
+  EXPECT_EQ(CounterValue(cached, "dmvi_cache_misses_total"), 7);
+  EXPECT_EQ(CounterValue(cached, "dmvi_cache_hits_total"), 2);
 }
 
 TEST(ImputationServiceTest, CacheThrashDuringReloadRaceNeverServesStaleBytes) {
@@ -714,118 +742,6 @@ TEST(ImputationServiceTest, CacheThrashDuringReloadRaceNeverServesStaleBytes) {
   std::remove(path_b.c_str());
 }
 
-// ---- Telemetry --------------------------------------------------------------
-
-TEST(TelemetryTest, PercentilesAndCounters) {
-  EXPECT_EQ(serve::SortedPercentile({}, 0.5), 0.0);
-  EXPECT_EQ(serve::SortedPercentile({3.0}, 0.95), 3.0);
-  const std::vector<double> sorted = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_NEAR(serve::SortedPercentile(sorted, 0.5), 2.5, 1e-12);
-  EXPECT_NEAR(serve::SortedPercentile(sorted, 0.0), 1.0, 1e-12);
-  EXPECT_NEAR(serve::SortedPercentile(sorted, 1.0), 4.0, 1e-12);
-
-  serve::Telemetry telemetry;
-  telemetry.RecordRequest(0.010, 2, 20, true);
-  telemetry.RecordRequest(0.030, 1, 10, false);
-  serve::TelemetrySnapshot snap = telemetry.Snapshot();
-  EXPECT_EQ(snap.requests, 2);
-  EXPECT_EQ(snap.failures, 1);
-  EXPECT_EQ(snap.rows_served, 3);
-  EXPECT_EQ(snap.cells_imputed, 30);
-  // The histogram estimate is deterministic but only bucket-accurate
-  // (within sqrt 2 of the exact median, 20 ms).
-  EXPECT_GE(snap.latency_p50_ms, 20.0 / std::sqrt(2.0));
-  EXPECT_LE(snap.latency_p50_ms, 20.0 * std::sqrt(2.0));
-
-  const std::string json = serve::TelemetryToJson(snap);
-  EXPECT_NE(json.find("\"requests\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"latency_p50_ms\":"), std::string::npos);
-
-  telemetry.Reset();
-  EXPECT_EQ(telemetry.Snapshot().requests, 0);
-}
-
-TEST(TelemetryTest, DegradedAndShedCountersRoundTripThroughJson) {
-  serve::Telemetry telemetry;
-  EXPECT_EQ(telemetry.Snapshot().degraded, 0);
-  EXPECT_EQ(telemetry.Snapshot().shed, 0);
-
-  telemetry.RecordDegraded();
-  telemetry.RecordDegraded();
-  telemetry.RecordShed();
-  serve::TelemetrySnapshot snap = telemetry.Snapshot();
-  EXPECT_EQ(snap.degraded, 2);
-  EXPECT_EQ(snap.shed, 1);
-
-  const std::string json = serve::TelemetryToJson(snap);
-  EXPECT_NE(json.find("\"degraded\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"shed\": 1"), std::string::npos);
-
-  telemetry.Reset();
-  EXPECT_EQ(telemetry.Snapshot().degraded, 0);
-  EXPECT_EQ(telemetry.Snapshot().shed, 0);
-}
-
-TEST(TelemetryTest, HistogramPercentilesStayWithinBucketFactor) {
-  // The histogram is the percentile source of record. On identical
-  // observations it is exact; on spread observations it must stay within
-  // its bucket-growth factor of the exact interpolated order statistic.
-  serve::Telemetry uniform;
-  for (int i = 0; i < 100; ++i) uniform.RecordRequest(0.025, 1, 1, true);
-  serve::TelemetrySnapshot usnap = uniform.Snapshot();
-  EXPECT_NEAR(usnap.latency_p50_ms, 25.0, 1e-9);
-  EXPECT_NEAR(usnap.latency_p95_ms, 25.0, 1e-9);
-
-  serve::Telemetry spread;
-  std::vector<double> sorted_ms;
-  for (int i = 1; i <= 200; ++i) {
-    spread.RecordRequest(1e-3 * static_cast<double>(i), 1, 1, true);
-    sorted_ms.push_back(static_cast<double>(i));
-  }
-  serve::TelemetrySnapshot snap = spread.Snapshot();
-  for (const auto& [histogram_ms, exact_ms] :
-       {std::pair<double, double>{snap.latency_p50_ms,
-                                  serve::SortedPercentile(sorted_ms, 0.50)},
-        std::pair<double, double>{snap.latency_p95_ms,
-                                  serve::SortedPercentile(sorted_ms, 0.95)}}) {
-    EXPECT_GE(histogram_ms, exact_ms / std::sqrt(2.0));
-    EXPECT_LE(histogram_ms, exact_ms * std::sqrt(2.0));
-  }
-  // The histogram snapshot rides along for exposition.
-  EXPECT_EQ(snap.latency_histogram.count, 200);
-}
-
-TEST(TelemetryTest, ResetRestartsWallClockLazily) {
-  serve::Telemetry telemetry;
-  // No events yet: the wall clock has not started, so an idle process
-  // reports zero elapsed time and zero throughput instead of its age.
-  EXPECT_EQ(telemetry.Snapshot().wall_seconds, 0.0);
-  EXPECT_EQ(telemetry.Snapshot().requests_per_second, 0.0);
-
-  telemetry.RecordRequest(0.001, 1, 1, true);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  serve::TelemetrySnapshot live = telemetry.Snapshot();
-  EXPECT_GT(live.wall_seconds, 0.0);
-  EXPECT_GT(live.requests_per_second, 0.0);
-
-  // Reset rewinds everything including the clock; wall time stays zero
-  // until the next recorded event, so post-reset throughput is derived
-  // from the new epoch, not the process lifetime.
-  telemetry.Reset();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  serve::TelemetrySnapshot idle = telemetry.Snapshot();
-  EXPECT_EQ(idle.wall_seconds, 0.0);
-  EXPECT_EQ(idle.requests_per_second, 0.0);
-  EXPECT_EQ(idle.latency_histogram.count, 0);
-
-  telemetry.RecordRequest(0.001, 1, 1, true);
-  serve::TelemetrySnapshot restarted = telemetry.Snapshot();
-  // The new epoch started at the post-reset event: well under the 20 ms
-  // sleep that preceded it.
-  EXPECT_LT(restarted.wall_seconds, 0.015);
-  EXPECT_GT(restarted.requests_per_second, 0.0);
-}
-
 /// The byte-identity bars' workload: six full-mask requests with request
 /// ids, answered by two concurrent Impute callers. Returns the matrices in
 /// request order.
@@ -889,6 +805,8 @@ TEST(ImputationServiceTest, TracingAndMetricsDoNotChangeResponseBytes) {
                 ->Snapshot()
                 .count,
             0);
+  // The serving counters land in the wired-in registry, not a private one.
+  EXPECT_EQ(metrics.CounterNamed("dmvi_requests_total", "")->value(), 6);
 }
 
 TEST(ImputationServiceTest, FlightRecorderSeesEveryOutcomeKind) {

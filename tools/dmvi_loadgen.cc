@@ -44,11 +44,12 @@
 // GET /metrics (Prometheus text) before and after the run and asserts the
 // server-side counter deltas match what this process observed exactly:
 // requests_total grew by completed + shed, degraded_total by the
-// x-dmvi-degraded count, shed_total by the 503 count. The report also
-// fetches /metrics.json afterwards and prints server-observed p50/p95
-// (admission + compute, from the server's histogram) beside client-observed
-// p50/p95 (adds HTTP encode/transport) — the gap between them is the
-// network front-end's cost. --scrape-metrics FILE is a standalone mode:
+// x-dmvi-degraded count, shed_total by the 503 count. Every run scrapes
+// /metrics before and after firing and prints the server-observed mean
+// latency (admission + compute: the delta of the request-latency
+// histogram's _sum over the delta of its _count) beside the client-observed
+// mean (adds HTTP encode/transport) — the gap between them is the network
+// front-end's cost. --scrape-metrics FILE is a standalone mode:
 // fetch /metrics, write it verbatim, exit (CI uses it to snapshot a
 // server mid-run from a second process). --fetch PATH [--fetch-out FILE]
 // generalizes it to any GET path — CI pulls /debug/profile?seconds=N
@@ -86,8 +87,9 @@
 #include "net/client.h"
 #include "net/codec.h"
 #include "net/server.h"
+#include "obs/histogram.h"
+#include "obs/metrics.h"
 #include "scenario/scenarios.h"
-#include "serve/telemetry.h"
 #include "serve/workload.h"
 #include "tensor/matrix.h"
 
@@ -280,23 +282,6 @@ StatusOr<std::string> ScrapeMetrics(net::Client* client) {
                             std::to_string(scraped->status_code));
   }
   return std::move(scraped->body);
-}
-
-/// Value of an unlabeled sample line `name value` in Prometheus text
-/// exposition, or -1 when the metric is absent.
-double PrometheusValue(const std::string& text, const std::string& name) {
-  const std::string prefix = name + " ";
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const size_t end = text.find('\n', pos);
-    const size_t len = (end == std::string::npos ? text.size() : end) - pos;
-    if (len > prefix.size() && text.compare(pos, prefix.size(), prefix) == 0) {
-      return std::atof(text.c_str() + pos + prefix.size());
-    }
-    if (end == std::string::npos) break;
-    pos = end + 1;
-  }
-  return -1.0;
 }
 
 int Run(int argc, char** argv) {
@@ -627,18 +612,19 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  // ---- Counter baseline (taken after the --impute-csv fetch so that
-  // one-shot request is excluded from the delta). --------------------------
-  std::string metrics_before;
-  if (options.check_server_counters) {
-    StatusOr<std::string> text = ScrapeMetrics(&probe);
-    if (!text.ok()) {
-      std::fprintf(stderr, "pre-run metrics scrape failed: %s\n",
-                   text.status().ToString().c_str());
-      return 1;
-    }
-    metrics_before = std::move(text).value();
+  // ---- Server baseline for the latency attribution and the counter
+  // check (taken after the --impute-csv fetch so that one-shot request is
+  // excluded from the deltas). ---------------------------------------------
+  StatusOr<std::string> metrics_before = ScrapeMetrics(&probe);
+  if (!metrics_before.ok()) {
+    std::fprintf(stderr, "pre-run metrics scrape failed: %s\n",
+                 metrics_before.status().ToString().c_str());
+    return 1;
   }
+  // Close the probe's keep-alive connection: left idle through the run it
+  // would hold one of the server's blocking workers away from the load.
+  // Client reconnects lazily, so the post-run fetches still work.
+  probe = net::Client(options.host, options.port);
 
   // ---- Fire. --------------------------------------------------------------
   std::vector<WorkerResult> results(options.concurrency);
@@ -673,9 +659,12 @@ int Run(int argc, char** argv) {
     }
   }
   std::sort(latencies.begin(), latencies.end());
-  const double p50_ms = serve::SortedPercentile(latencies, 0.50) * 1e3;
-  const double p95_ms = serve::SortedPercentile(latencies, 0.95) * 1e3;
+  const double p50_ms = obs::SortedPercentile(latencies, 0.50) * 1e3;
+  const double p95_ms = obs::SortedPercentile(latencies, 0.95) * 1e3;
   const double max_ms = latencies.empty() ? 0.0 : latencies.back() * 1e3;
+  double mean_ms = 0.0;
+  for (const double latency : latencies) mean_ms += latency * 1e3;
+  if (!latencies.empty()) mean_ms /= static_cast<double>(latencies.size());
   const double rps = wall_seconds > 0.0
                          ? static_cast<double>(latencies.size()) / wall_seconds
                          : 0.0;
@@ -691,25 +680,36 @@ int Run(int argc, char** argv) {
       static_cast<long long>(degraded), wall_seconds, p50_ms, p95_ms, max_ms,
       rps, rows_per_second);
 
+  StatusOr<std::string> metrics_after = ScrapeMetrics(&probe);
+  if (!metrics_after.ok()) {
+    std::fprintf(stderr, "post-run metrics scrape failed: %s\n",
+                 metrics_after.status().ToString().c_str());
+    return 1;
+  }
+
   // ---- Server-observed latency beside client-observed. --------------------
   // The server's histogram covers admission + compute; the client's
   // stopwatch additionally sees HTTP decode/encode and the loopback
-  // transport — the gap between the two p95s is the front-end's cost.
-  double server_p50_ms = -1.0, server_p95_ms = -1.0;
-  {
-    StatusOr<net::HttpMessage> stats = probe.Get("/metrics.json");
-    if (stats.ok() && stats->status_code == 200) {
-      StatusOr<net::JsonValue> doc = net::ParseJson(stats->body);
-      if (doc.ok() && doc->at("latency_p95_ms").is_number()) {
-        server_p50_ms = doc->at("latency_p50_ms").number_value();
-        server_p95_ms = doc->at("latency_p95_ms").number_value();
-        std::printf(
-            "latency attribution: server-observed p50 %.2f ms, p95 %.2f ms "
-            "(admission + compute) vs client-observed p50 %.2f ms, "
-            "p95 %.2f ms (adds HTTP + transport)\n",
-            server_p50_ms, server_p95_ms, p50_ms, p95_ms);
-      }
-    }
+  // transport — the gap between the two means is the front-end's cost.
+  // _sum and _count are exact and their deltas cover only this run, so
+  // the server mean carries no bucket error. The server side also counts
+  // the requests the client saw fail (sheds, errors).
+  auto server_delta = [&](const char* metric) {
+    return obs::PrometheusValue(*metrics_after, metric) -
+           obs::PrometheusValue(*metrics_before, metric);
+  };
+  const double server_count =
+      server_delta("dmvi_request_latency_seconds_count");
+  const double server_mean_ms =
+      server_count > 0.0
+          ? server_delta("dmvi_request_latency_seconds_sum") / server_count *
+                1e3
+          : -1.0;
+  if (server_mean_ms >= 0.0) {
+    std::printf(
+        "latency attribution: server-observed mean %.2f ms (admission + "
+        "compute) vs client-observed mean %.2f ms (adds HTTP + transport)\n",
+        server_mean_ms, mean_ms);
   }
   if (!options.request_id_prefix.empty()) {
     std::printf("request IDs: %s-0..%s-%zu, %lld echo mismatches\n",
@@ -784,15 +784,9 @@ int Run(int argc, char** argv) {
   // ---- Counter consistency: server deltas must equal what we observed. ----
   bool counters_ok = true;
   if (options.check_server_counters) {
-    StatusOr<std::string> text = ScrapeMetrics(&probe);
-    if (!text.ok()) {
-      std::fprintf(stderr, "post-run metrics scrape failed: %s\n",
-                   text.status().ToString().c_str());
-      return 1;
-    }
     // Requests that never reached the service (connect/parse failures) are
     // invisible to its counters: expected requests delta is completions
-    // plus sheds (a shed is RecordRequest'ed as a failure server-side).
+    // plus sheds (a shed counts as a failed request server-side).
     struct Check {
       const char* metric;
       int64_t expected_delta;
@@ -804,8 +798,9 @@ int Run(int argc, char** argv) {
         {"dmvi_shed_total", shed},
     };
     for (const Check& check : checks) {
-      const double before = PrometheusValue(metrics_before, check.metric);
-      const double after = PrometheusValue(*text, check.metric);
+      const double before =
+          obs::PrometheusValue(*metrics_before, check.metric);
+      const double after = obs::PrometheusValue(*metrics_after, check.metric);
       if (before < 0.0 || after < 0.0) {
         std::fprintf(stderr, "counter check: %s missing from /metrics\n",
                      check.metric);
@@ -848,15 +843,15 @@ int Run(int argc, char** argv) {
         << ", \"runtime_seconds\": " << wall_seconds
         << ", \"requests\": " << queries.size() << ", \"failed\": " << failed
         << ", \"concurrency\": " << options.concurrency
+        << ", \"latency_mean_ms\": " << mean_ms
         << ", \"latency_p50_ms\": " << p50_ms
         << ", \"latency_p95_ms\": " << p95_ms
         << ", \"latency_max_ms\": " << max_ms
         << ", \"requests_per_second\": " << rps
         << ", \"rows_per_second\": " << rows_per_second
         << ", \"degraded\": " << degraded << ", \"shed\": " << shed;
-    if (server_p95_ms >= 0.0) {
-      out << ", \"server_latency_p50_ms\": " << server_p50_ms
-          << ", \"server_latency_p95_ms\": " << server_p95_ms;
+    if (server_mean_ms >= 0.0) {
+      out << ", \"server_latency_mean_ms\": " << server_mean_ms;
     }
     out << "}\n";
     out << "  ]\n}\n";

@@ -17,14 +17,14 @@
 // arrives at (requests already in flight + HTTP connections waiting for a
 // worker) reaches N; --shed-watermark M rejects with 503 at pressure M.
 // 0 (default) disables a rung.
-// Reports p50/p95/max latency, rows/sec, and the full telemetry JSON
-// (--telemetry-json PATH to persist it).
+// Reports p50/p95/max latency and req/rows/cells per second, computed
+// from the replay's own responses and wall clock.
 //
 // Network mode: --listen HOST:PORT starts the src/net HTTP front-end
 // (POST /v1/impute, GET /healthz, GET /metrics — Prometheus text,
-// GET /metrics.json — telemetry JSON, POST /admin/reload) over the same
-// service and blocks until SIGINT/SIGTERM. Each request is imputed on the
-// HTTP worker that read it. --http-workers sets the connection pool width,
+// POST /admin/reload) over the same service and blocks until
+// SIGINT/SIGTERM. Each request is imputed on the HTTP worker that read
+// it. --http-workers sets the connection pool width,
 // --port-file writes the bound HOST:PORT (port 0 picks a free one) for
 // scripts, and --reload-on-sighup makes SIGHUP warm-reload the checkpoint
 // from --model without dropping connections.
@@ -51,6 +51,7 @@
 // dmvi_train's --impute-csv (proving save/load exactness across
 // processes).
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -60,10 +61,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/stopwatch.h"
 #include "data/io.h"
 #include "net/endpoints.h"
 #include "net/server.h"
 #include "obs/flight_recorder.h"
+#include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/service.h"
@@ -88,7 +91,7 @@ void OnSighup(int) { g_sighup = 1; }
 void OnShutdown(int) { g_shutdown = 1; }
 
 int Run(int argc, char** argv) {
-  std::string model_path, workload_path, impute_csv, telemetry_json;
+  std::string model_path, workload_path, impute_csv;
   std::string listen_address, port_file;
   std::string trace_out;
   obs::TraceLevel trace_level = obs::TraceLevel::kRequest;
@@ -126,8 +129,6 @@ int Run(int argc, char** argv) {
       workload_seed = std::strtoull(value, nullptr, 10);
     } else if ((value = next("--impute-csv"))) {
       impute_csv = value;
-    } else if ((value = next("--telemetry-json"))) {
-      telemetry_json = value;
     } else if ((value = next("--threads"))) {
       service_config.threads = std::atoi(value);
     } else if ((value = next("--cache-mb"))) {
@@ -199,7 +200,7 @@ int Run(int argc, char** argv) {
           "                  [--threads N] [--cache-mb MB]\n"
           "                  [--degrade-watermark N] [--shed-watermark N]\n"
           "                  [--degrade-method LinearInterp|Mean]\n"
-          "                  [--impute-csv out.csv] [--telemetry-json out.json]\n"
+          "                  [--impute-csv out.csv]\n"
           "                  [--listen HOST:PORT [--http-workers N]\n"
           "                   [--port-file PATH] [--reload-on-sighup]]\n"
           "                  [--flight-records N] [--slow-ms X]\n"
@@ -320,26 +321,38 @@ int Run(int argc, char** argv) {
   }
 
   if (!queries.empty()) {
-    // The replay report must describe the replay alone — not checkpoint
-    // load, not the one-shot --impute-csv request above.
-    service.ResetTelemetry();
     std::vector<serve::ImputationRequest> requests;
     requests.reserve(queries.size());
     for (const serve::WorkloadQuery& query : queries) {
       requests.push_back(serve::MakeQueryRequest("default", data, mask, query));
     }
+    // The report describes this call alone: its responses and its wall
+    // clock, not checkpoint load or the one-shot --impute-csv request.
+    Stopwatch wall;
+    const std::vector<serve::ImputationResponse> responses =
+        service.ImputeBatch(requests);
+    const double seconds = wall.ElapsedSeconds();
     int failed = 0;
-    for (const serve::ImputationResponse& response :
-         service.ImputeBatch(requests)) {
+    int64_t rows = 0, cells = 0;
+    std::vector<double> latencies;
+    latencies.reserve(responses.size());
+    for (const serve::ImputationResponse& response : responses) {
       if (!response.status.ok()) ++failed;
+      rows += response.rows_touched;
+      cells += response.cells_imputed;
+      latencies.push_back(response.latency_seconds);
     }
-    serve::TelemetrySnapshot snap = service.telemetry();
+    std::sort(latencies.begin(), latencies.end());
+    const double per_second = seconds > 0.0 ? 1.0 / seconds : 0.0;
     std::printf(
         "replayed %zu queries (%d failed) in %.2fs: p50 %.2f ms, p95 %.2f ms, "
         "max %.2f ms | %.1f req/s, %.1f rows/s, %.0f cells/s\n",
-        queries.size(), failed, snap.wall_seconds, snap.latency_p50_ms,
-        snap.latency_p95_ms, snap.latency_max_ms, snap.requests_per_second,
-        snap.rows_per_second, snap.cells_per_second);
+        queries.size(), failed, seconds,
+        obs::SortedPercentile(latencies, 0.50) * 1e3,
+        obs::SortedPercentile(latencies, 0.95) * 1e3, latencies.back() * 1e3,
+        static_cast<double>(queries.size()) * per_second,
+        static_cast<double>(rows) * per_second,
+        static_cast<double>(cells) * per_second);
     if (failed > 0) return 1;
   }
 
@@ -361,7 +374,6 @@ int Run(int argc, char** argv) {
     context.service = &service;
     context.data = data;
     context.base_mask = mask;
-    context.metrics = &metrics;
     context.tracer = tracer.get();
     context.recorder = &recorder;
     context.trace_sink = trace_sink.get();
@@ -427,17 +439,6 @@ int Run(int argc, char** argv) {
     server.Stop();
     std::printf("served %lld requests\n",
                 static_cast<long long>(server.requests_served()));
-  }
-
-  if (!telemetry_json.empty()) {
-    std::ofstream out(telemetry_json);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   telemetry_json.c_str());
-      return 1;
-    }
-    out << serve::TelemetryToJson(service.telemetry());
-    std::printf("wrote telemetry %s\n", telemetry_json.c_str());
   }
 
   if (tracer != nullptr) {
