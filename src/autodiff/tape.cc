@@ -31,9 +31,13 @@ Var Tape::Leaf(Matrix value) {
 Var Tape::LeafFor(const void* key, const Matrix& value) {
   auto it = keyed_leaves_.find(key);
   if (it != keyed_leaves_.end()) return Var(this, it->second);
-  Var leaf = Leaf(value);
-  keyed_leaves_.emplace(key, leaf.index());
-  return leaf;
+  Node node;
+  node.borrowed = &value;
+  node.needs_grad = true;
+  nodes_.push_back(std::move(node));
+  const int index = static_cast<int>(nodes_.size()) - 1;
+  keyed_leaves_.emplace(key, index);
+  return Var(this, index);
 }
 
 int Tape::LeafIndexFor(const void* key) const {
@@ -80,7 +84,8 @@ void Tape::Reset() {
 Matrix& Tape::grad(int index) {
   Node& node = nodes_[index];
   if (!node.grad_allocated) {
-    node.grad = Matrix(node.value.rows(), node.value.cols());
+    const Matrix& v = value(index);
+    node.grad = Matrix(v.rows(), v.cols());
     node.grad_allocated = true;
   }
   return node.grad;
@@ -94,12 +99,11 @@ const Matrix* Tape::AllocatedGrad(int index) const {
 const Matrix& Tape::grad_or_zero(int index) const {
   const Node& node = nodes_[index];
   if (node.grad_allocated) return node.grad;
-  if (empty_grad_.rows() != node.value.rows() ||
-      empty_grad_.cols() != node.value.cols()) {
+  const Matrix& v = value(index);
+  if (empty_grad_.rows() != v.rows() || empty_grad_.cols() != v.cols()) {
     // Lazily keep a zero matrix of the right shape. const_cast is confined
     // to this cache; callers only read.
-    const_cast<Tape*>(this)->empty_grad_ =
-        Matrix(node.value.rows(), node.value.cols());
+    const_cast<Tape*>(this)->empty_grad_ = Matrix(v.rows(), v.cols());
   }
   return empty_grad_;
 }

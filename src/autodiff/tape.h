@@ -60,6 +60,11 @@ class Tape {
   /// gradient accumulates correctly; the registry lives on the tape rather
   /// than on the parameter so that several tapes can hold the same
   /// parameter concurrently (one tape per training worker slot).
+  ///
+  /// The leaf reads `value` in place instead of copying it: `value` must
+  /// outlive the tape (or its next Reset) and must not change before the
+  /// tape's last Backward. Training satisfies this by running the
+  /// optimizer only after every backward pass of the batch.
   Var LeafFor(const void* key, const Matrix& value);
 
   /// Node index of the keyed leaf, or -1 when `key` never materialized on
@@ -91,8 +96,10 @@ class Tape {
   /// closure. `needs_grad` should be true when any input requires grad.
   Var MakeNode(Matrix value, BackwardFn backward, bool needs_grad);
 
-  const Matrix& value(int index) const { return nodes_[index].value; }
-  Matrix& mutable_value(int index) { return nodes_[index].value; }
+  const Matrix& value(int index) const {
+    const Node& node = nodes_[index];
+    return node.borrowed != nullptr ? *node.borrowed : node.value;
+  }
   bool needs_grad(int index) const { return nodes_[index].needs_grad; }
 
   /// Gradient accessor; allocates a zero matrix on first touch.
@@ -109,6 +116,8 @@ class Tape {
  private:
   struct Node {
     Matrix value;
+    // Set for keyed leaves, whose value is read in place (see LeafFor).
+    const Matrix* borrowed = nullptr;
     Matrix grad;
     bool grad_allocated = false;
     bool needs_grad = false;

@@ -14,8 +14,9 @@ namespace deepmvi {
 namespace internal {
 
 /// The assembled DeepMVI model: all modules share one parameter store.
-/// The struct itself is cheap to copy (it only holds Parameter pointers
-/// into the store); whoever owns the ParameterStore owns the weights.
+/// The struct holds Parameter pointers into the store (whoever owns the
+/// ParameterStore owns the weights) plus the transformer's positional-
+/// encoding table, so move it rather than copy it.
 ///
 /// This used to live inside deepmvi.cc; it is a header now so that the
 /// training path (DeepMviImputer::Fit) and the serving path

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace deepmvi {
 
@@ -34,28 +35,41 @@ Var KernelRegression::Forward(Tape& tape, const DataTensor& data,
   std::vector<Var> features;  // 3 per dimension, each n_pos x 1.
   for (int dim = 0; dim < data.num_dims(); ++dim) {
     std::vector<int> siblings = data.Siblings(row, dim);
+    // Siblings() lists the dimension's other members in ascending order:
+    // sibling i is member i, or i + 1 once past the row's own member.
+    const int own_member = k[dim];
+    std::vector<int> sib_members(siblings.size());
+    for (int i = 0; i < static_cast<int>(siblings.size()); ++i) {
+      sib_members[i] = i < own_member ? i : i + 1;
+    }
 
     // Pre-select the top-L siblings by current kernel similarity when the
     // dimension is large (Sec 4.2). Selection reads the embedding values
     // directly; gradients still flow through the kept siblings.
     if (static_cast<int>(siblings.size()) > top_siblings_) {
       const Matrix& table = embeddings_[dim].table_value();
-      const int own_member = k[dim];
+      // (distance, sibling index): indices ascend with row ids, so ties
+      // break towards the lower row.
       std::vector<std::pair<double, int>> scored;
       scored.reserve(siblings.size());
-      for (int sib_row : siblings) {
-        const int member = data.UnflattenRow(sib_row)[dim];
+      for (int i = 0; i < static_cast<int>(siblings.size()); ++i) {
         double dist2 = 0.0;
         for (int c = 0; c < table.cols(); ++c) {
-          const double d = table(own_member, c) - table(member, c);
+          const double d = table(own_member, c) - table(sib_members[i], c);
           dist2 += d * d;
         }
-        scored.emplace_back(dist2, sib_row);
+        scored.emplace_back(dist2, i);
       }
       std::nth_element(scored.begin(), scored.begin() + top_siblings_,
                        scored.end());
-      siblings.clear();
-      for (int i = 0; i < top_siblings_; ++i) siblings.push_back(scored[i].second);
+      std::vector<int> kept_rows(top_siblings_);
+      std::vector<int> kept_members(top_siblings_);
+      for (int i = 0; i < top_siblings_; ++i) {
+        kept_rows[i] = siblings[scored[i].second];
+        kept_members[i] = sib_members[scored[i].second];
+      }
+      siblings = std::move(kept_rows);
+      sib_members = std::move(kept_members);
     }
 
     if (siblings.empty()) {
@@ -69,10 +83,6 @@ Var KernelRegression::Forward(Tape& tape, const DataTensor& data,
     const int num_sib = static_cast<int>(siblings.size());
 
     // ---- Kernel weights from embeddings (Eq. 17). ----------------------
-    std::vector<int> sib_members(num_sib);
-    for (int s = 0; s < num_sib; ++s) {
-      sib_members[s] = data.UnflattenRow(siblings[s])[dim];
-    }
     Var own_embed = embeddings_[dim].Forward(tape, {k[dim]});       // 1 x d
     Var sib_embed = embeddings_[dim].Forward(tape, sib_members);    // L x d
     Var diff = ad::SubRowVector(sib_embed, own_embed);

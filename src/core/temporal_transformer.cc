@@ -1,6 +1,8 @@
 #include "core/temporal_transformer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace deepmvi {
 
@@ -20,6 +22,9 @@ TemporalTransformer::TemporalTransformer(nn::ParameterStore* store,
       decoder_out_(store, "tt.out", config.filters,
                    config.window * config.filters, rng) {
   DMVI_CHECK_GT(window_, 0);
+  pos_enc_ = nn::SinusoidalPositionalEncoding(
+      std::max(std::min(config.max_context, kMaxTableContext) / window_, 2),
+      2 * filters_);
   const int context_dim = 2 * config.filters;
   for (int h = 0; h < num_heads_; ++h) {
     const std::string prefix = "tt.head" + std::to_string(h);
@@ -46,13 +51,17 @@ Var TemporalTransformer::Forward(
   Var zero_row = tape.Constant(Matrix(1, filters_));
   Var y_prev = ad::ConcatRows({zero_row, ad::SliceRows(y, 0, num_windows - 1)});
   Var y_next = ad::ConcatRows({ad::SliceRows(y, 1, num_windows - 1), zero_row});
-  Matrix pos_enc = nn::SinusoidalPositionalEncoding(num_windows, 2 * filters_);
+  Matrix pos_enc =
+      num_windows <= pos_enc_.rows()
+          ? pos_enc_.Block(0, 0, num_windows, pos_enc_.cols())
+          : nn::SinusoidalPositionalEncoding(num_windows, 2 * filters_);
   Var context;
   if (use_context_window_) {
-    context = ad::Add(ad::ConcatCols({y_prev, y_next}), tape.Constant(pos_enc));
+    context = ad::Add(ad::ConcatCols({y_prev, y_next}),
+                      tape.Constant(std::move(pos_enc)));
   } else {
     // Ablation "No Context Window": positional information only.
-    context = tape.Constant(pos_enc);
+    context = tape.Constant(std::move(pos_enc));
   }
 
   // ---- Attention availability: keys must be fully-available windows and

@@ -39,6 +39,11 @@ class TemporalTransformer {
   int window() const { return window_; }
   int filters() const { return filters_; }
 
+  /// Chunks of up to this many time steps read their positional encoding
+  /// from the table built at construction; a longer max_context does not
+  /// grow the table past 16 MiB (window 1, 128 filters).
+  static constexpr int kMaxTableContext = 8192;
+
  private:
   int window_ = 0;
   int filters_ = 0;
@@ -55,6 +60,11 @@ class TemporalTransformer {
   nn::Linear decoder_fc1_;  // p * num_heads -> p
   nn::Linear decoder_fc2_;  // p -> p
   nn::Linear decoder_out_;  // p -> window * p
+  // Positional encoding of the first max(max_context / window, 2) windows
+  // (max_context capped at kMaxTableContext), the most a MakeChunk chunk
+  // holds. Row t depends only on t, so a chunk of n windows reads the
+  // first n rows.
+  Matrix pos_enc_;
 };
 
 }  // namespace deepmvi

@@ -28,6 +28,12 @@ constexpr int kMaxFilters = 128;
 constexpr int kMaxWindow = 512;
 constexpr int kMaxHeads = 32;
 constexpr int kMaxEmbeddingDim = 256;
+// max_context sizes the transformer's positional-encoding table; at this
+// bound the table stays under 16 MiB at every window and filter count.
+constexpr int kMaxContext = TemporalTransformer::kMaxTableContext;
+// top_siblings counts members of one dimension; below 1 the kernel
+// regression's top-L selection would index before the candidate list.
+constexpr int kMaxTopSiblings = static_cast<int>(kMaxMembers);
 
 using nn::ReadPod;
 using nn::ReadString;
@@ -93,7 +99,9 @@ Status ReadConfig(std::istream& is, DeepMviConfig* config) {
         std::make_tuple("window", config->window, kMaxWindow),
         std::make_tuple("num_heads", config->num_heads, kMaxHeads),
         std::make_tuple("embedding_dim", config->embedding_dim,
-                        kMaxEmbeddingDim)}) {
+                        kMaxEmbeddingDim),
+        std::make_tuple("top_siblings", config->top_siblings, kMaxTopSiblings),
+        std::make_tuple("max_context", config->max_context, kMaxContext)}) {
     if (value <= 0 || value > max) {
       return Status::InvalidArgument(
           std::string("corrupt file: implausible model config: ") + name +

@@ -16,6 +16,7 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "serve/workload.h"
+#include "tensor/matmul_kernel.h"
 
 namespace deepmvi {
 namespace net {
@@ -307,6 +308,10 @@ HttpMessage HandleDebugState(const ServingContext& ctx) {
   os << "  \"pid\": " << ::getpid() << ",\n";
   os << "  \"profiler_running\": "
      << (obs::CpuProfiler::IsRunning() ? "true" : "false") << ",\n";
+  // The GEMM kernel set this CPU runs: "portable" explains a Predict
+  // slower than on an AVX2 host.
+  os << "  \"gemm_kernels\": \"" << internal::ActiveMatMulKernelSet().name
+     << "\",\n";
   os << "  \"process_stats_ok\": " << (stats.ok ? "true" : "false") << ",\n";
   os << "  \"rss_bytes\": " << stats.rss_bytes << ",\n";
   os << "  \"cpu_seconds\": " << stats.cpu_seconds << ",\n";

@@ -1,6 +1,7 @@
 #include "nn/layers.h"
 
 #include <cmath>
+#include <vector>
 
 namespace deepmvi {
 namespace nn {
@@ -73,14 +74,16 @@ Var FeedForward::Forward(Tape& tape, const Var& x) const {
 // ---- Positional encoding ------------------------------------------------------------
 
 Matrix SinusoidalPositionalEncoding(int length, int dim) {
+  // Columns 2i and 2i+1 share the wavelength 10000^{2i/dim}.
+  std::vector<double> wavelength(dim);
+  for (int r = 0; r < dim; ++r) {
+    wavelength[r] = std::pow(10000.0, static_cast<double>(r - r % 2) / dim);
+  }
   Matrix enc(length, dim);
   for (int t = 0; t < length; ++t) {
     for (int r = 0; r < dim; ++r) {
-      if (r % 2 == 0) {
-        enc(t, r) = std::sin(t / std::pow(10000.0, static_cast<double>(r) / dim));
-      } else {
-        enc(t, r) = std::cos(t / std::pow(10000.0, static_cast<double>(r - 1) / dim));
-      }
+      enc(t, r) = r % 2 == 0 ? std::sin(t / wavelength[r])
+                             : std::cos(t / wavelength[r]);
     }
   }
   return enc;

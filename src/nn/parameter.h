@@ -33,7 +33,9 @@ class Parameter {
   /// between submodules accumulates gradient correctly. The binding lives
   /// on the tape (keyed by this parameter's address), keeping Parameter
   /// itself immutable here — several worker tapes may materialize the same
-  /// parameter concurrently during data-parallel training.
+  /// parameter concurrently during data-parallel training. The leaf reads
+  /// value() in place (Tape::LeafFor), so value() must not change before
+  /// the tape's last Backward.
   ad::Var OnTape(ad::Tape& tape) const { return tape.LeafFor(this, value_); }
 
   /// True when the parameter participated in `tape`'s graph.

@@ -1,9 +1,14 @@
 #include "tensor/matmul_kernel.h"
 
+#include <memory>
 #include <string>
 
 #include "obs/profiler.h"
 #include "obs/trace.h"
+
+// Each kernel body is written once and inlined into every set's entry
+// point, so each set compiles it for its own target.
+#define DMVI_KERNEL_BODY inline __attribute__((always_inline))
 
 namespace deepmvi {
 namespace internal {
@@ -20,175 +25,236 @@ inline void AnnotateDims(obs::Span& span, int m, int k, int n) {
 }
 
 // Tile sizes. kKTile rows of B (the streamed operand) are kept hot in L1/L2
-// while the full output is swept; 2 output rows x 4 k-terms are held in
-// registers by the micro kernels so each loaded B row updates two C rows.
+// while the full output is swept; 4 output rows x 4 k-terms are held in
+// registers by the micro kernel so each loaded B row updates four C rows.
 constexpr int kKTile = 64;
 
-/// c0/c1 get four ascending-k terms each; b rows are loaded once per j.
-inline void MicroKernel2x4(double* c0, double* c1, const double* b0,
-                           const double* b1, const double* b2, const double* b3,
-                           double a00, double a01, double a02, double a03,
-                           double a10, double a11, double a12, double a13,
-                           int n) {
+// A(i, kk) = a[i * a_row + kk * a_k]: row-major a (a_row = k, a_k = 1) for
+// MatMul, a read transposed (a_row = 1, a_k = m) for TransposeMatMul. The
+// output rows never alias the operands: callers own `c`.
+
+/// Rows c[0..3] get the four ascending-k terms A(r, 0..3) * b[0..3]; each
+/// b row is loaded once per j for all four output rows.
+DMVI_KERNEL_BODY void MicroKernel4x4(double* __restrict c, const double* a,
+                                     long long a_row, long long a_k,
+                                     const double* b, int n) {
+  double* __restrict c0 = c;
+  double* __restrict c1 = c + n;
+  double* __restrict c2 = c + 2 * n;
+  double* __restrict c3 = c + 3 * n;
+  const double* b0 = b;
+  const double* b1 = b + n;
+  const double* b2 = b + 2 * n;
+  const double* b3 = b + 3 * n;
+  double av[4][4];
+  for (int r = 0; r < 4; ++r) {
+    for (int q = 0; q < 4; ++q) av[r][q] = a[r * a_row + q * a_k];
+  }
   for (int j = 0; j < n; ++j) {
     double acc0 = c0[j];
-    acc0 += a00 * b0[j];
-    acc0 += a01 * b1[j];
-    acc0 += a02 * b2[j];
-    acc0 += a03 * b3[j];
+    acc0 += av[0][0] * b0[j];
+    acc0 += av[0][1] * b1[j];
+    acc0 += av[0][2] * b2[j];
+    acc0 += av[0][3] * b3[j];
     c0[j] = acc0;
     double acc1 = c1[j];
-    acc1 += a10 * b0[j];
-    acc1 += a11 * b1[j];
-    acc1 += a12 * b2[j];
-    acc1 += a13 * b3[j];
+    acc1 += av[1][0] * b0[j];
+    acc1 += av[1][1] * b1[j];
+    acc1 += av[1][2] * b2[j];
+    acc1 += av[1][3] * b3[j];
     c1[j] = acc1;
+    double acc2 = c2[j];
+    acc2 += av[2][0] * b0[j];
+    acc2 += av[2][1] * b1[j];
+    acc2 += av[2][2] * b2[j];
+    acc2 += av[2][3] * b3[j];
+    c2[j] = acc2;
+    double acc3 = c3[j];
+    acc3 += av[3][0] * b0[j];
+    acc3 += av[3][1] * b1[j];
+    acc3 += av[3][2] * b2[j];
+    acc3 += av[3][3] * b3[j];
+    c3[j] = acc3;
   }
 }
 
-inline void MicroKernel1x4(double* c0, const double* b0, const double* b1,
-                           const double* b2, const double* b3, double a00,
-                           double a01, double a02, double a03, int n) {
+/// One output row: four ascending-k terms A(0, 0..3) * b[0..3].
+DMVI_KERNEL_BODY void MicroKernel1x4(double* __restrict c0, const double* a,
+                                     long long a_k, const double* b, int n) {
+  const double a0 = a[0], a1 = a[a_k], a2 = a[2 * a_k], a3 = a[3 * a_k];
+  const double* b0 = b;
+  const double* b1 = b + n;
+  const double* b2 = b + 2 * n;
+  const double* b3 = b + 3 * n;
   for (int j = 0; j < n; ++j) {
     double acc = c0[j];
-    acc += a00 * b0[j];
-    acc += a01 * b1[j];
-    acc += a02 * b2[j];
-    acc += a03 * b3[j];
+    acc += a0 * b0[j];
+    acc += a1 * b1[j];
+    acc += a2 * b2[j];
+    acc += a3 * b3[j];
     c0[j] = acc;
   }
 }
 
-inline void MicroKernel1x1(double* c0, const double* b0, double a00, int n) {
+DMVI_KERNEL_BODY void MicroKernel1x1(double* __restrict c0, const double* b0,
+                                     double a00, int n) {
   for (int j = 0; j < n; ++j) c0[j] += a00 * b0[j];
 }
 
+/// c[m x n] += A * b[k x n] with A addressed through (a_row, a_k).
+DMVI_KERNEL_BODY void StridedMatMulBody(const double* a, long long a_row,
+                                        long long a_k, const double* b,
+                                        double* c, int m, int k, int n) {
+  for (int k0 = 0; k0 < k; k0 += kKTile) {
+    const int k1 = k0 + kKTile < k ? k0 + kKTile : k;
+    int i = 0;
+    for (; i + 3 < m; i += 4) {
+      const double* ai = a + i * a_row;
+      double* ci = c + static_cast<long long>(i) * n;
+      int kk = k0;
+      for (; kk + 3 < k1; kk += 4) {
+        MicroKernel4x4(ci, ai + kk * a_k, a_row, a_k,
+                       b + static_cast<long long>(kk) * n, n);
+      }
+      for (; kk < k1; ++kk) {
+        for (int r = 0; r < 4; ++r) {
+          MicroKernel1x1(ci + static_cast<long long>(r) * n,
+                         b + static_cast<long long>(kk) * n,
+                         ai[r * a_row + kk * a_k], n);
+        }
+      }
+    }
+    for (; i < m; ++i) {
+      const double* ai = a + i * a_row;
+      double* ci = c + static_cast<long long>(i) * n;
+      int kk = k0;
+      for (; kk + 3 < k1; kk += 4) {
+        MicroKernel1x4(ci, ai + kk * a_k, a_k,
+                       b + static_cast<long long>(kk) * n, n);
+      }
+      for (; kk < k1; ++kk) {
+        MicroKernel1x1(ci, b + static_cast<long long>(kk) * n, ai[kk * a_k],
+                       n);
+      }
+    }
+  }
+}
+
+DMVI_KERNEL_BODY void MatMulBody(const double* a, const double* b, double* c,
+                                 int m, int k, int n) {
+  StridedMatMulBody(a, k, 1, b, c, m, k, n);
+}
+
+/// a is k x m and read transposed: output row i multiplies column i of a.
+DMVI_KERNEL_BODY void TransposeMatMulBody(const double* a, const double* b,
+                                          double* c, int m, int k, int n) {
+  StridedMatMulBody(a, 1, m, b, c, m, k, n);
+}
+
+/// b is n x k: packing its transpose (k x n) lets the product run the
+/// row-streaming MatMulBody, whose vector lanes are output columns, where
+/// row-times-row dot products would have to gather across B's rows. Each
+/// output is still one ascending-k chain started from the zeroed `c`.
+DMVI_KERNEL_BODY void MatMulTransposeBody(const double* a, const double* b,
+                                          double* c, int m, int k, int n) {
+  const long long kn = static_cast<long long>(k) * n;
+  std::unique_ptr<double[]> b_t(new double[kn]);
+  for (int j = 0; j < n; ++j) {
+    const double* brow = b + static_cast<long long>(j) * k;
+    for (int kk = 0; kk < k; ++kk) {
+      b_t[static_cast<long long>(kk) * n + j] = brow[kk];
+    }
+  }
+  MatMulBody(a, b_t.get(), c, m, k, n);
+}
+
+void MatMulPortable(const double* a, const double* b, double* c, int m, int k,
+                    int n) {
+  MatMulBody(a, b, c, m, k, n);
+}
+
+void TransposeMatMulPortable(const double* a, const double* b, double* c,
+                             int m, int k, int n) {
+  TransposeMatMulBody(a, b, c, m, k, n);
+}
+
+void MatMulTransposePortable(const double* a, const double* b, double* c,
+                             int m, int k, int n) {
+  MatMulTransposeBody(a, b, c, m, k, n);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define DMVI_AVX2_KERNELS 1
+
+__attribute__((target("avx2"))) void MatMulAvx2(const double* a,
+                                                const double* b, double* c,
+                                                int m, int k, int n) {
+  MatMulBody(a, b, c, m, k, n);
+}
+
+__attribute__((target("avx2"))) void TransposeMatMulAvx2(const double* a,
+                                                         const double* b,
+                                                         double* c, int m,
+                                                         int k, int n) {
+  TransposeMatMulBody(a, b, c, m, k, n);
+}
+
+__attribute__((target("avx2"))) void MatMulTransposeAvx2(const double* a,
+                                                         const double* b,
+                                                         double* c, int m,
+                                                         int k, int n) {
+  MatMulTransposeBody(a, b, c, m, k, n);
+}
+#endif
+
+std::vector<MatMulKernelSet> DetectKernelSets() {
+  std::vector<MatMulKernelSet> sets = {{"portable", &MatMulPortable,
+                                        &TransposeMatMulPortable,
+                                        &MatMulTransposePortable}};
+#ifdef DMVI_AVX2_KERNELS
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) {
+    sets.push_back(
+        {"avx2", &MatMulAvx2, &TransposeMatMulAvx2, &MatMulTransposeAvx2});
+  }
+#endif
+  return sets;
+}
+
 }  // namespace
+
+const std::vector<MatMulKernelSet>& SupportedMatMulKernelSets() {
+  static const std::vector<MatMulKernelSet> sets = DetectKernelSets();
+  return sets;
+}
+
+const MatMulKernelSet& ActiveMatMulKernelSet() {
+  static const MatMulKernelSet& active = SupportedMatMulKernelSets().back();
+  return active;
+}
 
 void MatMulBlocked(const double* a, const double* b, double* c, int m, int k,
                    int n) {
   obs::ProfileLabelScope profile_label("matmul.blocked");
   obs::Span span = obs::KernelSpan("matmul.blocked");
   AnnotateDims(span, m, k, n);
-  for (int k0 = 0; k0 < k; k0 += kKTile) {
-    const int k1 = k0 + kKTile < k ? k0 + kKTile : k;
-    int i = 0;
-    for (; i + 1 < m; i += 2) {
-      const double* a0 = a + static_cast<long long>(i) * k;
-      const double* a1 = a0 + k;
-      double* c0 = c + static_cast<long long>(i) * n;
-      double* c1 = c0 + n;
-      int kk = k0;
-      for (; kk + 3 < k1; kk += 4) {
-        const double* brow = b + static_cast<long long>(kk) * n;
-        MicroKernel2x4(c0, c1, brow, brow + n, brow + 2 * n, brow + 3 * n,
-                       a0[kk], a0[kk + 1], a0[kk + 2], a0[kk + 3], a1[kk],
-                       a1[kk + 1], a1[kk + 2], a1[kk + 3], n);
-      }
-      for (; kk < k1; ++kk) {
-        const double* brow = b + static_cast<long long>(kk) * n;
-        MicroKernel1x1(c0, brow, a0[kk], n);
-        MicroKernel1x1(c1, brow, a1[kk], n);
-      }
-    }
-    if (i < m) {
-      const double* a0 = a + static_cast<long long>(i) * k;
-      double* c0 = c + static_cast<long long>(i) * n;
-      int kk = k0;
-      for (; kk + 3 < k1; kk += 4) {
-        const double* brow = b + static_cast<long long>(kk) * n;
-        MicroKernel1x4(c0, brow, brow + n, brow + 2 * n, brow + 3 * n, a0[kk],
-                       a0[kk + 1], a0[kk + 2], a0[kk + 3], n);
-      }
-      for (; kk < k1; ++kk) {
-        MicroKernel1x1(c0, b + static_cast<long long>(kk) * n, a0[kk], n);
-      }
-    }
-  }
+  ActiveMatMulKernelSet().mat_mul(a, b, c, m, k, n);
 }
 
 void TransposeMatMulBlocked(const double* a, const double* b, double* c, int m,
                             int k, int n) {
-  // a is k x m and read transposed: the i-th output row multiplies column i
-  // of a, a stride-m gather; everything else mirrors MatMulBlocked.
   obs::ProfileLabelScope profile_label("matmul.transpose_a");
   obs::Span span = obs::KernelSpan("matmul.transpose_a");
   AnnotateDims(span, m, k, n);
-  for (int k0 = 0; k0 < k; k0 += kKTile) {
-    const int k1 = k0 + kKTile < k ? k0 + kKTile : k;
-    int i = 0;
-    for (; i + 1 < m; i += 2) {
-      double* c0 = c + static_cast<long long>(i) * n;
-      double* c1 = c0 + n;
-      int kk = k0;
-      for (; kk + 3 < k1; kk += 4) {
-        const double* acol = a + static_cast<long long>(kk) * m + i;
-        const double* brow = b + static_cast<long long>(kk) * n;
-        MicroKernel2x4(c0, c1, brow, brow + n, brow + 2 * n, brow + 3 * n,
-                       acol[0], acol[m], acol[2 * m], acol[3 * m], acol[1],
-                       acol[m + 1], acol[2 * m + 1], acol[3 * m + 1], n);
-      }
-      for (; kk < k1; ++kk) {
-        const double* acol = a + static_cast<long long>(kk) * m + i;
-        const double* brow = b + static_cast<long long>(kk) * n;
-        MicroKernel1x1(c0, brow, acol[0], n);
-        MicroKernel1x1(c1, brow, acol[1], n);
-      }
-    }
-    if (i < m) {
-      double* c0 = c + static_cast<long long>(i) * n;
-      int kk = k0;
-      for (; kk + 3 < k1; kk += 4) {
-        const double* acol = a + static_cast<long long>(kk) * m + i;
-        const double* brow = b + static_cast<long long>(kk) * n;
-        MicroKernel1x4(c0, brow, brow + n, brow + 2 * n, brow + 3 * n, acol[0],
-                       acol[m], acol[2 * m], acol[3 * m], n);
-      }
-      for (; kk < k1; ++kk) {
-        MicroKernel1x1(c0, b + static_cast<long long>(kk) * n,
-                       a[static_cast<long long>(kk) * m + i], n);
-      }
-    }
-  }
+  ActiveMatMulKernelSet().transpose_mat_mul(a, b, c, m, k, n);
 }
 
 void MatMulTransposeBlocked(const double* a, const double* b, double* c, int m,
                             int k, int n) {
-  // Row-times-row dot products; four B rows are swept per pass so each
-  // loaded A row feeds four accumulators. Every accumulator is one
-  // ascending-k chain, matching the naive order.
   obs::ProfileLabelScope profile_label("matmul.transpose_b");
   obs::Span span = obs::KernelSpan("matmul.transpose_b");
   AnnotateDims(span, m, k, n);
-  for (int i = 0; i < m; ++i) {
-    const double* arow = a + static_cast<long long>(i) * k;
-    double* crow = c + static_cast<long long>(i) * n;
-    int j = 0;
-    for (; j + 3 < n; j += 4) {
-      const double* b0 = b + static_cast<long long>(j) * k;
-      const double* b1 = b0 + k;
-      const double* b2 = b1 + k;
-      const double* b3 = b2 + k;
-      double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-      for (int kk = 0; kk < k; ++kk) {
-        const double av = arow[kk];
-        acc0 += av * b0[kk];
-        acc1 += av * b1[kk];
-        acc2 += av * b2[kk];
-        acc3 += av * b3[kk];
-      }
-      crow[j] += acc0;
-      crow[j + 1] += acc1;
-      crow[j + 2] += acc2;
-      crow[j + 3] += acc3;
-    }
-    for (; j < n; ++j) {
-      const double* brow = b + static_cast<long long>(j) * k;
-      double acc = 0.0;
-      for (int kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      crow[j] += acc;
-    }
-  }
+  ActiveMatMulKernelSet().mat_mul_transpose(a, b, c, m, k, n);
 }
 
 void MatMulNaive(const double* a, const double* b, double* c, int m, int k,

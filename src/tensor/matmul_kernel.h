@@ -1,6 +1,8 @@
 #ifndef DEEPMVI_TENSOR_MATMUL_KERNEL_H_
 #define DEEPMVI_TENSOR_MATMUL_KERNEL_H_
 
+#include <vector>
+
 // Blocked dense matmul kernels shared by Matrix (and through it by the
 // autodiff ops and the linalg layer). All kernels work on raw row-major
 // buffers, accumulate into `c` (callers zero-initialize), and keep the
@@ -13,6 +15,14 @@
 //
 // Unlike the historical kernels there is no `a == 0.0` skip: a zero times
 // a NaN/Inf contributes NaN to the sum instead of silently hiding it.
+//
+// The kernel bodies are compiled into more than one set: a portable one
+// for baseline x86-64 (or any other target), and on x86 one for AVX2,
+// whose vectors hold four doubles instead of two. The public functions run
+// the widest set the CPU supports, picked once per process. Vector lanes
+// are independent output columns, so every set keeps the per-output order
+// above, and matmul_kernel.cc is built with -ffp-contract=off so no set
+// fuses a multiply-add: all sets are bit-identical to MatMulNaive.
 
 namespace deepmvi {
 namespace internal {
@@ -33,6 +43,24 @@ void MatMulTransposeBlocked(const double* a, const double* b, double* c, int m,
 /// kernels are tested and benchmarked against.
 void MatMulNaive(const double* a, const double* b, double* c, int m, int k,
                  int n);
+
+/// One compiled set of the three blocked kernels, without the profile
+/// labels and trace spans the public functions add.
+struct MatMulKernelSet {
+  const char* name;  // "portable" or "avx2".
+  void (*mat_mul)(const double* a, const double* b, double* c, int m, int k,
+                  int n);
+  void (*transpose_mat_mul)(const double* a, const double* b, double* c, int m,
+                            int k, int n);
+  void (*mat_mul_transpose)(const double* a, const double* b, double* c, int m,
+                            int k, int n);
+};
+
+/// Every kernel set this CPU can run, portable first and widest last.
+const std::vector<MatMulKernelSet>& SupportedMatMulKernelSets();
+
+/// The set the public kernels run: the last of SupportedMatMulKernelSets().
+const MatMulKernelSet& ActiveMatMulKernelSet();
 
 }  // namespace internal
 }  // namespace deepmvi

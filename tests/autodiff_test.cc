@@ -51,6 +51,46 @@ TEST(TapeTest, ResetInvalidatesNodes) {
   EXPECT_EQ(tape.num_nodes(), 0);
 }
 
+TEST(TapeTest, KeyedLeafReadsTheMatrixInPlace) {
+  const Matrix weight = TestInput(3, 4, 7);
+  Tape tape;
+  Var w = tape.LeafFor(&weight, weight);
+  EXPECT_EQ(&w.value(), &weight);
+  // The same key returns the same node, still reading the matrix itself.
+  Var again = tape.LeafFor(&weight, weight);
+  EXPECT_EQ(again.index(), w.index());
+  EXPECT_EQ(&again.value(), &weight);
+  EXPECT_EQ(tape.LeafIndexFor(&weight), w.index());
+}
+
+TEST(TapeTest, KeyedLeafGradientsEqualCopiedLeafGradients) {
+  // The same graph over an in-place keyed leaf and over a copied Leaf:
+  // every gradient, the keyed leaf's own included, must be bit-equal.
+  const Matrix weight = TestInput(4, 3, 8);
+  const Matrix input = TestInput(5, 4, 9);
+  auto run = [&](bool keyed, Matrix* weight_grad, Matrix* input_grad) {
+    Tape tape;
+    Var w = keyed ? tape.LeafFor(&weight, weight) : tape.Leaf(weight);
+    Var x = tape.Leaf(input);
+    // A shared parameter materializes twice; the copied graph reuses w.
+    Var w_again = keyed ? tape.LeafFor(&weight, weight) : w;
+    Var loss = Sum(Square(Add(Tanh(MatMul(x, w)), MatMul(x, w_again))));
+    tape.Backward(loss);
+    *weight_grad = w.grad();
+    *input_grad = x.grad();
+  };
+  Matrix keyed_w, keyed_x, copied_w, copied_x;
+  run(true, &keyed_w, &keyed_x);
+  run(false, &copied_w, &copied_x);
+  testutil::ExpectMatricesBitIdentical(keyed_w, copied_w, "weight gradient");
+  testutil::ExpectMatricesBitIdentical(keyed_x, copied_x, "input gradient");
+  // The shared zero-gradient cache reads the keyed leaf's shape in place.
+  Tape idle;
+  Var unused = idle.LeafFor(&weight, weight);
+  EXPECT_EQ(unused.grad().rows(), 4);
+  EXPECT_EQ(unused.grad().cols(), 3);
+}
+
 TEST(GradCheck, Add) {
   ExpectGradientsMatch(
       [](Tape&, const std::vector<Var>& v) { return Sum(Add(v[0], v[1])); },

@@ -96,6 +96,39 @@ TEST(TemporalTransformerTest, GradientsFlowToAllParameters) {
   EXPECT_GT(with_grad, total / 2);
 }
 
+TEST(TemporalTransformerTest, CachedEncodingMatchesComputedEncoding) {
+  // Same weights, four encoding tables: one longer than the chunk (read
+  // as a prefix), one exactly its length, one too short, which falls back
+  // to computing the encoding, and one whose unbounded max_context is
+  // capped at kMaxTableContext. Forward must be bit-equal for all, in both
+  // the context-window model and the positional-only ablation.
+  for (const bool context_window : {true, false}) {
+    std::vector<Matrix> outputs;
+    for (const int max_context : {1024, 40, 10, INT32_MAX}) {
+      nn::ParameterStore store;
+      Rng rng(11);
+      DeepMviConfig config;
+      config.window = 5;
+      config.filters = 8;
+      config.num_heads = 2;
+      config.max_context = max_context;
+      config.use_context_window = context_window;
+      TemporalTransformer tt(&store, config, rng);
+      Rng data_rng(12);
+      const Matrix series = Matrix::RandomGaussian(1, 40, data_rng);
+      std::vector<double> avail(8, 1.0);
+      avail[3] = 0.0;
+      ad::Tape tape;
+      outputs.push_back(tt.Forward(tape, series, avail).value());
+    }
+    for (size_t i = 1; i < outputs.size(); ++i) {
+      testutil::ExpectMatricesBitIdentical(
+          outputs[i], outputs[0],
+          "table " + std::to_string(i) + (context_window ? "" : " (no ctx)"));
+    }
+  }
+}
+
 TEST(KernelRegressionTest, FeatureShapeAndValues) {
   // 2 stores x 3 items.
   Dimension stores{"store", {"s0", "s1"}};
@@ -141,6 +174,37 @@ TEST(KernelRegressionTest, UnavailableSiblingsExcluded) {
   ad::Var features = kr.Forward(tape, data, values, mask, 0, {0});
   // Only series b is available at t=0: U = 5 exactly.
   EXPECT_NEAR(features.value()(0, 0), 5.0, 1e-6);
+}
+
+TEST(KernelRegressionTest, TopSiblingsKeepNearestWithTiesToLowerRow) {
+  // Six members, top_siblings = 2, target member 2. Hand-set 1-d
+  // embeddings give squared distances m0: 9, m1: 1, m3: 1, m4: 0.25,
+  // m5: 1, so the kept pair is m4 and — of the three-way tie at 1 — m1,
+  // the lowest row. Each member's value identifies it in the features.
+  Dimension dim{"series", {"m0", "m1", "m2", "m3", "m4", "m5"}};
+  const Matrix values = {{100}, {10}, {0}, {20}, {1}, {1000}};
+  DataTensor data({dim}, values);
+  Mask mask(6, 1);
+
+  nn::ParameterStore store;
+  Rng rng(8);
+  DeepMviConfig config;
+  config.embedding_dim = 1;
+  config.top_siblings = 2;
+  KernelRegression kr(&store, data.dims(), config, rng);
+  nn::Parameter* table = store.Find("kr.embed.series0.table");
+  ASSERT_NE(table, nullptr);
+  table->value() = Matrix{{5.0}, {3.0}, {2.0}, {1.0}, {2.5}, {3.0}};
+
+  ad::Tape tape;
+  const Matrix features = kr.Forward(tape, data, values, mask, 2, {0}).value();
+  ASSERT_EQ(features.cols(), 3);
+  const double k4 = std::exp(-0.25);
+  const double k1 = std::exp(-1.0);
+  EXPECT_NEAR(features(0, 0), (k4 * 1 + k1 * 10) / (k4 + k1 + 1e-8), 1e-12);
+  EXPECT_NEAR(features(0, 1), k4 + k1, 1e-12);
+  // Variance of the kept values {1, 10}: 50.5 - 5.5^2, exact.
+  EXPECT_EQ(features(0, 2), 20.25);
 }
 
 TEST(KernelRegressionTest, GradientsReachEmbeddings) {
@@ -581,19 +645,27 @@ TEST(CheckpointTest, OutOfRangeArchitectureFieldsFailBeforeAllocating) {
   const std::string bytes = FileBytes(path);
 
   // The header is "DMVC", a uint32 version, then int32 filters, window,
-  // num_heads and embedding_dim. Unbounded, the large values make
-  // BuildDeepMviModules allocate tens to hundreds of GB.
+  // num_heads and embedding_dim, a double kernel_gamma, int32 top_siblings
+  // (offset 32), and after five more fields int32 max_context (offset 68).
+  // Unbounded, the large values make BuildDeepMviModules allocate tens to
+  // hundreds of GB (max_context sizes the positional-encoding table), and
+  // a negative top_siblings indexes before the sibling candidates.
   struct Field {
     const char* name;
     size_t offset;
+    std::vector<int32_t> values;
   };
-  const Field fields[] = {{"filters", 8},
-                          {"window", 12},
-                          {"num_heads", 16},
-                          {"embedding_dim", 20}};
+  const std::vector<int32_t> too_big_or_small = {1 << 16, 1 << 20, 0, -1};
+  const Field fields[] = {
+      {"filters", 8, too_big_or_small},
+      {"window", 12, too_big_or_small},
+      {"num_heads", 16, too_big_or_small},
+      {"embedding_dim", 20, too_big_or_small},
+      {"top_siblings", 32, {0, -1, -5, INT32_MIN, 1 << 30}},
+      {"max_context", 68, {1 << 16, 1 << 20, 0, -1, INT32_MAX}}};
   const std::string mutated_path = testutil::TempPath("header_mutated.dmvi");
   for (const Field& field : fields) {
-    for (const int32_t value : {1 << 16, 1 << 20, 0, -1}) {
+    for (const int32_t value : field.values) {
       std::string mutated = bytes;
       std::memcpy(&mutated[field.offset], &value, sizeof(value));
       {

@@ -39,6 +39,7 @@
 #include "serve/quality_monitor.h"
 #include "serve/service.h"
 #include "serve/workload.h"
+#include "tensor/matmul_kernel.h"
 #include "testing/test_util.h"
 
 namespace deepmvi {
@@ -981,9 +982,10 @@ TEST(ServingEndpointsTest, AdminEndpointsHealthMetricsReload) {
 }
 
 TEST(ServingEndpointsTest, ReloadOfOversizedHeaderIs400AndKeepsBytes) {
-  // A checkpoint whose window or num_heads header field is corrupt would
-  // make the model skeleton allocate tens of GB. The reload must fail as
-  // a 400 and the old weights keep serving the same bytes.
+  // A checkpoint whose window, num_heads or max_context header field is
+  // corrupt would make the model skeleton (or its positional-encoding
+  // table) allocate tens of GB. The reload must fail as a 400 and the old
+  // weights keep serving the same bytes.
   ServedCase served;
   const std::string good_path = TempPath("reload_header_good.dmvi");
   ASSERT_TRUE(served.service.registry().Get("default")->Save(good_path).ok());
@@ -1009,10 +1011,11 @@ TEST(ServingEndpointsTest, ReloadOfOversizedHeaderIs400AndKeepsBytes) {
   ASSERT_EQ(before->status_code, 200) << before->body;
 
   // Header: "DMVC", uint32 version, int32 filters, window (offset 12),
-  // num_heads (offset 16), embedding_dim.
+  // num_heads (offset 16), embedding_dim, ..., max_context (offset 68).
   for (const auto& [offset, value] :
        {std::pair<size_t, int32_t>{12, 1 << 20},
-        std::pair<size_t, int32_t>{16, 1 << 16}}) {
+        std::pair<size_t, int32_t>{16, 1 << 16},
+        std::pair<size_t, int32_t>{68, INT32_MAX}}) {
     std::string bytes = good_bytes;
     std::memcpy(&bytes[offset], &value, sizeof(value));
     const std::string bad_path = TempPath("reload_header_bad.dmvi");
@@ -1100,6 +1103,8 @@ TEST(ServingEndpointsTest, DebugEndpointsServeRecorderAndState) {
   EXPECT_GE(state_doc->at("uptime_seconds").number_value(), 0.0);
   EXPECT_GT(state_doc->at("pid").number_value(), 0);
   EXPECT_FALSE(state_doc->at("profiler_running").bool_value());
+  EXPECT_EQ(state_doc->at("gemm_kernels").string_value(),
+            internal::ActiveMatMulKernelSet().name);
 #if defined(__linux__)
   EXPECT_TRUE(state_doc->at("process_stats_ok").bool_value());
   EXPECT_GT(state_doc->at("rss_bytes").number_value(), 0);

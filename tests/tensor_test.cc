@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/data_tensor.h"
@@ -95,21 +97,42 @@ TEST(MatrixTest, MatMulTransposeMatchesExplicit) {
 // the textbook triple loop: blocking reorders which outputs are computed
 // when, never the ascending-k accumulation inside one output. These tests
 // sweep random and edge shapes — 0-dim, vectors, sizes off the tile
-// multiple — against the naive reference for all three product variants.
+// multiple — against the naive reference for all three product variants,
+// through every kernel set this CPU supports and through the public
+// Matrix products (the active set).
 
 void ExpectBitIdentical(const Matrix& actual, const Matrix& expected,
-                        const char* what, int m, int k, int n) {
+                        const std::string& what, int m, int k, int n) {
   testutil::ExpectMatricesBitIdentical(
       actual, expected,
-      std::string(what) + " (" + std::to_string(m) + "x" + std::to_string(k) +
-          " * " + std::to_string(k) + "x" + std::to_string(n) + ")");
+      what + " (" + std::to_string(m) + "x" + std::to_string(k) + " * " +
+          std::to_string(k) + "x" + std::to_string(n) + ")");
 }
 
-/// All three product variants of the same logical product a(m x k) *
-/// b(k x n) against the naive reference. TransposeMatMul runs on the
-/// materialized a^T and MatMulTranspose on the materialized b^T, so each
-/// variant consumes the operand layout it is specialized for while the
-/// expected result stays the one naive product.
+/// The three products of one kernel set for the logical product
+/// a(m x k) * b(k x n): TransposeMatMul runs on the materialized a^T and
+/// MatMulTranspose on the materialized b^T, so each consumes the operand
+/// layout it is specialized for while the result stays the one product.
+struct SetProducts {
+  Matrix mat_mul, transpose_mat_mul, mat_mul_transpose;
+};
+
+SetProducts RunKernelSet(const internal::MatMulKernelSet& set,
+                         const Matrix& a, const Matrix& b) {
+  const int m = a.rows(), k = a.cols(), n = b.cols();
+  const Matrix a_t = a.Transpose();
+  const Matrix b_t = b.Transpose();
+  SetProducts out{Matrix(m, n), Matrix(m, n), Matrix(m, n)};
+  set.mat_mul(a.data(), b.data(), out.mat_mul.data(), m, k, n);
+  set.transpose_mat_mul(a_t.data(), b.data(), out.transpose_mat_mul.data(), m,
+                        k, n);
+  set.mat_mul_transpose(a.data(), b_t.data(), out.mat_mul_transpose.data(), m,
+                        k, n);
+  return out;
+}
+
+/// All three product variants, through every kernel set and through the
+/// public Matrix methods, against the naive reference.
 void CheckAllVariantsMatchNaive(int m, int k, int n, Rng& rng) {
   const Matrix a = Matrix::RandomGaussian(m, k, rng);
   const Matrix b = Matrix::RandomGaussian(k, n, rng);
@@ -117,6 +140,16 @@ void CheckAllVariantsMatchNaive(int m, int k, int n, Rng& rng) {
   Matrix expected(m, n);
   internal::MatMulNaive(a.data(), b.data(), expected.data(), m, k, n);
 
+  for (const internal::MatMulKernelSet& set :
+       internal::SupportedMatMulKernelSets()) {
+    const SetProducts got = RunKernelSet(set, a, b);
+    const std::string name = set.name;
+    ExpectBitIdentical(got.mat_mul, expected, name + " MatMul", m, k, n);
+    ExpectBitIdentical(got.transpose_mat_mul, expected,
+                       name + " TransposeMatMul", m, k, n);
+    ExpectBitIdentical(got.mat_mul_transpose, expected,
+                       name + " MatMulTranspose", m, k, n);
+  }
   ExpectBitIdentical(a.MatMul(b), expected, "MatMul", m, k, n);
   ExpectBitIdentical(a.Transpose().TransposeMatMul(b), expected,
                      "TransposeMatMul", m, k, n);
@@ -124,14 +157,31 @@ void CheckAllVariantsMatchNaive(int m, int k, int n, Rng& rng) {
                      "MatMulTranspose", m, k, n);
 }
 
+TEST(MatMulKernelTest, KernelSetsArePortableFirstAndActiveLast) {
+  const std::vector<internal::MatMulKernelSet>& sets =
+      internal::SupportedMatMulKernelSets();
+  ASSERT_FALSE(sets.empty());
+  EXPECT_STREQ(sets.front().name, "portable");
+  EXPECT_EQ(&internal::ActiveMatMulKernelSet(), &sets.back());
+  for (const internal::MatMulKernelSet& set : sets) {
+    const std::string name = set.name;
+    EXPECT_TRUE(name == "portable" || name == "avx2") << name;
+  }
+}
+
 TEST(MatMulKernelTest, BlockedMatchesNaiveOnRandomShapes) {
   Rng rng(123);
-  // Shapes straddling the tile boundaries (k-tile 64, 2-row / 4-col micro
-  // kernels): primes, exact multiples, one-off-from-multiple.
-  const int shapes[][3] = {{1, 1, 1},    {2, 4, 8},    {3, 5, 7},
-                           {7, 13, 5},   {8, 64, 8},   {9, 65, 3},
-                           {64, 64, 64}, {65, 66, 67}, {1, 128, 1},
-                           {2, 130, 31}, {33, 1, 33}};
+  // Shapes straddling the tile boundaries (k-tile 64, micro kernels of 4
+  // rows x 4 k-terms): primes, exact multiples, one-off-from-multiple, and
+  // every row and k remainder mod 4. The last six are the transformer's
+  // products on a 13-window chunk (conv, Q/K projection, attention scores,
+  // decoder input and output) and on a 60-window one.
+  const int shapes[][3] = {{1, 1, 1},      {2, 4, 8},      {3, 5, 7},
+                           {7, 13, 5},     {8, 64, 8},     {9, 65, 3},
+                           {64, 64, 64},   {65, 66, 67},   {1, 128, 1},
+                           {2, 130, 31},   {33, 1, 33},    {13, 10, 32},
+                           {13, 64, 64},   {13, 64, 13},   {13, 128, 32},
+                           {13, 32, 320},  {60, 64, 60}};
   for (const auto& s : shapes) {
     CheckAllVariantsMatchNaive(s[0], s[1], s[2], rng);
   }
@@ -143,11 +193,20 @@ TEST(MatMulKernelTest, HandlesZeroDimensions) {
   for (const auto& s : shapes) {
     const Matrix a = Matrix::RandomGaussian(s[0], s[1], rng);
     const Matrix b = Matrix::RandomGaussian(s[1], s[2], rng);
-    const Matrix c = a.MatMul(b);
-    EXPECT_EQ(c.rows(), s[0]);
-    EXPECT_EQ(c.cols(), s[2]);
-    for (int r = 0; r < c.rows(); ++r) {
-      for (int cc = 0; cc < c.cols(); ++cc) EXPECT_EQ(c(r, cc), 0.0);
+    std::vector<Matrix> products = {a.MatMul(b)};
+    for (const internal::MatMulKernelSet& set :
+         internal::SupportedMatMulKernelSets()) {
+      SetProducts got = RunKernelSet(set, a, b);
+      products.push_back(std::move(got.mat_mul));
+      products.push_back(std::move(got.transpose_mat_mul));
+      products.push_back(std::move(got.mat_mul_transpose));
+    }
+    for (const Matrix& c : products) {
+      EXPECT_EQ(c.rows(), s[0]);
+      EXPECT_EQ(c.cols(), s[2]);
+      for (int r = 0; r < c.rows(); ++r) {
+        for (int cc = 0; cc < c.cols(); ++cc) EXPECT_EQ(c(r, cc), 0.0);
+      }
     }
   }
 }
@@ -174,6 +233,23 @@ TEST(MatMulKernelTest, NanAndInfPropagateThroughZeroCoefficients) {
   Matrix cmt = a.MatMulTranspose(b);
   EXPECT_TRUE(std::isnan(cmt(0, 0)));
   EXPECT_TRUE(std::isnan(cmt(1, 1)));
+
+  // Every set: a zero a times b must be NaN in every cell, for all three
+  // products (b's NaN and Inf reach every output column through the
+  // product a * b; the transposed variants read the same logical b).
+  for (const internal::MatMulKernelSet& set :
+       internal::SupportedMatMulKernelSets()) {
+    const SetProducts got = RunKernelSet(set, a, b);
+    for (const Matrix* product :
+         {&got.mat_mul, &got.transpose_mat_mul, &got.mat_mul_transpose}) {
+      for (int r = 0; r < 2; ++r) {
+        for (int cc = 0; cc < 2; ++cc) {
+          EXPECT_TRUE(std::isnan((*product)(r, cc)))
+              << set.name << " (" << r << ", " << cc << ")";
+        }
+      }
+    }
+  }
 
   // Non-finite values anywhere must reach AllFinite() checks downstream.
   Matrix spike = {{1.0, 0.0}, {0.0, 1.0}};
