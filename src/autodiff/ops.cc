@@ -28,16 +28,17 @@ void Accumulate(Tape& tape, int index, const Matrix& delta) {
 bool NeedsGrad(Tape* tape, const Var& a) { return tape->needs_grad(a.index()); }
 
 /// Shared implementation for elementwise unary ops given forward values and
-/// a pointwise derivative computed from (input, output).
+/// a pointwise derivative computed from (input, output). Shapes are checked
+/// once per call; the element loops then run over the raw buffers.
 Var UnaryOp(const Var& a, double (*fwd)(double),
             double (*dfn)(double in, double out)) {
   Tape* tape = a.tape();
   DMVI_CHECK(a.valid());
   const Matrix& av = a.value();
   Matrix out(av.rows(), av.cols());
-  for (int r = 0; r < av.rows(); ++r) {
-    for (int c = 0; c < av.cols(); ++c) out(r, c) = fwd(av(r, c));
-  }
+  const double* src = av.data();
+  double* dst = out.data();
+  for (int64_t i = 0; i < out.size(); ++i) dst[i] = fwd(src[i]);
   const int ia = a.index();
   return tape->MakeNode(
       std::move(out),
@@ -45,13 +46,14 @@ Var UnaryOp(const Var& a, double (*fwd)(double),
         const Matrix& in = t.value(ia);
         if (!t.needs_grad(ia)) return;
         Matrix& ga = t.grad(ia);
+        DMVI_CHECK_EQ(gout.rows(), in.rows());
+        DMVI_CHECK_EQ(gout.cols(), in.cols());
         // Re-evaluating fwd would be wasteful; derivative gets both input
         // and the (recomputed) output when it needs it.
-        for (int r = 0; r < in.rows(); ++r) {
-          for (int c = 0; c < in.cols(); ++c) {
-            ga(r, c) += gout(r, c) * dfn(in(r, c), 0.0);
-          }
-        }
+        const double* x = in.data();
+        const double* g = gout.data();
+        double* dx = ga.data();
+        for (int64_t i = 0; i < ga.size(); ++i) dx[i] += g[i] * dfn(x[i], 0.0);
       },
       NeedsGrad(tape, a));
 }
@@ -436,10 +438,10 @@ Var RowBroadcastOp(const Var& a, const Var& row, bool subtract) {
   const int ia = a.index(), ir = row.index();
   const double sign = subtract ? -1.0 : 1.0;
   Matrix out = a.value();
-  const Matrix& rv = row.value();
+  const double* rv = row.value().data();
   for (int r = 0; r < out.rows(); ++r) {
     double* p = out.row_ptr(r);
-    for (int c = 0; c < out.cols(); ++c) p[c] += sign * rv(0, c);
+    for (int c = 0; c < out.cols(); ++c) p[c] += sign * rv[c];
   }
   return tape->MakeNode(
       std::move(out),
@@ -447,9 +449,11 @@ Var RowBroadcastOp(const Var& a, const Var& row, bool subtract) {
         Accumulate(t, ia, gout);
         if (t.needs_grad(ir)) {
           Matrix& gr = t.grad(ir);
+          DMVI_CHECK_EQ(gr.cols(), gout.cols());
+          double* dst = gr.data();
           for (int r = 0; r < gout.rows(); ++r) {
             const double* src = gout.row_ptr(r);
-            for (int c = 0; c < gout.cols(); ++c) gr(0, c) += sign * src[c];
+            for (int c = 0; c < gout.cols(); ++c) dst[c] += sign * src[c];
           }
         }
       },

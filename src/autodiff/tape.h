@@ -44,8 +44,9 @@ class Var {
 /// Usage: create leaves (parameters / inputs), build the computation with
 /// the ops in ops.h, then call Backward on a scalar (1x1) node. Gradients
 /// accumulate into each node's grad matrix; parameter gradients are read
-/// back through the Var handles. Reset() clears the graph between steps
-/// while keeping allocated capacity.
+/// back through the Var handles. Reset() clears the graph between steps:
+/// it frees every node's value and gradient matrix and keeps only the
+/// node list's capacity.
 class Tape {
  public:
   Tape() = default;

@@ -114,6 +114,12 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
         std::to_string(source.num_series()) + "x" +
         std::to_string(source.num_times()));
   }
+  // Each epoch draws samples a batch at a time; with no room in a batch
+  // the epoch would never end.
+  if (config_.batch_size < 1) {
+    return Status::InvalidArgument("DeepMviConfig::batch_size must be >= 1, got " +
+                                   std::to_string(config_.batch_size));
+  }
 
   // Imputer-contract hygiene: stale diagnostics from a previous call must
   // not leak into this one.
@@ -253,15 +259,18 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
 
   // ---- Training loop with early stopping. ----------------------------------
   //
-  // Batch-level data parallelism: the per-sample forward/backward passes
-  // of each mini-batch run concurrently over worker slots, one Tape per
-  // slot (tapes are reused across batches to keep their allocations warm).
-  // Everything order-sensitive stays sequential on the calling thread —
+  // Batch-level data parallelism: each mini-batch is evaluated in rounds of
+  // up to num_slots samples, sample j of a round on slot tape j, and the
+  // forward/backward passes of a round run concurrently. Tape::Reset frees
+  // every node matrix, so a tape carries nothing from one sample to the
+  // next; one tape per slot bounds how many graphs are alive at once.
+  // Everything order-sensitive stays sequential on the calling thread:
   // sample generation draws from the single `rng` stream before workers
-  // start, per-sample gradients reduce in sample order, and the Adam step
-  // sees one already-reduced gradient per parameter — so the result is
-  // bit-identical for every config.num_threads value, 1 included (the
-  // serial path runs the same per-sample code).
+  // start, after each round every tape's parameter gradients fold into
+  // per-parameter sums in sample order, and the Adam step sees one
+  // already-reduced gradient per parameter. The result is therefore
+  // bit-identical for every config.num_threads value, 1 included (one
+  // slot, rounds of one sample).
   const auto& params = store.params();
   const size_t num_params = params.size();
   const int max_concurrent =
@@ -273,41 +282,58 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
     slot_tapes.push_back(std::make_unique<Tape>());
   }
 
-  // One sample's contribution: its loss value and (for training samples)
-  // its per-parameter gradient, extracted from the worker tape so the
-  // reduction can run after the tape is reused. `status` carries window
-  // read failures out of the worker.
+  // One sample's loss value. `status` carries window read failures out of
+  // the worker. A training sample's gradients stay on its tape until the
+  // round is folded.
   struct SampleEval {
     bool valid = false;
     double loss = 0.0;
-    std::vector<Matrix> grads;  // Aligned with params; 0x0 when absent.
     Status status;
   };
   auto evaluate_sample = [&](Tape& tape, const TrainSample& sample,
                              bool with_grads, SampleEval* out) {
+    *out = SampleEval();
     tape.Reset();
     Var loss = sample_loss(tape, sample, &out->status);
     if (!loss.valid()) return;
     out->valid = true;
     out->loss = loss.scalar();
-    if (!with_grads) return;
-    tape.Backward(loss);
-    out->grads.resize(num_params);
+    if (with_grads) tape.Backward(loss);
+  };
+  // First window-read failure among `evals`, in sample order so the
+  // surfaced error is deterministic.
+  auto first_error = [](const std::vector<SampleEval>& evals, size_t count) {
+    for (size_t i = 0; i < count; ++i) {
+      if (!evals[i].status.ok()) return evals[i].status;
+    }
+    return Status::OK();
+  };
+
+  // Per-parameter gradient sums of the current batch, allocated once.
+  // grad_ptrs[pi] is null until a sample contributes to parameter pi: the
+  // first contribution is copied and later ones are added, in sample
+  // order. A parameter no sample reached stays null, and Adam skips it.
+  std::vector<Matrix> grad_sums;
+  grad_sums.reserve(num_params);
+  for (const auto& p : params) {
+    grad_sums.emplace_back(p->value().rows(), p->value().cols());
+  }
+  std::vector<const Matrix*> grad_ptrs(num_params, nullptr);
+  auto fold_gradients = [&](const Tape& tape) {
     for (size_t pi = 0; pi < num_params; ++pi) {
       const int leaf = tape.LeafIndexFor(params[pi].get());
       if (leaf < 0) continue;
-      // Copy only gradients Backward actually produced; a materialized
+      // Only gradients Backward actually produced: a materialized
       // parameter with no loss path contributes nothing to the sum.
-      if (const Matrix* g = tape.AllocatedGrad(leaf)) out->grads[pi] = *g;
+      const Matrix* g = tape.AllocatedGrad(leaf);
+      if (g == nullptr) continue;
+      if (grad_ptrs[pi] == nullptr) {
+        grad_sums[pi] = *g;
+        grad_ptrs[pi] = &grad_sums[pi];
+      } else {
+        grad_sums[pi] += *g;
+      }
     }
-  };
-  // First window-read failure of a fanned-out batch, in sample order so
-  // the surfaced error is deterministic.
-  auto first_error = [](const std::vector<SampleEval>& evals) {
-    for (const SampleEval& eval : evals) {
-      if (!eval.status.ok()) return eval.status;
-    }
-    return Status::OK();
   };
 
   double best_val = 1e300;
@@ -326,6 +352,7 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
   };
   snapshot();
 
+  std::vector<SampleEval> round_evals(num_slots);
   for (int epoch = 0; epoch < config.max_epochs; ++epoch) {
     obs::Span epoch_span = obs::GlobalSpan("train.epoch");
     if (epoch_span.active()) epoch_span.AddArg("epoch", std::to_string(epoch));
@@ -347,44 +374,33 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
         batch_span.AddArg("batch_size", std::to_string(batch.size()));
       }
 
-      std::vector<SampleEval> evals(batch.size());
-      ParallelForWithSlot(
-          static_cast<int>(batch.size()), config.num_threads,
-          [&](int i, int slot) {
-            evaluate_sample(*slot_tapes[slot], batch[i], /*with_grads=*/true,
-                            &evals[i]);
-          });
-      DMVI_RETURN_IF_ERROR(first_error(evals));
-
-      // Fixed-order reduction: losses and gradients sum in sample order
-      // regardless of which slot evaluated which sample.
+      // Losses and gradients sum in sample order regardless of which
+      // worker evaluated which sample.
       double batch_loss = 0.0;
       int batch_count = 0;
-      std::vector<Matrix> reduced(num_params);
-      for (const SampleEval& eval : evals) {
-        if (!eval.valid) continue;
-        ++batch_count;
-        batch_loss += eval.loss;
-        for (size_t pi = 0; pi < num_params; ++pi) {
-          const Matrix& g = eval.grads[pi];
-          if (g.size() == 0) continue;
-          if (reduced[pi].size() == 0) {
-            reduced[pi] = g;
-          } else {
-            reduced[pi] += g;
-          }
+      const int batch_len = static_cast<int>(batch.size());
+      for (int base = 0; base < batch_len; base += num_slots) {
+        const int round_len = std::min(num_slots, batch_len - base);
+        ParallelFor(round_len, config.num_threads, [&](int j) {
+          evaluate_sample(*slot_tapes[j], batch[base + j], /*with_grads=*/true,
+                          &round_evals[j]);
+        });
+        DMVI_RETURN_IF_ERROR(first_error(round_evals, round_len));
+        for (int j = 0; j < round_len; ++j) {
+          if (!round_evals[j].valid) continue;
+          ++batch_count;
+          batch_loss += round_evals[j].loss;
+          fold_gradients(*slot_tapes[j]);
         }
       }
       if (batch_count == 0) continue;
       const double inv_count = 1.0 / static_cast<double>(batch_count);
       batch_loss *= inv_count;
-      std::vector<const Matrix*> grad_ptrs(num_params, nullptr);
       for (size_t pi = 0; pi < num_params; ++pi) {
-        if (reduced[pi].size() == 0) continue;
-        reduced[pi] *= inv_count;
-        grad_ptrs[pi] = &reduced[pi];
+        if (grad_ptrs[pi] != nullptr) grad_sums[pi] *= inv_count;
       }
       adam.StepWithGrads(grad_ptrs);
+      std::fill(grad_ptrs.begin(), grad_ptrs.end(), nullptr);
       train_loss += batch_loss;
       ++train_batches;
     }
@@ -401,7 +417,7 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
           evaluate_sample(*slot_tapes[slot], val_samples[i],
                           /*with_grads=*/false, &val_evals[i]);
         });
-    DMVI_RETURN_IF_ERROR(first_error(val_evals));
+    DMVI_RETURN_IF_ERROR(first_error(val_evals, val_evals.size()));
     double val_loss = 0.0;
     int val_batches = 0;
     for (const SampleEval& eval : val_evals) {

@@ -55,7 +55,9 @@ class DeepMviImputer : public Imputer {
   /// Fit above routes through this same code path (wrapped in an
   /// InMemoryDataSource), and the two produce byte-identical checkpoints:
   /// same RNG sample schedule, same reduction order, any num_threads.
-  /// I/O failures (corrupt or truncated chunks) surface as Status errors.
+  /// I/O failures (corrupt or truncated chunks) surface as Status errors,
+  /// as does a config().batch_size below 1 (InvalidArgument; the in-core
+  /// Fit aborts with it).
   StatusOr<TrainedDeepMvi> Fit(const storage::DataSource& source,
                                const Mask& mask);
 

@@ -1,9 +1,20 @@
 #include "nn/adam.h"
 
 #include <cmath>
+#include <string>
+
+#include "tensor/matmul_kernel.h"
 
 namespace deepmvi {
 namespace nn {
+namespace {
+
+void CheckSameShape(const Matrix& a, const Matrix& b, const std::string& name) {
+  DMVI_CHECK_EQ(a.rows(), b.rows()) << name;
+  DMVI_CHECK_EQ(a.cols(), b.cols()) << name;
+}
+
+}  // namespace
 
 double Adam::Step(const ad::Tape& tape) {
   const auto& params = store_->params();
@@ -45,8 +56,19 @@ double Adam::StepWithGrads(const std::vector<const Matrix*>& grads) {
     scale = config_.clip_norm / norm;
   }
 
-  const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(step_));
-  const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(step_));
+  const internal::AdamStep adam_step = {
+      .grad_scale = scale,
+      .beta1 = config_.beta1,
+      .beta2 = config_.beta2,
+      .bias_correction1 =
+          1.0 - std::pow(config_.beta1, static_cast<double>(step_)),
+      .bias_correction2 =
+          1.0 - std::pow(config_.beta2, static_cast<double>(step_)),
+      .learning_rate = config_.learning_rate,
+      .epsilon = config_.epsilon,
+  };
+  // The per-element update runs in the kernel sets (tensor/matmul_kernel.h)
+  // on raw buffers, so the shapes are checked once per parameter here.
   for (size_t i = 0; i < grads.size(); ++i) {
     if (grads[i] == nullptr) continue;
     const Matrix& g = *grads[i];
@@ -54,17 +76,11 @@ double Adam::StepWithGrads(const std::vector<const Matrix*>& grads) {
     Matrix& value = p.value();
     Matrix& m = p.adam_m();
     Matrix& v = p.adam_v();
-    for (int r = 0; r < value.rows(); ++r) {
-      for (int c = 0; c < value.cols(); ++c) {
-        const double grad = g(r, c) * scale;
-        m(r, c) = config_.beta1 * m(r, c) + (1.0 - config_.beta1) * grad;
-        v(r, c) = config_.beta2 * v(r, c) + (1.0 - config_.beta2) * grad * grad;
-        const double m_hat = m(r, c) / bc1;
-        const double v_hat = v(r, c) / bc2;
-        value(r, c) -=
-            config_.learning_rate * m_hat / (std::sqrt(v_hat) + config_.epsilon);
-      }
-    }
+    CheckSameShape(g, value, p.name());
+    CheckSameShape(m, value, p.name());
+    CheckSameShape(v, value, p.name());
+    internal::AdamUpdate(value.data(), m.data(), v.data(), g.data(),
+                         value.size(), adam_step);
   }
   return norm;
 }

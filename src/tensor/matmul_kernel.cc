@@ -1,5 +1,6 @@
 #include "tensor/matmul_kernel.h"
 
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -168,6 +169,31 @@ DMVI_KERNEL_BODY void MatMulTransposeBody(const double* a, const double* b,
   MatMulBody(a, b_t.get(), c, m, k, n);
 }
 
+/// Elements are independent, so the loop runs in vector lanes; each
+/// element keeps the scalar expression and its order (AdamUpdate).
+DMVI_KERNEL_BODY void AdamUpdateBody(double* __restrict value,
+                                     double* __restrict m,
+                                     double* __restrict v,
+                                     const double* __restrict g, long long n,
+                                     const AdamStep& step) {
+  const double beta1 = step.beta1, beta2 = step.beta2;
+  const double one_minus_beta1 = 1.0 - beta1;
+  const double one_minus_beta2 = 1.0 - beta2;
+  const double scale = step.grad_scale;
+  const double bc1 = step.bias_correction1, bc2 = step.bias_correction2;
+  const double lr = step.learning_rate, eps = step.epsilon;
+  for (long long i = 0; i < n; ++i) {
+    const double grad = g[i] * scale;
+    const double mi = beta1 * m[i] + one_minus_beta1 * grad;
+    const double vi = beta2 * v[i] + one_minus_beta2 * grad * grad;
+    m[i] = mi;
+    v[i] = vi;
+    const double m_hat = mi / bc1;
+    const double v_hat = vi / bc2;
+    value[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+  }
+}
+
 void MatMulPortable(const double* a, const double* b, double* c, int m, int k,
                     int n) {
   MatMulBody(a, b, c, m, k, n);
@@ -181,6 +207,11 @@ void TransposeMatMulPortable(const double* a, const double* b, double* c,
 void MatMulTransposePortable(const double* a, const double* b, double* c,
                              int m, int k, int n) {
   MatMulTransposeBody(a, b, c, m, k, n);
+}
+
+void AdamUpdatePortable(double* value, double* m, double* v, const double* g,
+                        long long n, const AdamStep& step) {
+  AdamUpdateBody(value, m, v, g, n, step);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -205,17 +236,24 @@ __attribute__((target("avx2"))) void MatMulTransposeAvx2(const double* a,
                                                          int k, int n) {
   MatMulTransposeBody(a, b, c, m, k, n);
 }
+
+__attribute__((target("avx2"))) void AdamUpdateAvx2(double* value, double* m,
+                                                    double* v, const double* g,
+                                                    long long n,
+                                                    const AdamStep& step) {
+  AdamUpdateBody(value, m, v, g, n, step);
+}
 #endif
 
 std::vector<MatMulKernelSet> DetectKernelSets() {
-  std::vector<MatMulKernelSet> sets = {{"portable", &MatMulPortable,
-                                        &TransposeMatMulPortable,
-                                        &MatMulTransposePortable}};
+  std::vector<MatMulKernelSet> sets = {
+      {"portable", &MatMulPortable, &TransposeMatMulPortable,
+       &MatMulTransposePortable, &AdamUpdatePortable}};
 #ifdef DMVI_AVX2_KERNELS
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) {
-    sets.push_back(
-        {"avx2", &MatMulAvx2, &TransposeMatMulAvx2, &MatMulTransposeAvx2});
+    sets.push_back({"avx2", &MatMulAvx2, &TransposeMatMulAvx2,
+                    &MatMulTransposeAvx2, &AdamUpdateAvx2});
   }
 #endif
   return sets;
@@ -255,6 +293,12 @@ void MatMulTransposeBlocked(const double* a, const double* b, double* c, int m,
   obs::Span span = obs::KernelSpan("matmul.transpose_b");
   AnnotateDims(span, m, k, n);
   ActiveMatMulKernelSet().mat_mul_transpose(a, b, c, m, k, n);
+}
+
+void AdamUpdate(double* value, double* m, double* v, const double* g,
+                long long n, const AdamStep& step) {
+  obs::ProfileLabelScope profile_label("adam.update");
+  ActiveMatMulKernelSet().adam_update(value, m, v, g, n, step);
 }
 
 void MatMulNaive(const double* a, const double* b, double* c, int m, int k,

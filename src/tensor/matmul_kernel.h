@@ -23,6 +23,12 @@
 // are independent output columns, so every set keeps the per-output order
 // above, and matmul_kernel.cc is built with -ffp-contract=off so no set
 // fuses a multiply-add: all sets are bit-identical to MatMulNaive.
+//
+// Each set also carries the Adam update (nn::Adam's per-element step).
+// Its lanes are independent parameter elements, and IEEE add, multiply,
+// divide and square root round the same in a vector lane as in a scalar
+// register, so with no contraction every set matches the scalar loop bit
+// for bit (-fno-math-errno lets sqrt vectorize without changing it).
 
 namespace deepmvi {
 namespace internal {
@@ -44,8 +50,28 @@ void MatMulTransposeBlocked(const double* a, const double* b, double* c, int m,
 void MatMulNaive(const double* a, const double* b, double* c, int m, int k,
                  int n);
 
-/// One compiled set of the three blocked kernels, without the profile
-/// labels and trace spans the public functions add.
+/// The scalars of one Adam step (nn::Adam::StepWithGrads).
+struct AdamStep {
+  double grad_scale;  // Clip factor: clip_norm / norm, or 1 when unclipped.
+  double beta1;
+  double beta2;
+  double bias_correction1;  // 1 - beta1^t.
+  double bias_correction2;  // 1 - beta2^t.
+  double learning_rate;
+  double epsilon;
+};
+
+/// Adam update of n elements in place; for each i, in this order:
+///   grad = g[i] * grad_scale
+///   m[i] = beta1 * m[i] + (1 - beta1) * grad
+///   v[i] = beta2 * v[i] + (1 - beta2) * grad * grad
+///   value[i] -= learning_rate * (m[i] / bc1) / (sqrt(v[i] / bc2) + epsilon)
+/// The four buffers must not overlap.
+void AdamUpdate(double* value, double* m, double* v, const double* g,
+                long long n, const AdamStep& step);
+
+/// One compiled set of the three blocked kernels and the Adam update,
+/// without the profile labels and trace spans the public functions add.
 struct MatMulKernelSet {
   const char* name;  // "portable" or "avx2".
   void (*mat_mul)(const double* a, const double* b, double* c, int m, int k,
@@ -54,6 +80,8 @@ struct MatMulKernelSet {
                             int k, int n);
   void (*mat_mul_transpose)(const double* a, const double* b, double* c, int m,
                             int k, int n);
+  void (*adam_update)(double* value, double* m, double* v, const double* g,
+                      long long n, const AdamStep& step);
 };
 
 /// Every kernel set this CPU can run, portable first and widest last.

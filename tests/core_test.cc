@@ -470,37 +470,71 @@ TEST(DeepMviTest, ImputationIsBitIdenticalForSameSeed) {
   testutil::ExpectMatricesBitIdentical(out1, out2, "same-seed impute");
 }
 
-TEST(DeepMviTest, TrainingIsBitIdenticalAcrossThreadCounts) {
-  // The data-parallel Fit schedule must be a pure wall-clock optimization:
-  // for any num_threads the trained model — and therefore its predictions
-  // — is bit-identical to the serial run. Gradients are reduced in sample
-  // order and the optimizer runs on the calling thread, so this holds by
-  // construction; this test is the contract.
-  testutil::SeasonalCase c = testutil::MakeSeasonalCase(23, 5, 120);
-  DeepMviConfig config = testutil::TinyDeepMviConfig();
-  config.seed = 7;
-  config.batch_size = 8;  // Give workers real batches to race over.
-
-  config.num_threads = 1;
-  Matrix serial = DeepMviImputer(config).Fit(c.data, c.mask).Predict(c.data, c.mask);
-
-  for (int threads : {2, 8}) {
-    config.num_threads = threads;
-    DeepMviImputer imputer(config);
-    Matrix parallel = imputer.Fit(c.data, c.mask).Predict(c.data, c.mask);
-    testutil::ExpectMatricesBitIdentical(
-        parallel, serial, "threads=" + std::to_string(threads));
-  }
-}
-
-// ---- Training reference profile ---------------------------------------------
-
 std::string FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
 }
+
+TEST(DeepMviTest, TrainingIsBitIdenticalAcrossThreadCounts) {
+  // The data-parallel Fit schedule must be a pure wall-clock optimization:
+  // for any num_threads the trained model — weights and Adam moments, so
+  // the checkpoint bytes, and therefore its predictions — is
+  // bit-identical to the serial run. Gradients fold in sample order and
+  // the optimizer runs on the calling thread, so this holds by
+  // construction; this test is the contract. A batch of 8 runs as four
+  // rounds of 2 on 2 threads, rounds of 3, 3 and 2 on 3 (a short last
+  // round) and one round of 8 on 8.
+  testutil::SeasonalCase c = testutil::MakeSeasonalCase(23, 5, 120);
+  DeepMviConfig config = testutil::TinyDeepMviConfig();
+  config.seed = 7;
+  config.batch_size = 8;  // Give workers real batches to race over.
+
+  config.num_threads = 1;
+  TrainedDeepMvi serial_model = DeepMviImputer(config).Fit(c.data, c.mask);
+  const std::string serial_path = testutil::TempPath("threads_1.dmvi");
+  ASSERT_TRUE(serial_model.Save(serial_path).ok());
+  const std::string serial_bytes = FileBytes(serial_path);
+  ASSERT_FALSE(serial_bytes.empty());
+  Matrix serial = serial_model.Predict(c.data, c.mask);
+
+  for (int threads : {2, 3, 8}) {
+    config.num_threads = threads;
+    TrainedDeepMvi model = DeepMviImputer(config).Fit(c.data, c.mask);
+    const std::string path =
+        testutil::TempPath("threads_" + std::to_string(threads) + ".dmvi");
+    ASSERT_TRUE(model.Save(path).ok());
+    EXPECT_TRUE(FileBytes(path) == serial_bytes)
+        << "checkpoint bytes differ at threads=" << threads;
+    Matrix parallel = model.Predict(c.data, c.mask);
+    testutil::ExpectMatricesBitIdentical(
+        parallel, serial, "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(DeepMviTest, BatchSizeBelowOneIsAnError) {
+  // Samples are drawn a batch at a time, so a batch with no room would
+  // never finish an epoch.
+  testutil::SeasonalCase c = testutil::MakeSeasonalCase(29, 4, 80);
+  for (int batch_size : {0, -3}) {
+    DeepMviConfig config = testutil::TinyDeepMviConfig();
+    config.batch_size = batch_size;
+    storage::InMemoryDataSource source(&c.data);
+    StatusOr<TrainedDeepMvi> trained = DeepMviImputer(config).Fit(source, c.mask);
+    ASSERT_FALSE(trained.ok()) << "batch_size=" << batch_size;
+    EXPECT_EQ(trained.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(trained.status().message().find("batch_size"), std::string::npos)
+        << trained.status().ToString();
+  }
+  // The in-core overload aborts with the same error.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  DeepMviConfig config = testutil::TinyDeepMviConfig();
+  config.batch_size = 0;
+  EXPECT_DEATH(DeepMviImputer(config).Fit(c.data, c.mask), "batch_size");
+}
+
+// ---- Training reference profile ---------------------------------------------
 
 TEST(QualityProfileTest, FitAttachesProfileMatchingTrainingData) {
   testutil::SeasonalCase c = testutil::MakeSeasonalCase(71, 5, 120);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -255,6 +256,127 @@ TEST(MatMulKernelTest, NanAndInfPropagateThroughZeroCoefficients) {
   Matrix spike = {{1.0, 0.0}, {0.0, 1.0}};
   spike(0, 0) = inf;
   EXPECT_FALSE(spike.MatMul(Matrix::Identity(2)).AllFinite());
+}
+
+// ---- Adam kernel sets ---------------------------------------------------------
+//
+// Every kernel set's Adam update must reproduce the per-element loop that
+// nn::Adam::StepWithGrads ran before the update moved into the kernel
+// sets, byte for byte: value, first and second moment, over consecutive
+// steps, for gradients with NaN, infinities, subnormals and signed zeros.
+
+struct ReferenceAdamConfig {
+  double learning_rate = 1e-3;
+  double beta1 = 0.9;
+  double beta2 = 0.999;
+  double epsilon = 1e-8;
+  double clip_norm = 5.0;
+};
+
+/// The gradient factor of the global-norm clip, computed as
+/// StepWithGrads computes it (one parameter here).
+double ClipScale(const Matrix& g, double clip_norm) {
+  const double norm = std::sqrt(g.SquaredNorm());
+  return clip_norm > 0.0 && norm > clip_norm ? clip_norm / norm : 1.0;
+}
+
+/// The historical per-element Adam step of one parameter: the reference
+/// every kernel set is held to.
+void ReferenceAdamStep(Matrix& value, Matrix& m, Matrix& v, const Matrix& g,
+                       const ReferenceAdamConfig& config, int64_t step) {
+  const double scale = ClipScale(g, config.clip_norm);
+  const double bc1 = 1.0 - std::pow(config.beta1, static_cast<double>(step));
+  const double bc2 = 1.0 - std::pow(config.beta2, static_cast<double>(step));
+  for (int r = 0; r < value.rows(); ++r) {
+    for (int c = 0; c < value.cols(); ++c) {
+      const double grad = g(r, c) * scale;
+      m(r, c) = config.beta1 * m(r, c) + (1.0 - config.beta1) * grad;
+      v(r, c) = config.beta2 * v(r, c) + (1.0 - config.beta2) * grad * grad;
+      const double m_hat = m(r, c) / bc1;
+      const double v_hat = v(r, c) / bc2;
+      value(r, c) -=
+          config.learning_rate * m_hat / (std::sqrt(v_hat) + config.epsilon);
+    }
+  }
+}
+
+/// A 1 x n gradient of scale-3 Gaussians; with `specials`, most entries
+/// are replaced by NaN, +-Inf, subnormals and +-0 in a fixed pattern.
+Matrix AdamTestGradient(int n, bool specials, Rng& rng) {
+  Matrix g = Matrix::RandomGaussian(1, n, rng, 0.0, 3.0);
+  if (!specials) return g;
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  for (int i = 0; i < n; ++i) {
+    switch (i % 9) {
+      case 0: g(0, i) = std::numeric_limits<double>::quiet_NaN(); break;
+      case 1: g(0, i) = std::numeric_limits<double>::infinity(); break;
+      case 2: g(0, i) = -std::numeric_limits<double>::infinity(); break;
+      case 3: g(0, i) = denorm * (i + 1); break;
+      case 4: g(0, i) = -denorm * 3; break;
+      case 5: g(0, i) = 0.0; break;
+      case 6: g(0, i) = -0.0; break;
+      default: break;
+    }
+  }
+  return g;
+}
+
+/// Byte equality, so NaN payloads and the sign of zero count too.
+void ExpectSameBytes(const Matrix& actual, const Matrix& expected,
+                     const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (int64_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(std::memcmp(actual.data() + i, expected.data() + i,
+                          sizeof(double)),
+              0)
+        << what << " at " << i << ": " << actual.data()[i] << " vs "
+        << expected.data()[i];
+  }
+}
+
+TEST(AdamKernelTest, EverySetMatchesTheScalarLoopBitForBit) {
+  const int lengths[] = {0, 1, 3, 4, 5, 37, 4099};
+  for (const internal::MatMulKernelSet& set :
+       internal::SupportedMatMulKernelSets()) {
+    for (int n : lengths) {
+      for (bool specials : {false, true}) {
+        for (double clip_norm : {5.0, 0.0}) {
+          const std::string what =
+              std::string(set.name) + " n=" + std::to_string(n) +
+              (specials ? " specials" : " finite") +
+              (clip_norm > 0.0 ? " clipped" : " unclipped");
+          ReferenceAdamConfig config;
+          config.clip_norm = clip_norm;
+          Rng rng(static_cast<uint64_t>(n) * 4 + (specials ? 2 : 0) +
+                  (clip_norm > 0.0 ? 1 : 0));
+          Matrix value = Matrix::RandomGaussian(1, n, rng);
+          Matrix m = Matrix::RandomGaussian(1, n, rng, 0.0, 0.1);
+          Matrix v = Matrix::RandomUniform(1, n, rng, 0.0, 0.01);
+          Matrix ref_value = value, ref_m = m, ref_v = v;
+          for (int64_t step = 1; step <= 3; ++step) {
+            const Matrix g = AdamTestGradient(n, specials, rng);
+            ReferenceAdamStep(ref_value, ref_m, ref_v, g, config, step);
+            const internal::AdamStep adam_step = {
+                .grad_scale = ClipScale(g, clip_norm),
+                .beta1 = config.beta1,
+                .beta2 = config.beta2,
+                .bias_correction1 =
+                    1.0 - std::pow(config.beta1, static_cast<double>(step)),
+                .bias_correction2 =
+                    1.0 - std::pow(config.beta2, static_cast<double>(step)),
+                .learning_rate = config.learning_rate,
+                .epsilon = config.epsilon,
+            };
+            set.adam_update(value.data(), m.data(), v.data(), g.data(), n,
+                            adam_step);
+          }
+          ExpectSameBytes(value, ref_value, what + " value");
+          ExpectSameBytes(m, ref_m, what + " m");
+          ExpectSameBytes(v, ref_v, what + " v");
+        }
+      }
+    }
+  }
 }
 
 TEST(MatrixTest, TransposeInvolution) {
