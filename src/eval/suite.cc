@@ -141,15 +141,6 @@ std::string SuiteToJson(const SuiteResult& suite) {
   os << "  \"effective_threads\": " << suite.threads_used << ",\n";
   os << "  \"num_cells\": " << suite.cells.size() << ",\n";
   os << "  \"num_failed\": " << suite.num_failed() << ",\n";
-  if (!suite.micro.empty()) {
-    os << "  \"micro\": {";
-    for (size_t i = 0; i < suite.micro.size(); ++i) {
-      os << (i == 0 ? "\n" : ",\n");
-      os << "    \"" << JsonEscape(suite.micro[i].first)
-         << "\": " << JsonNumber(suite.micro[i].second);
-    }
-    os << "\n  },\n";
-  }
   os << "  \"cells\": [";
   for (size_t i = 0; i < suite.cells.size(); ++i) {
     const SuiteCell& cell = suite.cells[i];

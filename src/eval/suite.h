@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -59,17 +58,12 @@ struct SuiteCell {
 /// then scenario, then imputer) regardless of worker interleaving.
 struct SuiteResult {
   std::vector<SuiteCell> cells;
-  /// Optional named micro-benchmark timings (seconds) recorded alongside
-  /// the grid — e.g. blocked vs naive MatMul wall time — emitted as a
-  /// "micro" object in the JSON so BENCH_* files carry kernel-level
-  /// trajectory data next to the end-to-end cells.
-  std::vector<std::pair<std::string, double>> micro;
   double wall_seconds = 0.0;
-  /// EffectiveThreads() of the run, stamped into the JSON so BENCH_*
-  /// trajectory files record the parallelism the numbers were taken at.
+  /// EffectiveThreads() of the run, stamped into the JSON as provenance
+  /// (cell metrics do not depend on it).
   int threads_used = 1;
   /// Git commit the suite binary was configured from ("unknown" outside a
-  /// checkout); provenance for per-PR BENCH_* files.
+  /// checkout); provenance for the JSON, ACCURACY.json included.
   std::string git_commit;
 
   int64_t num_failed() const;
@@ -84,8 +78,10 @@ const char* BuildGitCommit();
 /// run (threads == 1) cell for cell.
 SuiteResult RunSuite(const SuiteSpec& spec);
 
-/// Machine-readable renderings: a JSON document (for BENCH_* trajectory
-/// files) and a CSV table (for plotting).
+/// Machine-readable renderings: a JSON document and a CSV table (for
+/// plotting). The JSON writes one cell object per line, each carrying its
+/// dataset, scenario and imputer: bench_diff's line scanner, which gates
+/// a run against ACCURACY.json, depends on that layout.
 std::string SuiteToJson(const SuiteResult& suite);
 TablePrinter SuiteToTable(const SuiteResult& suite);
 Status WriteSuiteJson(const SuiteResult& suite, const std::string& path);

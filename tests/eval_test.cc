@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "baselines/simple.h"
 #include "data/presets.h"
@@ -248,6 +250,26 @@ TEST(SuiteTest, JsonAndCsvRenderEveryCell) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+  EXPECT_EQ(json.find("\"micro\""), std::string::npos);
+  // bench_diff reads one cell object per line: each cell, in grid order,
+  // must sit whole on its own line with its key and metrics.
+  std::istringstream lines(json);
+  std::string line;
+  size_t cell = 0;
+  while (std::getline(lines, line)) {
+    if (line.find("\"dataset\":") == std::string::npos) continue;
+    ASSERT_LT(cell, suite.cells.size()) << line;
+    const SuiteCell& expected = suite.cells[cell++];
+    const std::string key = "{\"dataset\": \"" + expected.dataset +
+                            "\", \"scenario\": \"" + expected.scenario_name +
+                            "\", \"imputer\": \"" + expected.imputer + "\"";
+    EXPECT_NE(line.find(key), std::string::npos) << line;
+    EXPECT_NE(line.find("\"ok\": true, \"mae\": "), std::string::npos) << line;
+    EXPECT_NE(line.find("\"rmse\": "), std::string::npos) << line;
+    EXPECT_EQ(std::count(line.begin(), line.end(), '{'), 1) << line;
+    EXPECT_EQ(std::count(line.begin(), line.end(), '}'), 1) << line;
+  }
+  EXPECT_EQ(cell, suite.cells.size());
   TablePrinter table = SuiteToTable(suite);
   EXPECT_EQ(table.num_rows(), 8);
 }

@@ -1,38 +1,42 @@
-// bench_diff: compare two BENCH_*.json perf-trajectory files (as written
-// by eval/suite.h's WriteSuiteJson) and flag accuracy or runtime
-// regressions beyond a tolerance.
+// bench_diff: the accuracy gate. Compares the cells of a suite JSON file
+// (as written by eval/suite.h's WriteSuiteJson) against a baseline; CI
+// runs it on ACCURACY.json and a fresh `dmvi_bench_suite --quick` run.
 //
 //   bench_diff BASELINE.json CURRENT.json
-//              [--mae-tol R] [--rmse-tol R]        (relative, default 0.25)
-//              [--abs-tol A]                       (absolute slack, 1e-6)
-//              [--runtime-tol R]                   (ratio, default 3.0)
-//              [--runtime-floor SECONDS]           (default 0.05)
-//              [--no-runtime]
 //
-// A cell regresses when current.metric > baseline.metric * (1 + tol) +
-// abs-tol (mae/rmse), or current.runtime > baseline.runtime * runtime-tol
-// + runtime-floor. Cells present in the baseline but missing or failed in
-// the current file are regressions too (coverage must not silently
-// shrink); cells new in the current file are reported as informational.
-// Exit codes: 0 clean, 1 regressions found, 2 usage/parse error.
+// Every baseline cell must be present and ok in the current file, with mae
+// and rmse each within 1% of the baseline value, in either direction. A
+// current cell absent from the baseline fails too, so the grid can neither
+// shrink nor grow unnoticed. runtime_seconds is not compared: it is
+// information, and perfbench owns performance. The summary line counts the
+// cells whose mae and rmse both match the baseline bit for bit.
+// Exit codes: 0 clean, 1 a cell failed the gate, 2 usage/parse error.
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 namespace deepmvi {
 namespace {
 
+/// Two-sided relative band on mae and rmse. Wide enough to absorb last-bit
+/// drift between compilers and images, narrow enough to fail a 5% change.
+constexpr double kBand = 0.01;
+
+/// The command that rewrites the baseline from the current tree.
+constexpr char kRegenerate[] =
+    "./build/tools/dmvi_bench_suite --quick --out bench_results "
+    "--name ci_suite && cp bench_results/ci_suite.json ACCURACY.json";
+
 struct BenchCell {
   bool ok = false;
-  double mae = 0.0;
-  double rmse = 0.0;
-  double runtime_seconds = 0.0;
+  double mae = NAN;
+  double rmse = NAN;
 };
 
 using BenchFile = std::map<std::string, BenchCell>;  // key: ds|scenario|imp
@@ -54,8 +58,9 @@ std::string FindField(const std::string& object, const std::string& key) {
   return object.substr(begin, end - begin);
 }
 
-double ParseNumber(const std::string& text, double fallback) {
-  if (text.empty() || text == "null") return fallback;
+/// Absent and null metrics parse as NaN, which no band contains.
+double ParseNumber(const std::string& text) {
+  if (text.empty() || text == "null") return NAN;
   return std::strtod(text.c_str(), nullptr);
 }
 
@@ -77,9 +82,8 @@ bool LoadBenchFile(const std::string& path, BenchFile* out) {
     if (scenario.empty() || imputer.empty()) continue;
     BenchCell cell;
     cell.ok = FindField(line, "ok") == "true";
-    cell.mae = ParseNumber(FindField(line, "mae"), NAN);
-    cell.rmse = ParseNumber(FindField(line, "rmse"), NAN);
-    cell.runtime_seconds = ParseNumber(FindField(line, "runtime_seconds"), NAN);
+    cell.mae = ParseNumber(FindField(line, "mae"));
+    cell.rmse = ParseNumber(FindField(line, "rmse"));
     (*out)[dataset + "|" + scenario + "|" + imputer] = cell;
   }
   if (out->empty()) {
@@ -89,61 +93,39 @@ bool LoadBenchFile(const std::string& path, BenchFile* out) {
   return true;
 }
 
-std::string FormatDelta(double base, double cur) {
-  std::ostringstream os;
-  os.precision(4);
-  os << base << " -> " << cur;
-  if (base > 0.0 && std::isfinite(base) && std::isfinite(cur)) {
-    os << " (" << (cur / base >= 1.0 ? "+" : "")
-       << static_cast<long long>(std::llround((cur / base - 1.0) * 100.0))
-       << "%)";
-  }
-  return os.str();
+bool InBand(double base, double cur) {
+  return std::fabs(cur - base) <= kBand * std::fabs(base);
+}
+
+std::string FormatDelta(const char* metric, double base, double cur) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%s %.6g -> %.6g (%+.2f%%)", metric, base,
+                cur, (cur / base - 1.0) * 100.0);
+  return buf;
 }
 
 int Run(int argc, char** argv) {
-  std::string baseline_path, current_path;
-  double mae_tol = 0.25, rmse_tol = 0.25, abs_tol = 1e-6;
-  double runtime_tol = 3.0, runtime_floor = 0.05;
-  bool check_runtime = true;
+  std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
-    auto number_flag = [&](const char* flag, double* value) {
-      if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-        *value = std::strtod(argv[++i], nullptr);
-        return true;
-      }
-      return false;
-    };
-    if (number_flag("--mae-tol", &mae_tol) ||
-        number_flag("--rmse-tol", &rmse_tol) ||
-        number_flag("--abs-tol", &abs_tol) ||
-        number_flag("--runtime-tol", &runtime_tol) ||
-        number_flag("--runtime-floor", &runtime_floor)) {
-      continue;
-    } else if (std::strcmp(argv[i], "--no-runtime") == 0) {
-      check_runtime = false;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
+    if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
-          "usage: bench_diff BASELINE.json CURRENT.json [--mae-tol R]\n"
-          "                  [--rmse-tol R] [--abs-tol A] [--runtime-tol R]\n"
-          "                  [--runtime-floor S] [--no-runtime]\n");
+          "usage: bench_diff BASELINE.json CURRENT.json\n"
+          "fails (exit 1) unless every cell of both files is ok, present in\n"
+          "both, and within %g%% of the baseline in mae and rmse\n",
+          kBand * 100.0);
       return 0;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown argument: %s (see --help)\n", argv[i]);
       return 2;
-    } else if (baseline_path.empty()) {
-      baseline_path = argv[i];
-    } else if (current_path.empty()) {
-      current_path = argv[i];
-    } else {
-      std::fprintf(stderr, "too many positional arguments (see --help)\n");
-      return 2;
     }
+    paths.push_back(argv[i]);
   }
-  if (baseline_path.empty() || current_path.empty()) {
+  if (paths.size() != 2) {
     std::fprintf(stderr, "bench_diff: need BASELINE.json and CURRENT.json\n");
     return 2;
   }
+  const std::string& baseline_path = paths[0];
+  const std::string& current_path = paths[1];
 
   BenchFile baseline, current;
   if (!LoadBenchFile(baseline_path, &baseline) ||
@@ -151,56 +133,47 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<std::string> regressions;
-  int compared = 0;
+  std::vector<std::string> failures;
+  int compared = 0, exact = 0;
   for (const auto& [key, base] : baseline) {
     const auto it = current.find(key);
     if (it == current.end()) {
-      regressions.push_back(key + ": missing from current file");
+      failures.push_back(key + ": missing from current file");
       continue;
     }
     const BenchCell& cur = it->second;
-    if (base.ok && !cur.ok) {
-      regressions.push_back(key + ": was ok in baseline, now failed");
+    if (!cur.ok || !base.ok) {
+      failures.push_back(key + ": not ok in " +
+                         (cur.ok ? "baseline" : "current file"));
       continue;
     }
-    if (!base.ok) continue;  // Nothing to compare against.
     ++compared;
-    if (std::isfinite(base.mae) &&
-        !(cur.mae <= base.mae * (1.0 + mae_tol) + abs_tol)) {
-      regressions.push_back(key + ": mae " + FormatDelta(base.mae, cur.mae));
+    if (cur.mae == base.mae && cur.rmse == base.rmse) ++exact;
+    if (!InBand(base.mae, cur.mae)) {
+      failures.push_back(key + ": " + FormatDelta("mae", base.mae, cur.mae));
     }
-    if (std::isfinite(base.rmse) &&
-        !(cur.rmse <= base.rmse * (1.0 + rmse_tol) + abs_tol)) {
-      regressions.push_back(key + ": rmse " + FormatDelta(base.rmse, cur.rmse));
-    }
-    if (check_runtime && std::isfinite(base.runtime_seconds) &&
-        !(cur.runtime_seconds <=
-          base.runtime_seconds * runtime_tol + runtime_floor)) {
-      regressions.push_back(key + ": runtime " +
-                            FormatDelta(base.runtime_seconds,
-                                        cur.runtime_seconds) +
-                            "s");
+    if (!InBand(base.rmse, cur.rmse)) {
+      failures.push_back(key + ": " +
+                         FormatDelta("rmse", base.rmse, cur.rmse));
     }
   }
-  int added = 0;
   for (const auto& entry : current) {
-    if (baseline.find(entry.first) == baseline.end()) {
-      std::printf("new cell (no baseline): %s\n", entry.first.c_str());
-      ++added;
+    if (baseline.count(entry.first) == 0) {
+      failures.push_back(entry.first + ": not in baseline");
     }
   }
 
-  std::printf("compared %d cells (%d new) of %s vs %s\n", compared, added,
-              current_path.c_str(), baseline_path.c_str());
-  if (regressions.empty()) {
-    std::printf("no regressions beyond tolerance (mae/rmse +%.0f%%, runtime "
-                "x%.1f + %.2fs)\n",
-                mae_tol * 100.0, runtime_tol, runtime_floor);
+  std::printf("compared %d cells of %s against %s: %d bit-exact in mae and "
+              "rmse\n",
+              compared, current_path.c_str(), baseline_path.c_str(), exact);
+  if (failures.empty()) {
+    std::printf("every cell within %g%% of the baseline\n", kBand * 100.0);
     return 0;
   }
-  std::printf("%zu regression(s):\n", regressions.size());
-  for (const std::string& r : regressions) std::printf("  %s\n", r.c_str());
+  std::printf("%zu failure(s):\n", failures.size());
+  for (const std::string& f : failures) std::printf("  %s\n", f.c_str());
+  std::printf("if the change is intended, regenerate the baseline:\n  %s\n",
+              kRegenerate);
   return 1;
 }
 

@@ -11,10 +11,12 @@
 // benchmark names of bench/bench_common.h; dataset names are the Table 1
 // presets; scenario names are MCAR, MissDisj, MissOver, Blackout,
 // MissPoint, MultiBlackout, MNAR, Drift. The default grid covers the
-// production scenario set (MCAR, Blackout, MultiBlackout, MNAR, Drift),
-// so BENCH_* trajectory files carry those cells.
+// production scenario set (MCAR, Blackout, MultiBlackout, MNAR, Drift);
+// with --quick it is the 40-cell grid of the ACCURACY.json baseline that
+// bench_diff gates. An unknown argument exits 2, a failed cell exits 1.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -22,59 +24,15 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "common/logging.h"
-#include "common/stopwatch.h"
 #include "core/deepmvi.h"
 #include "data/io.h"
 #include "eval/suite.h"
 #include "storage/chunk_cache.h"
 #include "storage/chunk_store.h"
 #include "storage/data_source.h"
-#include "tensor/matmul_kernel.h"
 
 namespace deepmvi {
 namespace {
-
-/// Wall time of one n x n MatMul through `multiply`, medianless best-of
-/// style: repeat until ~50ms elapsed and report seconds per multiply.
-double TimeMatMul(int n, const std::function<void(const Matrix&, const Matrix&,
-                                                  Matrix*)>& multiply) {
-  Rng rng(1);
-  const Matrix a = Matrix::RandomGaussian(n, n, rng);
-  const Matrix b = Matrix::RandomGaussian(n, n, rng);
-  Matrix c(n, n);
-  multiply(a, b, &c);  // Warm-up.
-  Stopwatch watch;
-  int iterations = 0;
-  do {
-    multiply(a, b, &c);
-    ++iterations;
-  } while (watch.ElapsedSeconds() < 0.05);
-  return watch.ElapsedSeconds() / iterations;
-}
-
-/// Blocked-kernel vs naive-reference MatMul timings for the BENCH_* micro
-/// section: the kernel-level counterpart of the end-to-end cells.
-std::vector<std::pair<std::string, double>> MatMulMicroTimings() {
-  std::vector<std::pair<std::string, double>> out;
-  for (int n : {64, 128, 256}) {
-    const double blocked =
-        TimeMatMul(n, [](const Matrix& a, const Matrix& b, Matrix* c) {
-          *c = a.MatMul(b);
-        });
-    const double naive =
-        TimeMatMul(n, [](const Matrix& a, const Matrix& b, Matrix* c) {
-          *c = Matrix(a.rows(), b.cols());
-          internal::MatMulNaive(a.data(), b.data(), c->data(), a.rows(),
-                                a.cols(), b.cols());
-        });
-    const std::string suffix = std::to_string(n);
-    out.emplace_back("matmul_blocked_seconds_" + suffix, blocked);
-    out.emplace_back("matmul_naive_seconds_" + suffix, naive);
-    out.emplace_back("matmul_speedup_" + suffix, naive / blocked);
-  }
-  return out;
-}
 
 /// Out-of-core cells: trains DeepMVI from a chunked store directory for
 /// every scenario of the run and appends the scored cells to the suite
@@ -164,6 +122,12 @@ void AppendStoreCells(const std::string& data_dir, int cache_mb,
       static_cast<double>(cs.peak_bytes) / (1024.0 * 1024.0), cache_mb);
 }
 
+bool IsInteger(const char* text) {
+  char* end = nullptr;
+  std::strtol(text, &end, 10);
+  return end != text && *end == '\0';
+}
+
 std::vector<std::string> SplitCommas(const std::string& list) {
   std::vector<std::string> out;
   std::stringstream ss(list);
@@ -186,7 +150,6 @@ int Run(int argc, char** argv) {
   std::string data_dir;
   int cache_mb = 256;
   uint64_t seed = 1;
-  bool micro_matmul = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--datasets") == 0 && i + 1 < argc) {
       datasets = SplitCommas(argv[++i]);
@@ -202,16 +165,28 @@ int Run(int argc, char** argv) {
       cache_mb = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--micro-matmul") == 0) {
-      micro_matmul = true;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: dmvi_bench_suite [--datasets A,B] [--imputers I,J]\n"
           "                        [--scenarios MCAR,Blackout] [--quick|--full]\n"
           "                        [--threads N] [--out DIR] [--seed S]\n"
-          "                        [--name NAME] [--micro-matmul]\n"
+          "                        [--name NAME]\n"
           "                        [--data-dir STORE [--cache-mb N]]\n");
       return 0;
+    } else if (std::strcmp(argv[i], "--quick") == 0 ||
+               std::strcmp(argv[i], "--full") == 0) {
+      // Read by bench::ParseOptions.
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+      ++i;  // Read by bench::ParseOptions.
+    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+      // Read by bench::ParseOptions, which would take any text as 0.
+      if (!IsInteger(argv[++i])) {
+        std::fprintf(stderr, "--threads must be an integer: %s\n", argv[i]);
+        return 2;
+      }
+    } else {
+      std::fprintf(stderr, "unknown argument: %s (see --help)\n", argv[i]);
+      return 2;
     }
   }
 
@@ -247,12 +222,6 @@ int Run(int argc, char** argv) {
   SuiteResult suite = RunSuite(spec);
   if (!data_dir.empty()) {
     AppendStoreCells(data_dir, cache_mb, options, spec.scenarios, &suite);
-  }
-  if (micro_matmul) {
-    suite.micro = MatMulMicroTimings();
-    for (const auto& entry : suite.micro) {
-      std::printf("micro %-28s %.6g\n", entry.first.c_str(), entry.second);
-    }
   }
 
   std::printf("%s\n", SuiteToTable(suite).ToAscii().c_str());

@@ -5,8 +5,7 @@
 //   dmvi_loadgen --target HOST:PORT [--concurrency C]
 //                (--synth N [--block B] [--workload-seed S] |
 //                 --workload FILE)
-//                [--rps R] [--json out.json] [--name LABEL]
-//                [--impute-csv out.csv] [--reload-every N]
+//                [--rps R] [--impute-csv out.csv] [--reload-every N]
 //                [--expect-degraded] [--max-p95-ms X]
 //
 // Queries are the same `row,t_start,block_len` block-hiding units
@@ -17,9 +16,8 @@
 // *scheduled*, late or not, so server slowdowns show up as latency rather
 // than reduced load) while --rps 0 runs closed-loop at full speed.
 //
-// Reports p50/p95/max latency and request/row throughput; --json writes a
-// suite-compatible cells file (dataset/scenario/imputer keys) so the
-// numbers ride the BENCH_* perf trajectory and bench_diff gating.
+// Reports p50/p95/max latency and request/row throughput, and exits
+// non-zero when any request or mid-run reload failed.
 //
 // Overload mode: point --rps well past what the server sustains at a
 // server started with --degrade-watermark/--shed-watermark, and the
@@ -105,8 +103,6 @@ struct LoadgenOptions {
   uint64_t workload_seed = 11;
   std::string workload_path;
   double rps = 0.0;  // 0 = closed loop, full speed.
-  std::string json_path;
-  std::string name = "loadgen";
   std::string impute_csv;
   int reload_every = 0;  // 0 = never.
   bool expect_degraded = false;
@@ -313,10 +309,6 @@ int Run(int argc, char** argv) {
       options.workload_path = value;
     } else if ((value = next("--rps"))) {
       options.rps = std::atof(value);
-    } else if ((value = next("--json"))) {
-      options.json_path = value;
-    } else if ((value = next("--name"))) {
-      options.name = value;
     } else if ((value = next("--impute-csv"))) {
       options.impute_csv = value;
     } else if ((value = next("--reload-every"))) {
@@ -363,7 +355,6 @@ int Run(int argc, char** argv) {
           "                    [--concurrency C] [--rps R]\n"
           "                    [--synth N [--block B] [--workload-seed S]\n"
           "                     | --workload FILE]\n"
-          "                    [--json out.json] [--name LABEL]\n"
           "                    [--impute-csv out.csv] [--reload-every N]\n"
           "                    [--expect-degraded] [--max-p95-ms X]\n"
           "                    [--request-id-prefix P]\n"
@@ -825,38 +816,6 @@ int Run(int argc, char** argv) {
     }
   }
 
-  if (!options.json_path.empty()) {
-    // Suite-compatible cell: dataset/scenario/imputer identify the row in
-    // the BENCH trajectory; bench_diff compares runtime and flags a
-    // vanished cell, while the latency fields ride along as provenance.
-    std::ofstream out(options.json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   options.json_path.c_str());
-      return 1;
-    }
-    out.precision(17);
-    out << "{\n  \"cells\": [\n";
-    out << "    {\"dataset\": \"" << options.name
-        << "\", \"scenario\": \"loopback\", \"imputer\": \"DeepMVI-served\", "
-        << "\"ok\": " << (failed == 0 && reloads_failed == 0 ? "true" : "false")
-        << ", \"runtime_seconds\": " << wall_seconds
-        << ", \"requests\": " << queries.size() << ", \"failed\": " << failed
-        << ", \"concurrency\": " << options.concurrency
-        << ", \"latency_mean_ms\": " << mean_ms
-        << ", \"latency_p50_ms\": " << p50_ms
-        << ", \"latency_p95_ms\": " << p95_ms
-        << ", \"latency_max_ms\": " << max_ms
-        << ", \"requests_per_second\": " << rps
-        << ", \"rows_per_second\": " << rows_per_second
-        << ", \"degraded\": " << degraded << ", \"shed\": " << shed;
-    if (server_mean_ms >= 0.0) {
-      out << ", \"server_latency_mean_ms\": " << server_mean_ms;
-    }
-    out << "}\n";
-    out << "  ]\n}\n";
-    std::printf("wrote %s\n", options.json_path.c_str());
-  }
   if (options.expect_degraded && degraded == 0) {
     std::fprintf(stderr,
                  "expected the degradation ladder to fire but no response "
