@@ -1,8 +1,12 @@
 #include "bench/bench_common.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <string>
 
 #include "baselines/dynammo.h"
 #include "baselines/matrix_completion.h"
@@ -21,17 +25,65 @@
 namespace deepmvi {
 namespace bench {
 
+namespace {
+
+[[noreturn]] void ExitWithUsageError(const char* program,
+                                     const std::string& message) {
+  std::fprintf(stderr,
+               "%s: %s\nusage: %s [--quick|--full] [--out DIR] [--threads N]\n",
+               program, message.c_str(), program);
+  std::exit(2);
+}
+
+}  // namespace
+
+bool ParseInteger(const char* text, long long lo, long long hi,
+                  long long* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseSharedOption(int argc, char** argv, int* i, BenchOptions* options) {
+  const char* arg = argv[*i];
+  if (std::strcmp(arg, "--full") == 0) {
+    options->profile = BenchOptions::Profile::kFull;
+    return true;
+  }
+  if (std::strcmp(arg, "--quick") == 0) {
+    options->profile = BenchOptions::Profile::kQuick;
+    return true;
+  }
+  const bool out = std::strcmp(arg, "--out") == 0;
+  if (!out && std::strcmp(arg, "--threads") != 0) return false;
+  if (*i + 1 >= argc) {
+    ExitWithUsageError(argv[0], std::string(arg) + " needs a value");
+  }
+  const char* value = argv[++*i];
+  if (out) {
+    options->output_dir = value;
+    return true;
+  }
+  long long threads = 0;
+  if (!ParseInteger(value, INT_MIN, INT_MAX, &threads)) {
+    ExitWithUsageError(argv[0],
+                       std::string("--threads must be an integer: ") + value);
+  }
+  options->threads = static_cast<int>(threads);
+  return true;
+}
+
 BenchOptions ParseOptions(int argc, char** argv) {
   BenchOptions options;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
-      options.profile = BenchOptions::Profile::kFull;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      options.profile = BenchOptions::Profile::kQuick;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      options.output_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.threads = std::atoi(argv[++i]);
+    if (!ParseSharedOption(argc, argv, &i, &options)) {
+      ExitWithUsageError(argv[0], std::string("unknown argument: ") + argv[i]);
     }
   }
   return options;

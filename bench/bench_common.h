@@ -32,7 +32,21 @@ struct BenchOptions {
   }
 };
 
+/// Parses a figure bench's command line, which takes only the shared
+/// options above. An unknown argument, a missing value or a non-integer
+/// --threads prints a usage error and exits the process with status 2.
 BenchOptions ParseOptions(int argc, char** argv);
+
+/// Reads the shared option at argv[*i] into `options`, moving *i past its
+/// value, for binaries that take options of their own too. Returns false
+/// when argv[*i] is not a shared option. A missing value or a non-integer
+/// --threads prints a usage error and exits with status 2.
+bool ParseSharedOption(int argc, char** argv, int* i, BenchOptions* options);
+
+/// Parses `text` as a whole decimal integer in [lo, hi]; false for empty
+/// text, trailing characters or a value out of range.
+bool ParseInteger(const char* text, long long lo, long long hi,
+                  long long* out);
 
 /// Creates an imputer by benchmark name with budgets matched to the
 /// selected profile. Known names: Mean, LinearInterp, SVDImp, SoftImpute,

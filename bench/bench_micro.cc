@@ -1,17 +1,21 @@
 // Micro-benchmarks (google-benchmark) for the substrates: dense matmul,
 // Jacobi SVD, centroid decomposition, autodiff attention forward/backward,
-// kernel regression features, and one DeepMVI training step.
+// kernel regression features, one DeepMVI training step, and concurrent
+// Predict calls.
 
 #include <benchmark/benchmark.h>
 
 #include "autodiff/ops.h"
+#include "common/stopwatch.h"
 #include "core/deepmvi.h"
 #include "core/kernel_regression.h"
 #include "core/temporal_transformer.h"
+#include "data/presets.h"
 #include "data/synthetic.h"
 #include "linalg/centroid.h"
 #include "linalg/svd.h"
 #include "nn/layers.h"
+#include "scenario/scenarios.h"
 #include "tensor/matmul_kernel.h"
 
 namespace deepmvi {
@@ -94,6 +98,51 @@ void BM_DeepMviFitThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeepMviFitThreads)->Arg(1)->Arg(2)->Arg(4);
+
+// Predict with the model of CI's AirQ recipe (dmvi_train --preset AirQ
+// --max-epochs 2 --samples 32: reduced AirQ, MCAR over every series,
+// scenario seed 7) from 1 and 3 concurrent callers, as a server's HTTP
+// workers call it; each call builds its own tape. Google Benchmark's time
+// column divides the wall time by the calls of all threads, so the
+// `call_ms` counter reports one call's wall time, averaged over threads:
+// its 3-thread over 1-thread ratio is what concurrent callers cost each
+// other.
+struct PredictFixture {
+  DataTensor data;
+  Mask mask;
+  TrainedDeepMvi model;
+};
+
+PredictFixture MakeAirQRecipeFixture() {
+  PredictFixture fixture;
+  fixture.data = MakeDataset("AirQ", DatasetScale::kReduced, /*seed=*/1);
+  ScenarioConfig scenario;
+  scenario.kind = ScenarioKind::kMcar;
+  scenario.percent_incomplete = 1.0;
+  scenario.seed = 7;
+  fixture.mask = GenerateScenario(scenario, fixture.data.num_series(),
+                                  fixture.data.num_times());
+  DeepMviConfig config;
+  config.max_epochs = 2;
+  config.samples_per_epoch = 32;
+  DeepMviImputer imputer(config);
+  fixture.model = imputer.Fit(fixture.data, fixture.mask);
+  return fixture;
+}
+
+void BM_PredictConcurrent(benchmark::State& state) {
+  static const PredictFixture fixture = MakeAirQRecipeFixture();
+  double call_seconds = 0.0;
+  for (auto _ : state) {
+    Stopwatch watch;
+    benchmark::DoNotOptimize(fixture.model.Predict(fixture.data, fixture.mask));
+    call_seconds += watch.ElapsedSeconds();
+  }
+  state.counters["call_ms"] = benchmark::Counter(
+      1e3 * call_seconds / static_cast<double>(state.iterations()),
+      benchmark::Counter::kAvgThreads);
+}
+BENCHMARK(BM_PredictConcurrent)->Threads(1)->Threads(3)->UseRealTime();
 
 void BM_JacobiSvd(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

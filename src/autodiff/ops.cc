@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/matmul_kernel.h"
+
 namespace deepmvi {
 namespace ad {
 namespace {
@@ -27,6 +29,25 @@ void Accumulate(Tape& tape, int index, const Matrix& delta) {
 
 bool NeedsGrad(Tape* tape, const Var& a) { return tape->needs_grad(a.index()); }
 
+/// Writes f(a[i]) into the next node's value.
+template <typename F>
+void UnaryForward(Tape* tape, const Matrix& a, F f) {
+  Matrix& out = tape->NewValue(a.rows(), a.cols());
+  const double* src = a.data();
+  double* dst = out.data();
+  for (int64_t i = 0; i < out.size(); ++i) dst[i] = f(src[i]);
+}
+
+/// Writes f(a[i], b[i]) into the next node's value (a and b share a shape).
+template <typename F>
+void BinaryForward(Tape* tape, const Matrix& a, const Matrix& b, F f) {
+  Matrix& out = tape->NewValue(a.rows(), a.cols());
+  const double* pa = a.data();
+  const double* pb = b.data();
+  double* dst = out.data();
+  for (int64_t i = 0; i < out.size(); ++i) dst[i] = f(pa[i], pb[i]);
+}
+
 /// Shared implementation for elementwise unary ops given forward values and
 /// a pointwise derivative computed from (input, output). Shapes are checked
 /// once per call; the element loops then run over the raw buffers.
@@ -34,14 +55,9 @@ Var UnaryOp(const Var& a, double (*fwd)(double),
             double (*dfn)(double in, double out)) {
   Tape* tape = a.tape();
   DMVI_CHECK(a.valid());
-  const Matrix& av = a.value();
-  Matrix out(av.rows(), av.cols());
-  const double* src = av.data();
-  double* dst = out.data();
-  for (int64_t i = 0; i < out.size(); ++i) dst[i] = fwd(src[i]);
+  UnaryForward(tape, a.value(), fwd);
   const int ia = a.index();
   return tape->MakeNode(
-      std::move(out),
       [ia, dfn](Tape& t, const Matrix& gout) {
         const Matrix& in = t.value(ia);
         if (!t.needs_grad(ia)) return;
@@ -66,8 +82,9 @@ Var Add(const Var& a, const Var& b) {
   Tape* tape = SameTape(a, b);
   CheckSameShape(a, b);
   const int ia = a.index(), ib = b.index();
+  BinaryForward(tape, a.value(), b.value(),
+                [](double x, double y) { return x + y; });
   return tape->MakeNode(
-      a.value() + b.value(),
       [ia, ib](Tape& t, const Matrix& gout) {
         Accumulate(t, ia, gout);
         Accumulate(t, ib, gout);
@@ -79,8 +96,9 @@ Var Sub(const Var& a, const Var& b) {
   Tape* tape = SameTape(a, b);
   CheckSameShape(a, b);
   const int ia = a.index(), ib = b.index();
+  BinaryForward(tape, a.value(), b.value(),
+                [](double x, double y) { return x - y; });
   return tape->MakeNode(
-      a.value() - b.value(),
       [ia, ib](Tape& t, const Matrix& gout) {
         Accumulate(t, ia, gout);
         if (t.needs_grad(ib)) t.grad(ib) -= gout;
@@ -92,8 +110,9 @@ Var Mul(const Var& a, const Var& b) {
   Tape* tape = SameTape(a, b);
   CheckSameShape(a, b);
   const int ia = a.index(), ib = b.index();
+  BinaryForward(tape, a.value(), b.value(),
+                [](double x, double y) { return x * y; });
   return tape->MakeNode(
-      a.value().CwiseProduct(b.value()),
       [ia, ib](Tape& t, const Matrix& gout) {
         if (t.needs_grad(ia)) t.grad(ia) += gout.CwiseProduct(t.value(ib));
         if (t.needs_grad(ib)) t.grad(ib) += gout.CwiseProduct(t.value(ia));
@@ -105,8 +124,9 @@ Var Div(const Var& a, const Var& b) {
   Tape* tape = SameTape(a, b);
   CheckSameShape(a, b);
   const int ia = a.index(), ib = b.index();
+  BinaryForward(tape, a.value(), b.value(),
+                [](double x, double y) { return x / y; });
   return tape->MakeNode(
-      a.value().CwiseQuotient(b.value()),
       [ia, ib](Tape& t, const Matrix& gout) {
         const Matrix& bv = t.value(ib);
         if (t.needs_grad(ia)) t.grad(ia) += gout.CwiseQuotient(bv);
@@ -130,8 +150,8 @@ Var Scale(const Var& a, double s) {
   DMVI_CHECK(a.valid());
   Tape* tape = a.tape();
   const int ia = a.index();
+  UnaryForward(tape, a.value(), [s](double x) { return x * s; });
   return tape->MakeNode(
-      a.value() * s,
       [ia, s](Tape& t, const Matrix& gout) {
         if (t.needs_grad(ia)) t.grad(ia) += gout * s;
       },
@@ -142,12 +162,8 @@ Var AddScalar(const Var& a, double s) {
   DMVI_CHECK(a.valid());
   Tape* tape = a.tape();
   const int ia = a.index();
-  Matrix out = a.value();
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) out(r, c) += s;
-  }
+  UnaryForward(tape, a.value(), [s](double x) { return x + s; });
   return tape->MakeNode(
-      std::move(out),
       [ia](Tape& t, const Matrix& gout) { Accumulate(t, ia, gout); },
       NeedsGrad(tape, a));
 }
@@ -158,8 +174,8 @@ Var MulConst(const Var& a, const Matrix& m) {
   DMVI_CHECK_EQ(a.cols(), m.cols());
   Tape* tape = a.tape();
   const int ia = a.index();
+  BinaryForward(tape, a.value(), m, [](double x, double y) { return x * y; });
   return tape->MakeNode(
-      a.value().CwiseProduct(m),
       [ia, m](Tape& t, const Matrix& gout) {
         if (t.needs_grad(ia)) t.grad(ia) += gout.CwiseProduct(m);
       },
@@ -214,13 +230,8 @@ Var Sqrt(const Var& a, double eps) {
   DMVI_CHECK(a.valid());
   Tape* tape = a.tape();
   const int ia = a.index();
-  const Matrix& av = a.value();
-  Matrix out(av.rows(), av.cols());
-  for (int r = 0; r < av.rows(); ++r) {
-    for (int c = 0; c < av.cols(); ++c) out(r, c) = std::sqrt(av(r, c) + eps);
-  }
+  UnaryForward(tape, a.value(), [eps](double x) { return std::sqrt(x + eps); });
   return tape->MakeNode(
-      std::move(out),
       [ia, eps](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ia)) return;
         const Matrix& in = t.value(ia);
@@ -246,11 +257,30 @@ Var MatMul(const Var& a, const Var& b) {
   Tape* tape = SameTape(a, b);
   DMVI_CHECK_EQ(a.cols(), b.rows());
   const int ia = a.index(), ib = b.index();
+  Matrix& out = tape->NewValue(a.rows(), b.cols());
+  internal::MatMulBlocked(a.value().data(), b.value().data(), out.data(),
+                          a.rows(), a.cols(), b.cols());
   return tape->MakeNode(
-      a.value().MatMul(b.value()),
       [ia, ib](Tape& t, const Matrix& gout) {
         if (t.needs_grad(ia)) t.grad(ia) += gout.MatMulTranspose(t.value(ib));
         if (t.needs_grad(ib)) t.grad(ib) += t.value(ia).TransposeMatMul(gout);
+      },
+      NeedsGrad(tape, a) || NeedsGrad(tape, b));
+}
+
+Var MatMulTranspose(const Var& a, const Var& b) {
+  Tape* tape = SameTape(a, b);
+  DMVI_CHECK_EQ(a.cols(), b.cols());
+  const int ia = a.index(), ib = b.index();
+  Matrix& out = tape->NewValue(a.rows(), b.rows());
+  internal::MatMulTransposeBlocked(a.value().data(), b.value().data(),
+                                   out.data(), a.rows(), a.cols(), b.rows());
+  return tape->MakeNode(
+      [ia, ib](Tape& t, const Matrix& gout) {
+        // d(a b^T)/da = gout b and d/db = gout^T a: the products
+        // MatMul(a, Transpose(b)) forms, so every element keeps its chain.
+        if (t.needs_grad(ia)) t.grad(ia) += gout.MatMul(t.value(ib));
+        if (t.needs_grad(ib)) t.grad(ib) += gout.TransposeMatMul(t.value(ia));
       },
       NeedsGrad(tape, a) || NeedsGrad(tape, b));
 }
@@ -259,8 +289,13 @@ Var Transpose(const Var& a) {
   DMVI_CHECK(a.valid());
   Tape* tape = a.tape();
   const int ia = a.index();
+  const Matrix& av = a.value();
+  Matrix& out = tape->NewValue(av.cols(), av.rows());
+  for (int r = 0; r < av.rows(); ++r) {
+    const double* src = av.row_ptr(r);
+    for (int c = 0; c < av.cols(); ++c) out(c, r) = src[c];
+  }
   return tape->MakeNode(
-      a.value().Transpose(),
       [ia](Tape& t, const Matrix& gout) {
         if (t.needs_grad(ia)) t.grad(ia) += gout.Transpose();
       },
@@ -275,10 +310,9 @@ Var Reshape(const Var& a, int rows, int cols) {
   Tape* tape = a.tape();
   const int ia = a.index();
   const Matrix& av = a.value();
-  Matrix out(rows, cols);
+  Matrix& out = tape->NewValue(rows, cols);
   std::copy(av.data(), av.data() + av.size(), out.data());
   return tape->MakeNode(
-      std::move(out),
       [ia](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ia)) return;
         Matrix& ga = t.grad(ia);
@@ -293,9 +327,13 @@ Var SliceRows(const Var& a, int r0, int count) {
   DMVI_CHECK(a.valid());
   Tape* tape = a.tape();
   const int ia = a.index();
-  Matrix out = a.value().Block(r0, 0, count, a.cols());
+  const Matrix& av = a.value();
+  DMVI_CHECK_GE(r0, 0);
+  DMVI_CHECK_GE(count, 0);
+  DMVI_CHECK_LE(r0 + count, av.rows());
+  Matrix& out = tape->NewValue(count, av.cols());
+  std::copy(av.row_ptr(r0), av.row_ptr(r0) + out.size(), out.data());
   return tape->MakeNode(
-      std::move(out),
       [ia, r0](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ia)) return;
         Matrix& ga = t.grad(ia);
@@ -312,9 +350,15 @@ Var SliceCols(const Var& a, int c0, int count) {
   DMVI_CHECK(a.valid());
   Tape* tape = a.tape();
   const int ia = a.index();
-  Matrix out = a.value().Block(0, c0, a.rows(), count);
+  const Matrix& av = a.value();
+  DMVI_CHECK_GE(c0, 0);
+  DMVI_CHECK_GE(count, 0);
+  DMVI_CHECK_LE(c0 + count, av.cols());
+  Matrix& out = tape->NewValue(av.rows(), count);
+  for (int r = 0; r < av.rows(); ++r) {
+    std::copy(av.row_ptr(r) + c0, av.row_ptr(r) + c0 + count, out.row_ptr(r));
+  }
   return tape->MakeNode(
-      std::move(out),
       [ia, c0](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ia)) return;
         Matrix& ga = t.grad(ia);
@@ -343,12 +387,11 @@ Var ConcatCols(const std::vector<Var>& parts) {
     indices.push_back(p.index());
     ng = ng || tape->needs_grad(p.index());
   }
-  Matrix out(rows, total_cols);
+  Matrix& out = tape->NewValue(rows, total_cols);
   for (size_t i = 0; i < parts.size(); ++i) {
     out.SetBlock(0, offsets[i], parts[i].value());
   }
   return tape->MakeNode(
-      std::move(out),
       [indices, offsets](Tape& t, const Matrix& gout) {
         for (size_t i = 0; i < indices.size(); ++i) {
           const int idx = indices[i];
@@ -380,12 +423,11 @@ Var ConcatRows(const std::vector<Var>& parts) {
     indices.push_back(p.index());
     ng = ng || tape->needs_grad(p.index());
   }
-  Matrix out(total_rows, cols);
+  Matrix& out = tape->NewValue(total_rows, cols);
   for (size_t i = 0; i < parts.size(); ++i) {
     out.SetBlock(offsets[i], 0, parts[i].value());
   }
   return tape->MakeNode(
-      std::move(out),
       [indices, offsets](Tape& t, const Matrix& gout) {
         for (size_t i = 0; i < indices.size(); ++i) {
           const int idx = indices[i];
@@ -406,7 +448,7 @@ Var GatherRows(const Var& a, const std::vector<int>& indices) {
   Tape* tape = a.tape();
   const int ia = a.index();
   const Matrix& av = a.value();
-  Matrix out(static_cast<int>(indices.size()), av.cols());
+  Matrix& out = tape->NewValue(static_cast<int>(indices.size()), av.cols());
   for (size_t i = 0; i < indices.size(); ++i) {
     DMVI_CHECK_GE(indices[i], 0);
     DMVI_CHECK_LT(indices[i], av.rows());
@@ -414,7 +456,6 @@ Var GatherRows(const Var& a, const std::vector<int>& indices) {
               out.row_ptr(static_cast<int>(i)));
   }
   return tape->MakeNode(
-      std::move(out),
       [ia, indices](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ia)) return;
         Matrix& ga = t.grad(ia);
@@ -437,14 +478,15 @@ Var RowBroadcastOp(const Var& a, const Var& row, bool subtract) {
   DMVI_CHECK_EQ(row.cols(), a.cols());
   const int ia = a.index(), ir = row.index();
   const double sign = subtract ? -1.0 : 1.0;
-  Matrix out = a.value();
+  const Matrix& av = a.value();
+  Matrix& out = tape->NewValue(av.rows(), av.cols());
   const double* rv = row.value().data();
   for (int r = 0; r < out.rows(); ++r) {
+    const double* src = av.row_ptr(r);
     double* p = out.row_ptr(r);
-    for (int c = 0; c < out.cols(); ++c) p[c] += sign * rv[c];
+    for (int c = 0; c < out.cols(); ++c) p[c] = src[c] + sign * rv[c];
   }
   return tape->MakeNode(
-      std::move(out),
       [ia, ir, sign](Tape& t, const Matrix& gout) {
         Accumulate(t, ia, gout);
         if (t.needs_grad(ir)) {
@@ -475,14 +517,15 @@ Var MulRowVector(const Var& a, const Var& row) {
   DMVI_CHECK_EQ(row.rows(), 1);
   DMVI_CHECK_EQ(row.cols(), a.cols());
   const int ia = a.index(), ir = row.index();
-  Matrix out = a.value();
-  const Matrix& rv = row.value();
+  const Matrix& av = a.value();
+  Matrix& out = tape->NewValue(av.rows(), av.cols());
+  const double* rv = row.value().data();
   for (int r = 0; r < out.rows(); ++r) {
+    const double* src = av.row_ptr(r);
     double* p = out.row_ptr(r);
-    for (int c = 0; c < out.cols(); ++c) p[c] *= rv(0, c);
+    for (int c = 0; c < out.cols(); ++c) p[c] = src[c] * rv[c];
   }
   return tape->MakeNode(
-      std::move(out),
       [ia, ir](Tape& t, const Matrix& gout) {
         const Matrix& av = t.value(ia);
         const Matrix& rv = t.value(ir);
@@ -512,9 +555,9 @@ Var BroadcastScalar(const Var& a, int rows, int cols) {
   DMVI_CHECK_EQ(a.cols(), 1);
   Tape* tape = a.tape();
   const int ia = a.index();
-  Matrix out(rows, cols, a.value()(0, 0));
+  const double v = a.value()(0, 0);
+  tape->NewValue(rows, cols).Fill(v);
   return tape->MakeNode(
-      std::move(out),
       [ia](Tape& t, const Matrix& gout) {
         if (t.needs_grad(ia)) t.grad(ia)(0, 0) += gout.Sum();
       },
@@ -527,10 +570,9 @@ Var Sum(const Var& a) {
   DMVI_CHECK(a.valid());
   Tape* tape = a.tape();
   const int ia = a.index();
-  Matrix out(1, 1);
-  out(0, 0) = a.value().Sum();
+  const double sum = a.value().Sum();
+  tape->NewValue(1, 1)(0, 0) = sum;
   return tape->MakeNode(
-      std::move(out),
       [ia](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ia)) return;
         Matrix& ga = t.grad(ia);
@@ -551,7 +593,7 @@ Var RowSum(const Var& a) {
   Tape* tape = a.tape();
   const int ia = a.index();
   const Matrix& av = a.value();
-  Matrix out(av.rows(), 1);
+  Matrix& out = tape->NewValue(av.rows(), 1);
   for (int r = 0; r < av.rows(); ++r) {
     const double* p = av.row_ptr(r);
     double acc = 0.0;
@@ -559,7 +601,6 @@ Var RowSum(const Var& a) {
     out(r, 0) = acc;
   }
   return tape->MakeNode(
-      std::move(out),
       [ia](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ia)) return;
         Matrix& ga = t.grad(ia);
@@ -577,13 +618,13 @@ Var ColSum(const Var& a) {
   Tape* tape = a.tape();
   const int ia = a.index();
   const Matrix& av = a.value();
-  Matrix out(1, av.cols());
+  Matrix& out = tape->NewValue(1, av.cols());
+  double* sums = out.data();
   for (int r = 0; r < av.rows(); ++r) {
     const double* p = av.row_ptr(r);
-    for (int c = 0; c < av.cols(); ++c) out(0, c) += p[c];
+    for (int c = 0; c < av.cols(); ++c) sums[c] += p[c];
   }
   return tape->MakeNode(
-      std::move(out),
       [ia](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ia)) return;
         Matrix& ga = t.grad(ia);
@@ -598,53 +639,57 @@ Var ColSum(const Var& a) {
 // ---- Softmax -----------------------------------------------------------------------
 
 Var SoftmaxRows(const Var& a) {
-  Matrix all_avail(a.rows(), a.cols(), 1.0);
-  return MaskedSoftmaxRows(a, all_avail);
+  DMVI_CHECK(a.valid());
+  return MaskedSoftmaxRows(
+      a, a.tape()->Constant(Matrix(a.rows(), a.cols(), 1.0)));
 }
 
-Var MaskedSoftmaxRows(const Var& a, const Matrix& avail) {
-  DMVI_CHECK(a.valid());
-  DMVI_CHECK_EQ(a.rows(), avail.rows());
-  DMVI_CHECK_EQ(a.cols(), avail.cols());
-  Tape* tape = a.tape();
-  const int ia = a.index();
+Var MaskedSoftmaxRows(const Var& a, const Var& avail) {
+  Tape* tape = SameTape(a, avail);
+  CheckSameShape(a, avail);
+  const int ia = a.index(), im = avail.index();
   const Matrix& av = a.value();
-  Matrix out(av.rows(), av.cols());
+  const Matrix& mask = avail.value();
+  Matrix& out = tape->NewValue(av.rows(), av.cols());
   for (int r = 0; r < av.rows(); ++r) {
+    const double* x = av.row_ptr(r);
+    const double* m = mask.row_ptr(r);
+    double* y = out.row_ptr(r);
     double maxv = -1e300;
     bool any = false;
     for (int c = 0; c < av.cols(); ++c) {
-      if (avail(r, c) != 0.0) {
-        maxv = std::max(maxv, av(r, c));
+      if (m[c] != 0.0) {
+        maxv = std::max(maxv, x[c]);
         any = true;
       }
     }
     if (!any) continue;  // Row stays all-zero.
     double denom = 0.0;
     for (int c = 0; c < av.cols(); ++c) {
-      if (avail(r, c) != 0.0) {
-        out(r, c) = std::exp(av(r, c) - maxv);
-        denom += out(r, c);
+      if (m[c] != 0.0) {
+        y[c] = std::exp(x[c] - maxv);
+        denom += y[c];
       }
     }
-    for (int c = 0; c < av.cols(); ++c) out(r, c) /= denom;
+    for (int c = 0; c < av.cols(); ++c) y[c] /= denom;
   }
   const int iout = tape->num_nodes();
   return tape->MakeNode(
-      std::move(out),
-      [ia, iout, avail](Tape& t, const Matrix& gout) {
+      [ia, im, iout](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ia)) return;
         const Matrix& y = t.value(iout);
+        const Matrix& mask = t.value(im);
         Matrix& ga = t.grad(ia);
         // dL/dx_rc = y_rc * (g_rc - sum_k g_rk y_rk) on available entries.
         for (int r = 0; r < y.rows(); ++r) {
+          const double* g = gout.row_ptr(r);
+          const double* yr = y.row_ptr(r);
+          const double* m = mask.row_ptr(r);
           double dot = 0.0;
-          for (int c = 0; c < y.cols(); ++c) dot += gout(r, c) * y(r, c);
+          for (int c = 0; c < y.cols(); ++c) dot += g[c] * yr[c];
           double* dst = ga.row_ptr(r);
           for (int c = 0; c < y.cols(); ++c) {
-            if (avail(r, c) != 0.0) {
-              dst[c] += y(r, c) * (gout(r, c) - dot);
-            }
+            if (m[c] != 0.0) dst[c] += yr[c] * (g[c] - dot);
           }
         }
       },
@@ -670,10 +715,8 @@ Var WeightedMseLoss(const Var& pred, const Matrix& target, const Matrix& weight)
       loss += weight(r, c) * d * d;
     }
   }
-  Matrix out(1, 1);
-  out(0, 0) = loss / wsum;
+  tape->NewValue(1, 1)(0, 0) = loss / wsum;
   return tape->MakeNode(
-      std::move(out),
       [ip, target, weight, wsum](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ip)) return;
         const Matrix& pv = t.value(ip);
@@ -703,10 +746,8 @@ Var WeightedMaeLoss(const Var& pred, const Matrix& target, const Matrix& weight)
       loss += weight(r, c) * std::fabs(pv(r, c) - target(r, c));
     }
   }
-  Matrix out(1, 1);
-  out(0, 0) = loss / wsum;
+  tape->NewValue(1, 1)(0, 0) = loss / wsum;
   return tape->MakeNode(
-      std::move(out),
       [ip, target, weight, wsum](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ip)) return;
         const Matrix& pv = t.value(ip);

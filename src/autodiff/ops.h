@@ -42,6 +42,9 @@ Var Abs(const Var& a);
 // ---- Linear algebra --------------------------------------------------------
 
 Var MatMul(const Var& a, const Var& b);
+/// a * b^T without a transpose node; bit-identical to
+/// MatMul(a, Transpose(b)) in its value and both gradients.
+Var MatMulTranspose(const Var& a, const Var& b);
 Var Transpose(const Var& a);
 
 // ---- Shape manipulation ----------------------------------------------------
@@ -82,13 +85,16 @@ Var ColSum(const Var& a);
 
 // ---- Softmax ------------------------------------------------------------------
 
-/// Row-wise softmax.
+/// Row-wise softmax: MaskedSoftmaxRows with every entry available.
 Var SoftmaxRows(const Var& a);
 
 /// Row-wise softmax restricted to entries where `avail`(r,c) != 0.
-/// Unavailable entries get weight exactly 0. Rows with no available entry
-/// produce all-zero weights (callers must handle the degenerate case).
-Var MaskedSoftmaxRows(const Var& a, const Matrix& avail);
+/// `avail` is a node of a's shape on the same tape, normally one
+/// Tape::Constant that several softmaxes (e.g. attention heads) share; no
+/// gradient flows into it. Unavailable entries get weight exactly 0. Rows
+/// with no available entry produce all-zero weights (callers must handle
+/// the degenerate case).
+Var MaskedSoftmaxRows(const Var& a, const Var& avail);
 
 // ---- Losses ----------------------------------------------------------------------
 

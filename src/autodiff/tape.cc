@@ -20,24 +20,28 @@ double Var::scalar() const {
   return v(0, 0);
 }
 
+Tape::Node& Tape::NextNode() {
+  DMVI_CHECK(!value_pending_) << "node created between NewValue and MakeNode";
+  if (num_nodes_ == static_cast<int>(nodes_.size())) nodes_.emplace_back();
+  return nodes_[num_nodes_];
+}
+
 Var Tape::Leaf(Matrix value) {
-  Node node;
+  Node& node = NextNode();
   node.value = std::move(value);
   node.needs_grad = true;
-  nodes_.push_back(std::move(node));
-  return Var(this, static_cast<int>(nodes_.size()) - 1);
+  return Var(this, num_nodes_++);
 }
 
 Var Tape::LeafFor(const void* key, const Matrix& value) {
   auto it = keyed_leaves_.find(key);
   if (it != keyed_leaves_.end()) return Var(this, it->second);
-  Node node;
+  Node& node = NextNode();
+  node.value = Matrix();  // Read in place: the slot's own buffer goes.
   node.borrowed = &value;
   node.needs_grad = true;
-  nodes_.push_back(std::move(node));
-  const int index = static_cast<int>(nodes_.size()) - 1;
-  keyed_leaves_.emplace(key, index);
-  return Var(this, index);
+  keyed_leaves_.emplace(key, num_nodes_);
+  return Var(this, num_nodes_++);
 }
 
 int Tape::LeafIndexFor(const void* key) const {
@@ -46,20 +50,26 @@ int Tape::LeafIndexFor(const void* key) const {
 }
 
 Var Tape::Constant(Matrix value) {
-  Node node;
+  Node& node = NextNode();
   node.value = std::move(value);
   node.needs_grad = false;
-  nodes_.push_back(std::move(node));
-  return Var(this, static_cast<int>(nodes_.size()) - 1);
+  return Var(this, num_nodes_++);
 }
 
-Var Tape::MakeNode(Matrix value, BackwardFn backward, bool needs_grad) {
-  Node node;
-  node.value = std::move(value);
+Matrix& Tape::NewValue(int rows, int cols) {
+  Node& node = NextNode();
+  node.value.AssignZeros(rows, cols);
+  value_pending_ = true;
+  return node.value;
+}
+
+Var Tape::MakeNode(BackwardFn backward, bool needs_grad) {
+  DMVI_CHECK(value_pending_) << "MakeNode without NewValue";
+  value_pending_ = false;
+  Node& node = nodes_[num_nodes_];
   node.needs_grad = needs_grad;
   if (needs_grad) node.backward = std::move(backward);
-  nodes_.push_back(std::move(node));
-  return Var(this, static_cast<int>(nodes_.size()) - 1);
+  return Var(this, num_nodes_++);
 }
 
 void Tape::Backward(const Var& loss) {
@@ -77,7 +87,17 @@ void Tape::Backward(const Var& loss) {
 }
 
 void Tape::Reset() {
-  nodes_.clear();
+  DMVI_CHECK(!value_pending_) << "Reset between NewValue and MakeNode";
+  // Slots past the dropped graph hold storage it did not use.
+  nodes_.resize(num_nodes_);
+  for (Node& node : nodes_) {
+    if (!node.grad_allocated) node.grad = Matrix();
+    node.grad_allocated = false;
+    node.borrowed = nullptr;
+    node.needs_grad = false;
+    node.backward = nullptr;
+  }
+  num_nodes_ = 0;
   keyed_leaves_.clear();
 }
 
@@ -85,7 +105,7 @@ Matrix& Tape::grad(int index) {
   Node& node = nodes_[index];
   if (!node.grad_allocated) {
     const Matrix& v = value(index);
-    node.grad = Matrix(v.rows(), v.cols());
+    node.grad.AssignZeros(v.rows(), v.cols());
     node.grad_allocated = true;
   }
   return node.grad;

@@ -1,9 +1,9 @@
 #ifndef DEEPMVI_AUTODIFF_TAPE_H_
 #define DEEPMVI_AUTODIFF_TAPE_H_
 
+#include <deque>
 #include <functional>
 #include <unordered_map>
-#include <vector>
 
 #include "tensor/matrix.h"
 
@@ -44,9 +44,13 @@ class Var {
 /// Usage: create leaves (parameters / inputs), build the computation with
 /// the ops in ops.h, then call Backward on a scalar (1x1) node. Gradients
 /// accumulate into each node's grad matrix; parameter gradients are read
-/// back through the Var handles. Reset() clears the graph between steps:
-/// it frees every node's value and gradient matrix and keeps only the
-/// node list's capacity.
+/// back through the Var handles. Reset() clears the graph between steps
+/// but keeps its storage: node i of the next graph takes the value and
+/// gradient buffers node i had, reshaped and zero-filled in place, so a
+/// loop that builds one similar graph per step (a chunk walk, a training
+/// slot) allocates node storage once rather than once per step. A tape
+/// holds at most the buffers of one graph, the last one, and frees them
+/// with itself; a tape is used by one thread at a time.
 class Tape {
  public:
   Tape() = default;
@@ -81,10 +85,11 @@ class Tape {
   void Backward(const Var& loss);
 
   /// Drops all nodes. Invalidates every Var created since construction or
-  /// the previous Reset.
+  /// the previous Reset. Keeps the value and gradient buffers the dropped
+  /// graph used for the next graph's nodes and frees the rest.
   void Reset();
 
-  int num_nodes() const { return static_cast<int>(nodes_.size()); }
+  int num_nodes() const { return num_nodes_; }
 
   // ---- Internal API used by ops.h ---------------------------------------
 
@@ -93,17 +98,25 @@ class Tape {
   /// of its input nodes.
   using BackwardFn = std::function<void(Tape&, const Matrix& gout)>;
 
-  /// Creates an interior node with the given forward value and backward
-  /// closure. `needs_grad` should be true when any input requires grad.
-  Var MakeNode(Matrix value, BackwardFn backward, bool needs_grad);
+  /// Starts the next interior node (index num_nodes()): returns its value
+  /// matrix, rows x cols and zero-filled, in the storage that node index
+  /// held in the previous graph. The op writes its forward value there and
+  /// then calls MakeNode; no other node may be created in between.
+  Matrix& NewValue(int rows, int cols);
+
+  /// Creates the interior node whose value NewValue returned, with its
+  /// backward closure. `needs_grad` should be true when any input requires
+  /// grad.
+  Var MakeNode(BackwardFn backward, bool needs_grad);
 
   const Matrix& value(int index) const {
+    DMVI_CHECK_LT(index, num_nodes_);
     const Node& node = nodes_[index];
     return node.borrowed != nullptr ? *node.borrowed : node.value;
   }
   bool needs_grad(int index) const { return nodes_[index].needs_grad; }
 
-  /// Gradient accessor; allocates a zero matrix on first touch.
+  /// Gradient accessor; zero-fills the node's gradient on first touch.
   Matrix& grad(int index);
   const Matrix& grad_or_zero(int index) const;
 
@@ -125,7 +138,15 @@ class Tape {
     BackwardFn backward;  // Empty for leaves/constants.
   };
 
-  std::vector<Node> nodes_;
+  /// The slot of node num_nodes_, keeping whatever storage it holds.
+  Node& NextNode();
+
+  // Slots [0, num_nodes_) are the graph; a deque so that growing it keeps
+  // references to earlier nodes' values valid while an op reads them.
+  std::deque<Node> nodes_;
+  int num_nodes_ = 0;
+  // True between NewValue and MakeNode.
+  bool value_pending_ = false;
   std::unordered_map<const void*, int> keyed_leaves_;
   Matrix empty_grad_;
 };

@@ -261,9 +261,12 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
   //
   // Batch-level data parallelism: each mini-batch is evaluated in rounds of
   // up to num_slots samples, sample j of a round on slot tape j, and the
-  // forward/backward passes of a round run concurrently. Tape::Reset frees
-  // every node matrix, so a tape carries nothing from one sample to the
-  // next; one tape per slot bounds how many graphs are alive at once.
+  // forward/backward passes of a round run concurrently. A tape carries no
+  // values from one sample to the next, only storage: Tape::Reset keeps
+  // the dropped graph's node buffers for the next sample's nodes, so a
+  // slot allocates node storage once per Fit. One tape per slot bounds how
+  // many graphs are alive at once (a tape holds one graph's buffers) and
+  // keeps every tape on one thread at a time.
   // Everything order-sensitive stays sequential on the calling thread:
   // sample generation draws from the single `rng` stream before workers
   // start, after each round every tape's parameter gradients fold into
@@ -456,7 +459,7 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
   trained.config_ = config;
   trained.dims_ = dims;
   trained.stats_ = std::move(stats);
-  trained.modules_ = model;
+  trained.modules_ = std::move(model);
   return trained;
 }
 

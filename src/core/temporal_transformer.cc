@@ -67,12 +67,14 @@ Var TemporalTransformer::Forward(
   // ---- Attention availability: keys must be fully-available windows and
   // self-attention to the own window is excluded (its key would leak the
   // values being imputed during training).
+  // One constant node that every head's softmax reads.
   Matrix avail(num_windows, num_windows);
   for (int q = 0; q < num_windows; ++q) {
     for (int k = 0; k < num_windows; ++k) {
       avail(q, k) = (k != q) ? window_fully_available[k] : 0.0;
     }
   }
+  Var avail_node = tape.Constant(std::move(avail));
 
   const double inv_sqrt = 1.0 / std::sqrt(2.0 * filters_);
   std::vector<Var> heads;
@@ -81,8 +83,8 @@ Var TemporalTransformer::Forward(
     Var q = query_[h].Forward(tape, context);
     Var k = key_[h].Forward(tape, context);
     Var v = value_[h].Forward(tape, y);
-    Var scores = ad::Scale(ad::MatMul(q, ad::Transpose(k)), inv_sqrt);
-    Var weights = ad::MaskedSoftmaxRows(scores, avail);
+    Var scores = ad::Scale(ad::MatMulTranspose(q, k), inv_sqrt);
+    Var weights = ad::MaskedSoftmaxRows(scores, avail_node);
     heads.push_back(ad::MatMul(weights, v));  // num_windows x p
   }
   Var h = ad::ConcatCols(heads);  // num_windows x (p * num_heads)

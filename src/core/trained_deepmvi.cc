@@ -207,12 +207,11 @@ Matrix TrainedDeepMvi::Predict(const DataTensor& raw_data,
   Status valid = ValidateInput(raw_data, mask);
   DMVI_CHECK(valid.ok()) << valid.ToString();
 
-  const DataTensor shaped =
-      config_.flatten_multidim ? raw_data.Flattened1D() : raw_data;
-
   // Project into the z-score space the model was trained in, using the
   // fit-time statistics: normalization is part of the model.
-  DataTensor data = shaped.Normalized(stats_);
+  const DataTensor data = config_.flatten_multidim
+                              ? raw_data.Flattened1D().Normalized(stats_)
+                              : raw_data.Normalized(stats_);
   Matrix imputed = internal::ImputeMissingNormalized(modules_, config_, data,
                                                      data.values(), mask);
 

@@ -1,6 +1,7 @@
 #include "nn/layers.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 namespace deepmvi {
@@ -113,11 +114,13 @@ Var MultiHeadSelfAttention::Forward(Tape& tape, const Var& x,
   const int t_len = x.rows();
   DMVI_CHECK_EQ(static_cast<int>(key_avail.size()), t_len);
 
-  // Availability of each key position, broadcast over queries.
+  // Availability of each key position, broadcast over queries: one
+  // constant node that every head's softmax reads.
   Matrix avail(t_len, t_len, 0.0);
   for (int q = 0; q < t_len; ++q) {
     for (int k = 0; k < t_len; ++k) avail(q, k) = key_avail[k];
   }
+  Var avail_node = tape.Constant(std::move(avail));
 
   const double inv_sqrt = 1.0 / std::sqrt(static_cast<double>(head_dim_));
   std::vector<Var> heads;
@@ -126,8 +129,8 @@ Var MultiHeadSelfAttention::Forward(Tape& tape, const Var& x,
     Var q = q_[h].Forward(tape, x);
     Var k = k_[h].Forward(tape, x);
     Var v = v_[h].Forward(tape, x);
-    Var scores = ad::Scale(ad::MatMul(q, ad::Transpose(k)), inv_sqrt);
-    Var weights = ad::MaskedSoftmaxRows(scores, avail);
+    Var scores = ad::Scale(ad::MatMulTranspose(q, k), inv_sqrt);
+    Var weights = ad::MaskedSoftmaxRows(scores, avail_node);
     heads.push_back(ad::MatMul(weights, v));
   }
   return out_.Forward(tape, ad::ConcatCols(heads));

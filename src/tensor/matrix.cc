@@ -72,6 +72,15 @@ Matrix Matrix::Diagonal(const std::vector<double>& diag) {
 
 void Matrix::Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
+void Matrix::AssignZeros(int rows, int cols) {
+  DMVI_CHECK_GE(rows, 0);
+  DMVI_CHECK_GE(cols, 0);
+  rows_ = rows;
+  cols_ = cols;
+  // vector::assign reallocates only when the count exceeds the capacity.
+  data_.assign(static_cast<size_t>(rows) * cols, 0.0);
+}
+
 void Matrix::SetRow(int r, const std::vector<double>& values) {
   DMVI_CHECK_EQ(static_cast<int>(values.size()), cols_);
   std::copy(values.begin(), values.end(), row_ptr(r));

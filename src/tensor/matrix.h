@@ -87,6 +87,10 @@ class Matrix {
   // ---- Mutators --------------------------------------------------------
 
   void Fill(double v);
+  /// Reshapes to rows x cols and zero-fills in place. The storage is kept
+  /// when it already holds rows * cols values, so only a larger shape
+  /// allocates.
+  void AssignZeros(int rows, int cols);
   void SetRow(int r, const std::vector<double>& values);
   void SetCol(int c, const std::vector<double>& values);
   /// Copies `block` into this matrix with top-left corner (r0, c0).

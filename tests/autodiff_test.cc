@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "autodiff/ops.h"
 #include "autodiff/tape.h"
@@ -49,6 +52,82 @@ TEST(TapeTest, ResetInvalidatesNodes) {
   EXPECT_EQ(tape.num_nodes(), 1);
   tape.Reset();
   EXPECT_EQ(tape.num_nodes(), 0);
+}
+
+/// Byte equality: unlike ==, tells -0.0 from 0.0 and compares NaNs.
+void ExpectSameBits(const Matrix& actual, const Matrix& expected,
+                    const std::string& what) {
+  ASSERT_EQ(actual.rows(), expected.rows()) << what;
+  ASSERT_EQ(actual.cols(), expected.cols()) << what;
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        sizeof(double) * actual.size()),
+            0)
+      << what;
+}
+
+/// The values and gradients of one small attention-shaped graph, and the
+/// node buffers it wrote.
+struct ReuseGraph {
+  Matrix out;
+  Matrix loss;
+  Matrix weight_grad;
+  Matrix input_grad;
+  std::vector<const double*> buffers;
+};
+
+/// Builds and differentiates a graph over ops whose values depend on
+/// starting from zeroed storage: GEMMs accumulate into their output,
+/// ColSum sums into it, and the masked softmax leaves unavailable entries
+/// and an all-masked row untouched. `input` has n rows and `weight` is a
+/// keyed (parameter) leaf.
+ReuseGraph RunReuseGraph(Tape& tape, const Matrix& weight,
+                         const Matrix& input) {
+  const int n = input.rows();
+  Matrix mask(n, n, 1.0);
+  for (int c = 0; c < n; ++c) mask(0, c) = 0.0;  // Row 0: nothing available.
+  mask(1, n - 1) = 0.0;
+  Var w = tape.LeafFor(&weight, weight);
+  Var x = tape.Leaf(input);
+  Var h = MatMul(x, w);
+  Var scores = Scale(MatMulTranspose(h, x), 0.5);
+  Var attn = MaskedSoftmaxRows(scores, tape.Constant(mask));
+  Var ctx = MatMul(attn, h);
+  Var col = ColSum(ctx);
+  Var out = Reshape(AddRowVector(Tanh(ctx), col), 1, n * input.cols());
+  Var loss = Sum(Square(out));
+  tape.Backward(loss);
+  ReuseGraph result;
+  result.out = out.value();
+  result.loss = loss.value();
+  result.weight_grad = *tape.AllocatedGrad(w.index());
+  result.input_grad = x.grad();
+  for (const Var& v : {h, scores, attn, ctx, col, out, loss}) {
+    result.buffers.push_back(v.value().data());
+  }
+  result.buffers.push_back(tape.AllocatedGrad(w.index())->data());
+  return result;
+}
+
+TEST(TapeTest, ResetGraphReusesStorageAndMatchesAFreshTape) {
+  const Matrix weight = TestInput(3, 3, 40);
+  Tape reused;
+  const ReuseGraph first = RunReuseGraph(reused, weight, TestInput(5, 3, 41));
+  reused.Reset();
+  // Different values and one fewer row: every node's shape shrinks or
+  // stays, so each fits the buffer its index held in the first graph.
+  const Matrix second_input = TestInput(4, 3, 42);
+  const ReuseGraph second = RunReuseGraph(reused, weight, second_input);
+  Tape fresh;
+  const ReuseGraph expected = RunReuseGraph(fresh, weight, second_input);
+
+  ExpectSameBits(second.out, expected.out, "output");
+  ExpectSameBits(second.loss, expected.loss, "loss");
+  ExpectSameBits(second.weight_grad, expected.weight_grad, "weight gradient");
+  ExpectSameBits(second.input_grad, expected.input_grad, "input gradient");
+  ASSERT_EQ(second.buffers.size(), first.buffers.size());
+  for (size_t i = 0; i < first.buffers.size(); ++i) {
+    EXPECT_EQ(second.buffers[i], first.buffers[i]) << "buffer " << i;
+  }
 }
 
 TEST(TapeTest, KeyedLeafReadsTheMatrixInPlace) {
@@ -183,6 +262,36 @@ TEST(GradCheck, MatMulChainWithNonlinearity) {
       {TestInput(2, 3, 14), TestInput(3, 4, 15), TestInput(4, 2, 16)}, 1e-5);
 }
 
+TEST(GradCheck, MatMulTranspose) {
+  ExpectGradientsMatch(
+      [](Tape&, const std::vector<Var>& v) {
+        return Sum(Tanh(MatMulTranspose(v[0], v[1])));
+      },
+      {TestInput(3, 4, 18), TestInput(5, 4, 19)});
+}
+
+TEST(OpsTest, MatMulTransposeEqualsMatMulOfTransposeBitForBit) {
+  const Matrix a_value = TestInput(6, 5, 20);
+  const Matrix b_value = TestInput(7, 5, 21);
+  const Matrix weights = TestInput(6, 7, 22);
+  auto run = [&](bool fused, Matrix* value, Matrix* a_grad, Matrix* b_grad) {
+    Tape tape;
+    Var a = tape.Leaf(a_value);
+    Var b = tape.Leaf(b_value);
+    Var product = fused ? MatMulTranspose(a, b) : MatMul(a, Transpose(b));
+    tape.Backward(Sum(Mul(product, tape.Constant(weights))));
+    *value = product.value();
+    *a_grad = a.grad();
+    *b_grad = b.grad();
+  };
+  Matrix fused_value, fused_a, fused_b, value, a_grad, b_grad;
+  run(true, &fused_value, &fused_a, &fused_b);
+  run(false, &value, &a_grad, &b_grad);
+  ExpectSameBits(fused_value, value, "value");
+  ExpectSameBits(fused_a, a_grad, "gradient of a");
+  ExpectSameBits(fused_b, b_grad, "gradient of b");
+}
+
 TEST(GradCheck, Transpose) {
   ExpectGradientsMatch(
       [](Tape&, const std::vector<Var>& v) {
@@ -264,8 +373,8 @@ TEST(GradCheck, SoftmaxRows) {
 TEST(GradCheck, MaskedSoftmaxRows) {
   Matrix avail = {{1, 0, 1, 1}, {0, 1, 1, 0}, {1, 1, 1, 1}};
   ExpectGradientsMatch(
-      [avail](Tape&, const std::vector<Var>& v) {
-        Var w = MaskedSoftmaxRows(v[0], avail);
+      [avail](Tape& tape, const std::vector<Var>& v) {
+        Var w = MaskedSoftmaxRows(v[0], tape.Constant(avail));
         return Sum(Mul(w, v[1]));
       },
       {TestInput(3, 4, 30), TestInput(3, 4, 31)});
@@ -274,7 +383,7 @@ TEST(GradCheck, MaskedSoftmaxRows) {
 TEST(MaskedSoftmaxTest, UnavailableGetZeroWeight) {
   Tape tape;
   Var scores = tape.Leaf({{1.0, 2.0, 3.0}});
-  Matrix avail = {{1, 0, 1}};
+  Var avail = tape.Constant({{1, 0, 1}});
   Var w = MaskedSoftmaxRows(scores, avail);
   EXPECT_EQ(w.value()(0, 1), 0.0);
   EXPECT_NEAR(w.value()(0, 0) + w.value()(0, 2), 1.0, 1e-12);
@@ -283,7 +392,7 @@ TEST(MaskedSoftmaxTest, UnavailableGetZeroWeight) {
 TEST(MaskedSoftmaxTest, AllMaskedRowIsZero) {
   Tape tape;
   Var scores = tape.Leaf({{1.0, 2.0}});
-  Matrix avail = {{0, 0}};
+  Var avail = tape.Constant({{0, 0}});
   Var w = MaskedSoftmaxRows(scores, avail);
   EXPECT_EQ(w.value()(0, 0), 0.0);
   EXPECT_EQ(w.value()(0, 1), 0.0);
@@ -336,11 +445,11 @@ TEST(LossTest, MaeIgnoresZeroWeight) {
 TEST(GradCheck, AttentionLikeComposite) {
   Matrix avail = {{1, 1, 0}, {1, 1, 0}, {0, 1, 1}};
   ExpectGradientsMatch(
-      [avail](Tape&, const std::vector<Var>& v) {
+      [avail](Tape& tape, const std::vector<Var>& v) {
         Var q = MatMul(v[0], v[1]);
         Var k = MatMul(v[0], v[2]);
-        Var scores = Scale(MatMul(q, Transpose(k)), 1.0 / std::sqrt(2.0));
-        Var w = MaskedSoftmaxRows(scores, avail);
+        Var scores = Scale(MatMulTranspose(q, k), 1.0 / std::sqrt(2.0));
+        Var w = MaskedSoftmaxRows(scores, tape.Constant(avail));
         Var out = MatMul(w, v[0]);
         return Sum(Square(out));
       },

@@ -13,10 +13,13 @@
 // MissPoint, MultiBlackout, MNAR, Drift. The default grid covers the
 // production scenario set (MCAR, Blackout, MultiBlackout, MNAR, Drift);
 // with --quick it is the 40-cell grid of the ACCURACY.json baseline that
-// bench_diff gates. An unknown argument exits 2, a failed cell exits 1.
+// bench_diff gates. A usage error (an unknown argument or scenario name, a
+// non-integer --threads, --seed or --cache-mb) exits 2, a failed cell
+// exits 1.
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -122,12 +125,6 @@ void AppendStoreCells(const std::string& data_dir, int cache_mb,
       static_cast<double>(cs.peak_bytes) / (1024.0 * 1024.0), cache_mb);
 }
 
-bool IsInteger(const char* text) {
-  char* end = nullptr;
-  std::strtol(text, &end, 10);
-  return end != text && *end == '\0';
-}
-
 std::vector<std::string> SplitCommas(const std::string& list) {
   std::vector<std::string> out;
   std::stringstream ss(list);
@@ -139,8 +136,7 @@ std::vector<std::string> SplitCommas(const std::string& list) {
 }
 
 int Run(int argc, char** argv) {
-  bench::BenchOptions options = bench::ParseOptions(argc, argv);
-
+  bench::BenchOptions options;
   std::vector<std::string> datasets = {"AirQ", "Meteo"};
   std::vector<std::string> imputers = {"Mean", "LinearInterp", "SVDImp",
                                        "CDRec"};
@@ -150,7 +146,18 @@ int Run(int argc, char** argv) {
   std::string data_dir;
   int cache_mb = 256;
   uint64_t seed = 1;
+  // A usage error exits 2; exit 1 is reserved for failed cells.
+  auto integer_flag = [&](int* i, long long lo, long long hi, long long* out) {
+    const char* flag = argv[*i];
+    if (!bench::ParseInteger(argv[++*i], lo, hi, out)) {
+      std::fprintf(stderr, "%s must be an integer in [%lld, %lld]: %s\n",
+                   flag, lo, hi, argv[*i]);
+      return false;
+    }
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
+    if (bench::ParseSharedOption(argc, argv, &i, &options)) continue;
     if (std::strcmp(argv[i], "--datasets") == 0 && i + 1 < argc) {
       datasets = SplitCommas(argv[++i]);
     } else if (std::strcmp(argv[i], "--imputers") == 0 && i + 1 < argc) {
@@ -162,9 +169,13 @@ int Run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--data-dir") == 0 && i + 1 < argc) {
       data_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--cache-mb") == 0 && i + 1 < argc) {
-      cache_mb = std::atoi(argv[++i]);
+      long long value = 0;
+      if (!integer_flag(&i, 0, INT_MAX, &value)) return 2;
+      cache_mb = static_cast<int>(value);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      long long value = 0;
+      if (!integer_flag(&i, 0, LLONG_MAX, &value)) return 2;
+      seed = static_cast<uint64_t>(value);
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: dmvi_bench_suite [--datasets A,B] [--imputers I,J]\n"
@@ -173,17 +184,6 @@ int Run(int argc, char** argv) {
           "                        [--name NAME]\n"
           "                        [--data-dir STORE [--cache-mb N]]\n");
       return 0;
-    } else if (std::strcmp(argv[i], "--quick") == 0 ||
-               std::strcmp(argv[i], "--full") == 0) {
-      // Read by bench::ParseOptions.
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      ++i;  // Read by bench::ParseOptions.
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      // Read by bench::ParseOptions, which would take any text as 0.
-      if (!IsInteger(argv[++i])) {
-        std::fprintf(stderr, "--threads must be an integer: %s\n", argv[i]);
-        return 2;
-      }
     } else {
       std::fprintf(stderr, "unknown argument: %s (see --help)\n", argv[i]);
       return 2;
@@ -197,7 +197,7 @@ int Run(int argc, char** argv) {
     StatusOr<ScenarioKind> kind = ParseScenarioKind(scenario_name);
     if (!kind.ok()) {
       std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-      return 1;
+      return 2;
     }
     ScenarioConfig config;
     config.kind = *kind;
