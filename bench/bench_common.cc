@@ -1,6 +1,5 @@
 #include "bench/bench_common.h"
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +20,7 @@
 #include "deep/gpvae.h"
 #include "deep/mrnn.h"
 #include "deep/transformer_imputer.h"
+#include "tools/dataset_flags.h"
 
 namespace deepmvi {
 namespace bench {
@@ -36,19 +36,6 @@ namespace {
 }
 
 }  // namespace
-
-bool ParseInteger(const char* text, long long lo, long long hi,
-                  long long* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
-      value > hi) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
 
 bool ParseSharedOption(int argc, char** argv, int* i, BenchOptions* options) {
   const char* arg = argv[*i];
@@ -71,7 +58,7 @@ bool ParseSharedOption(int argc, char** argv, int* i, BenchOptions* options) {
     return true;
   }
   long long threads = 0;
-  if (!ParseInteger(value, INT_MIN, INT_MAX, &threads)) {
+  if (!tools::ParseInteger(value, INT_MIN, INT_MAX, &threads)) {
     ExitWithUsageError(argv[0],
                        std::string("--threads must be an integer: ") + value);
   }

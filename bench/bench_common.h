@@ -43,11 +43,6 @@ BenchOptions ParseOptions(int argc, char** argv);
 /// --threads prints a usage error and exits with status 2.
 bool ParseSharedOption(int argc, char** argv, int* i, BenchOptions* options);
 
-/// Parses `text` as a whole decimal integer in [lo, hi]; false for empty
-/// text, trailing characters or a value out of range.
-bool ParseInteger(const char* text, long long lo, long long hi,
-                  long long* out);
-
 /// Creates an imputer by benchmark name with budgets matched to the
 /// selected profile. Known names: Mean, LinearInterp, SVDImp, SoftImpute,
 /// SVT, CDRec, TRMF, DynaMMO, STMVL, TKCM, BRITS, GPVAE, Transformer,

@@ -1,13 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the substrates: dense matmul,
 // Jacobi SVD, centroid decomposition, autodiff attention forward/backward,
-// kernel regression features, one DeepMVI training step, and concurrent
-// Predict calls.
+// kernel regression features, one DeepMVI training step, one training
+// sample's forward and backward pass, and concurrent Predict calls.
 
 #include <benchmark/benchmark.h>
 
 #include "autodiff/ops.h"
 #include "common/stopwatch.h"
 #include "core/deepmvi.h"
+#include "core/deepmvi_modules.h"
 #include "core/kernel_regression.h"
 #include "core/temporal_transformer.h"
 #include "data/presets.h"
@@ -98,6 +99,50 @@ void BM_DeepMviFitThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeepMviFitThreads)->Arg(1)->Arg(2)->Arg(4);
+
+// One training sample's forward and backward pass on a reused tape, as
+// Fit's slot tapes run it (PredictPositions, WeightedMseLoss, Backward),
+// without Fit's sampling schedule and Adam step. Arg 0 is a
+// JanataHack-shaped chunk (134 steps: 13 windows of 10, 2 dims), Arg 1 an
+// AirQ-shaped one (600 steps: 60 windows). The sample hides a 10-step
+// block of row 3 and predicts its cells.
+void BM_TrainSample(benchmark::State& state) {
+  const DataTensor data = MakeDataset(state.range(0) == 0 ? "JanataHack" : "AirQ",
+                                      DatasetScale::kReduced, /*seed=*/1);
+  DeepMviConfig config;
+  config.window = 10;
+  Rng rng(config.seed);
+  nn::ParameterStore store;
+  const internal::DeepMviModules model =
+      internal::BuildDeepMviModules(&store, config, data.dims(), rng);
+  const Mask mask(data.num_series(), data.num_times());
+  const int row = 3, block_start = data.num_times() / 2 - 5, block_len = 10;
+  std::vector<uint8_t> block_rows(data.num_series(), 0);
+  block_rows[row] = 1;
+  const MaskOverlay synthetic(mask, block_start, block_start + block_len,
+                              block_rows);
+  const internal::Chunk chunk =
+      internal::MakeChunk(data.num_times(), config.window, config.max_context,
+                          block_start + block_len / 2);
+  std::vector<int> targets;
+  for (int t = block_start; t < block_start + block_len; ++t) targets.push_back(t);
+  Matrix truth(block_len, 1);
+  for (int i = 0; i < block_len; ++i) truth(i, 0) = data.values()(row, targets[i]);
+  const Matrix weight(block_len, 1, 1.0);
+  ad::Tape tape;
+  for (auto _ : state) {
+    tape.Reset();
+    ad::Var pred = internal::PredictPositions(tape, model, config, data,
+                                              data.values(), synthetic, row,
+                                              chunk, targets);
+    ad::Var loss = ad::WeightedMseLoss(pred, truth, weight);
+    tape.Backward(loss);
+    benchmark::DoNotOptimize(loss.scalar());
+  }
+  state.counters["windows"] = chunk.len / config.window;
+  state.counters["tape_nodes"] = tape.num_nodes();
+}
+BENCHMARK(BM_TrainSample)->Arg(0)->Arg(1);
 
 // Predict with the model of CI's AirQ recipe (dmvi_train --preset AirQ
 // --max-epochs 2 --samples 32: reduced AirQ, MCAR over every series,

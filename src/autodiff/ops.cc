@@ -9,6 +9,8 @@ namespace deepmvi {
 namespace ad {
 namespace {
 
+using ValueInit = Tape::ValueInit;
+
 Tape* SameTape(const Var& a, const Var& b) {
   DMVI_CHECK(a.valid());
   DMVI_CHECK(b.valid());
@@ -27,12 +29,35 @@ void Accumulate(Tape& tape, int index, const Matrix& delta) {
   tape.grad(index) += delta;
 }
 
+/// Adds a GEMM product into the gradient of node `index` if that node
+/// wants one; `product(c)` accumulates the rows x cols product into the
+/// zero-filled `c`. A gradient this graph has not touched yet is all +0.0,
+/// and a kernel chain summed from +0.0 is never -0.0, so writing the
+/// product straight into it leaves the bits 0 + product would. A touched
+/// gradient gets the product through the tape's product buffer and then
+/// one add: each product element is rounded before it joins the sum.
+template <typename Product>
+void AccumulateProduct(Tape& t, int index, int rows, int cols,
+                       Product product) {
+  if (!t.needs_grad(index)) return;
+  if (t.AllocatedGrad(index) == nullptr) {
+    Matrix& g = t.grad(index);
+    DMVI_CHECK_EQ(g.rows(), rows);
+    DMVI_CHECK_EQ(g.cols(), cols);
+    product(g.data());
+    return;
+  }
+  Matrix& spare = t.ProductBuffer(rows, cols);
+  product(spare.data());
+  t.grad(index) += spare;
+}
+
 bool NeedsGrad(Tape* tape, const Var& a) { return tape->needs_grad(a.index()); }
 
 /// Writes f(a[i]) into the next node's value.
 template <typename F>
 void UnaryForward(Tape* tape, const Matrix& a, F f) {
-  Matrix& out = tape->NewValue(a.rows(), a.cols());
+  Matrix& out = tape->NewValue(a.rows(), a.cols(), ValueInit::kOverwritten);
   const double* src = a.data();
   double* dst = out.data();
   for (int64_t i = 0; i < out.size(); ++i) dst[i] = f(src[i]);
@@ -41,35 +66,36 @@ void UnaryForward(Tape* tape, const Matrix& a, F f) {
 /// Writes f(a[i], b[i]) into the next node's value (a and b share a shape).
 template <typename F>
 void BinaryForward(Tape* tape, const Matrix& a, const Matrix& b, F f) {
-  Matrix& out = tape->NewValue(a.rows(), a.cols());
+  Matrix& out = tape->NewValue(a.rows(), a.cols(), ValueInit::kOverwritten);
   const double* pa = a.data();
   const double* pb = b.data();
   double* dst = out.data();
   for (int64_t i = 0; i < out.size(); ++i) dst[i] = f(pa[i], pb[i]);
 }
 
-/// Shared implementation for elementwise unary ops given forward values and
-/// a pointwise derivative computed from (input, output). Shapes are checked
-/// once per call; the element loops then run over the raw buffers.
-Var UnaryOp(const Var& a, double (*fwd)(double),
-            double (*dfn)(double in, double out)) {
-  Tape* tape = a.tape();
+/// Elementwise op with out[i] = fwd(in[i]); backward adds
+/// gout[i] * dfn(in[i], out[i]) into the input's gradient. Both are
+/// functors inlined into the loops; dfn reads the stored output where the
+/// derivative is a function of it (out is fwd(in) to the bit).
+template <typename Fwd, typename Dfn>
+Var UnaryOp(const Var& a, Fwd fwd, Dfn dfn) {
   DMVI_CHECK(a.valid());
+  Tape* tape = a.tape();
   UnaryForward(tape, a.value(), fwd);
   const int ia = a.index();
+  const int iout = tape->num_nodes();
   return tape->MakeNode(
-      [ia, dfn](Tape& t, const Matrix& gout) {
-        const Matrix& in = t.value(ia);
+      [ia, iout, dfn](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ia)) return;
+        const Matrix& in = t.value(ia);
         Matrix& ga = t.grad(ia);
         DMVI_CHECK_EQ(gout.rows(), in.rows());
         DMVI_CHECK_EQ(gout.cols(), in.cols());
-        // Re-evaluating fwd would be wasteful; derivative gets both input
-        // and the (recomputed) output when it needs it.
         const double* x = in.data();
+        const double* y = t.value(iout).data();
         const double* g = gout.data();
         double* dx = ga.data();
-        for (int64_t i = 0; i < ga.size(); ++i) dx[i] += g[i] * dfn(x[i], 0.0);
+        for (int64_t i = 0; i < ga.size(); ++i) dx[i] += g[i] * dfn(x[i], y[i]);
       },
       NeedsGrad(tape, a));
 }
@@ -114,8 +140,19 @@ Var Mul(const Var& a, const Var& b) {
                 [](double x, double y) { return x * y; });
   return tape->MakeNode(
       [ia, ib](Tape& t, const Matrix& gout) {
-        if (t.needs_grad(ia)) t.grad(ia) += gout.CwiseProduct(t.value(ib));
-        if (t.needs_grad(ib)) t.grad(ib) += gout.CwiseProduct(t.value(ia));
+        const double* g = gout.data();
+        if (t.needs_grad(ia)) {
+          Matrix& ga = t.grad(ia);
+          const double* bv = t.value(ib).data();
+          double* dst = ga.data();
+          for (int64_t i = 0; i < ga.size(); ++i) dst[i] += g[i] * bv[i];
+        }
+        if (t.needs_grad(ib)) {
+          Matrix& gb = t.grad(ib);
+          const double* av = t.value(ia).data();
+          double* dst = gb.data();
+          for (int64_t i = 0; i < gb.size(); ++i) dst[i] += g[i] * av[i];
+        }
       },
       NeedsGrad(tape, a) || NeedsGrad(tape, b));
 }
@@ -128,17 +165,20 @@ Var Div(const Var& a, const Var& b) {
                 [](double x, double y) { return x / y; });
   return tape->MakeNode(
       [ia, ib](Tape& t, const Matrix& gout) {
-        const Matrix& bv = t.value(ib);
-        if (t.needs_grad(ia)) t.grad(ia) += gout.CwiseQuotient(bv);
+        const double* g = gout.data();
+        const double* bv = t.value(ib).data();
+        if (t.needs_grad(ia)) {
+          Matrix& ga = t.grad(ia);
+          double* dst = ga.data();
+          for (int64_t i = 0; i < ga.size(); ++i) dst[i] += g[i] / bv[i];
+        }
         if (t.needs_grad(ib)) {
-          const Matrix& av = t.value(ia);
-          Matrix gb(gout.rows(), gout.cols());
-          for (int r = 0; r < gout.rows(); ++r) {
-            for (int c = 0; c < gout.cols(); ++c) {
-              gb(r, c) = -gout(r, c) * av(r, c) / (bv(r, c) * bv(r, c));
-            }
+          Matrix& gb = t.grad(ib);
+          const double* av = t.value(ia).data();
+          double* dst = gb.data();
+          for (int64_t i = 0; i < gb.size(); ++i) {
+            dst[i] += -g[i] * av[i] / (bv[i] * bv[i]);
           }
-          t.grad(ib) += gb;
         }
       },
       NeedsGrad(tape, a) || NeedsGrad(tape, b));
@@ -147,15 +187,8 @@ Var Div(const Var& a, const Var& b) {
 Var Neg(const Var& a) { return Scale(a, -1.0); }
 
 Var Scale(const Var& a, double s) {
-  DMVI_CHECK(a.valid());
-  Tape* tape = a.tape();
-  const int ia = a.index();
-  UnaryForward(tape, a.value(), [s](double x) { return x * s; });
-  return tape->MakeNode(
-      [ia, s](Tape& t, const Matrix& gout) {
-        if (t.needs_grad(ia)) t.grad(ia) += gout * s;
-      },
-      NeedsGrad(tape, a));
+  return UnaryOp(
+      a, [s](double x) { return x * s; }, [s](double, double) { return s; });
 }
 
 Var AddScalar(const Var& a, double s) {
@@ -177,7 +210,12 @@ Var MulConst(const Var& a, const Matrix& m) {
   BinaryForward(tape, a.value(), m, [](double x, double y) { return x * y; });
   return tape->MakeNode(
       [ia, m](Tape& t, const Matrix& gout) {
-        if (t.needs_grad(ia)) t.grad(ia) += gout.CwiseProduct(m);
+        if (!t.needs_grad(ia)) return;
+        Matrix& ga = t.grad(ia);
+        const double* g = gout.data();
+        const double* mv = m.data();
+        double* dst = ga.data();
+        for (int64_t i = 0; i < ga.size(); ++i) dst[i] += g[i] * mv[i];
       },
       NeedsGrad(tape, a));
 }
@@ -186,44 +224,38 @@ Var MulConst(const Var& a, const Matrix& m) {
 
 Var Relu(const Var& a) {
   return UnaryOp(
-      a, +[](double x) { return x > 0.0 ? x : 0.0; },
-      +[](double in, double) { return in > 0.0 ? 1.0 : 0.0; });
+      a, [](double x) { return x > 0.0 ? x : 0.0; },
+      [](double in, double) { return in > 0.0 ? 1.0 : 0.0; });
 }
 
 Var Tanh(const Var& a) {
   return UnaryOp(
-      a, +[](double x) { return std::tanh(x); },
-      +[](double in, double) {
-        const double th = std::tanh(in);
-        return 1.0 - th * th;
-      });
+      a, [](double x) { return std::tanh(x); },
+      [](double, double out) { return 1.0 - out * out; });
 }
 
 Var Sigmoid(const Var& a) {
   return UnaryOp(
-      a, +[](double x) { return 1.0 / (1.0 + std::exp(-x)); },
-      +[](double in, double) {
-        const double s = 1.0 / (1.0 + std::exp(-in));
-        return s * (1.0 - s);
-      });
+      a, [](double x) { return 1.0 / (1.0 + std::exp(-x)); },
+      [](double, double out) { return out * (1.0 - out); });
 }
 
 Var Exp(const Var& a) {
   return UnaryOp(
-      a, +[](double x) { return std::exp(x); },
-      +[](double in, double) { return std::exp(in); });
+      a, [](double x) { return std::exp(x); },
+      [](double, double out) { return out; });
 }
 
 Var Log(const Var& a) {
   return UnaryOp(
-      a, +[](double x) { return std::log(x); },
-      +[](double in, double) { return 1.0 / in; });
+      a, [](double x) { return std::log(x); },
+      [](double in, double) { return 1.0 / in; });
 }
 
 Var Square(const Var& a) {
   return UnaryOp(
-      a, +[](double x) { return x * x; },
-      +[](double in, double) { return 2.0 * in; });
+      a, [](double x) { return x * x; },
+      [](double in, double) { return 2.0 * in; });
 }
 
 Var Sqrt(const Var& a, double eps) {
@@ -234,12 +266,12 @@ Var Sqrt(const Var& a, double eps) {
   return tape->MakeNode(
       [ia, eps](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ia)) return;
-        const Matrix& in = t.value(ia);
         Matrix& ga = t.grad(ia);
-        for (int r = 0; r < in.rows(); ++r) {
-          for (int c = 0; c < in.cols(); ++c) {
-            ga(r, c) += gout(r, c) * 0.5 / std::sqrt(in(r, c) + eps);
-          }
+        const double* in = t.value(ia).data();
+        const double* g = gout.data();
+        double* dst = ga.data();
+        for (int64_t i = 0; i < ga.size(); ++i) {
+          dst[i] += g[i] * 0.5 / std::sqrt(in[i] + eps);
         }
       },
       NeedsGrad(tape, a));
@@ -247,40 +279,106 @@ Var Sqrt(const Var& a, double eps) {
 
 Var Abs(const Var& a) {
   return UnaryOp(
-      a, +[](double x) { return std::fabs(x); },
-      +[](double in, double) { return in > 0.0 ? 1.0 : (in < 0.0 ? -1.0 : 0.0); });
+      a, [](double x) { return std::fabs(x); },
+      [](double in, double) {
+        return in > 0.0 ? 1.0 : (in < 0.0 ? -1.0 : 0.0);
+      });
 }
 
 // ---- Linear algebra -------------------------------------------------------
+
+namespace {
+
+/// The gradients of the product node a * b that reads gout: d/da = gout
+/// b^T (b^T packed into the tape's pack buffer) and d/db = a^T gout, the
+/// products Matrix::MatMulTranspose and Matrix::TransposeMatMul form.
+void MatMulBackward(Tape& t, int ia, int ib, const Matrix& gout) {
+  const Matrix& av = t.value(ia);
+  const Matrix& bv = t.value(ib);
+  AccumulateProduct(t, ia, av.rows(), av.cols(), [&](double* c) {
+    internal::MatMulTransposeBlocked(gout.data(), bv.data(), c, gout.rows(),
+                                     gout.cols(), bv.rows(),
+                                     t.PackBuffer(bv.size()));
+  });
+  AccumulateProduct(t, ib, bv.rows(), bv.cols(), [&](double* c) {
+    internal::TransposeMatMulBlocked(av.data(), gout.data(), c, av.cols(),
+                                     av.rows(), gout.cols());
+  });
+}
+
+}  // namespace
 
 Var MatMul(const Var& a, const Var& b) {
   Tape* tape = SameTape(a, b);
   DMVI_CHECK_EQ(a.cols(), b.rows());
   const int ia = a.index(), ib = b.index();
-  Matrix& out = tape->NewValue(a.rows(), b.cols());
+  Matrix& out = tape->NewValue(a.rows(), b.cols(), ValueInit::kZeroed);
   internal::MatMulBlocked(a.value().data(), b.value().data(), out.data(),
                           a.rows(), a.cols(), b.cols());
   return tape->MakeNode(
-      [ia, ib](Tape& t, const Matrix& gout) {
-        if (t.needs_grad(ia)) t.grad(ia) += gout.MatMulTranspose(t.value(ib));
-        if (t.needs_grad(ib)) t.grad(ib) += t.value(ia).TransposeMatMul(gout);
-      },
+      [ia, ib](Tape& t, const Matrix& gout) { MatMulBackward(t, ia, ib, gout); },
       NeedsGrad(tape, a) || NeedsGrad(tape, b));
+}
+
+Var Affine(const Var& x, const Var& w, const Var& b) {
+  Tape* tape = SameTape(x, w);
+  DMVI_CHECK_EQ(b.tape(), tape);
+  DMVI_CHECK_EQ(x.cols(), w.rows());
+  DMVI_CHECK_EQ(b.rows(), 1);
+  DMVI_CHECK_EQ(b.cols(), w.cols());
+  const int ix = x.index(), iw = w.index(), ib = b.index();
+  Matrix& out = tape->NewValue(x.rows(), w.cols(), ValueInit::kZeroed);
+  internal::MatMulBlocked(x.value().data(), w.value().data(), out.data(),
+                          x.rows(), x.cols(), w.cols());
+  // The bias joins each finished k-chain, as AddRowVector added it to the
+  // MatMul node's value.
+  const double* bias = b.value().data();
+  for (int r = 0; r < out.rows(); ++r) {
+    double* p = out.row_ptr(r);
+    for (int c = 0; c < out.cols(); ++c) p[c] += bias[c];
+  }
+  return tape->MakeNode(
+      [ix, iw, ib](Tape& t, const Matrix& gout) {
+        // The products read gout itself, where an unfused MatMul node
+        // reads its own gradient 0 + gout: the same bits, since no
+        // gradient holds -0.0 (each is summed from +0.0).
+        if (t.needs_grad(ib)) {
+          Matrix& gb = t.grad(ib);
+          double* dst = gb.data();
+          for (int r = 0; r < gout.rows(); ++r) {
+            const double* src = gout.row_ptr(r);
+            for (int c = 0; c < gout.cols(); ++c) dst[c] += src[c];
+          }
+        }
+        MatMulBackward(t, ix, iw, gout);
+      },
+      NeedsGrad(tape, x) || NeedsGrad(tape, w) || NeedsGrad(tape, b));
 }
 
 Var MatMulTranspose(const Var& a, const Var& b) {
   Tape* tape = SameTape(a, b);
   DMVI_CHECK_EQ(a.cols(), b.cols());
   const int ia = a.index(), ib = b.index();
-  Matrix& out = tape->NewValue(a.rows(), b.rows());
-  internal::MatMulTransposeBlocked(a.value().data(), b.value().data(),
-                                   out.data(), a.rows(), a.cols(), b.rows());
+  const Matrix& bv = b.value();
+  Matrix& out = tape->NewValue(a.rows(), b.rows(), ValueInit::kZeroed);
+  internal::MatMulTransposeBlocked(a.value().data(), bv.data(), out.data(),
+                                   a.rows(), a.cols(), b.rows(),
+                                   tape->PackBuffer(bv.size()));
   return tape->MakeNode(
       [ia, ib](Tape& t, const Matrix& gout) {
         // d(a b^T)/da = gout b and d/db = gout^T a: the products
         // MatMul(a, Transpose(b)) forms, so every element keeps its chain.
-        if (t.needs_grad(ia)) t.grad(ia) += gout.MatMul(t.value(ib));
-        if (t.needs_grad(ib)) t.grad(ib) += gout.TransposeMatMul(t.value(ia));
+        const Matrix& av = t.value(ia);
+        const Matrix& bv = t.value(ib);
+        AccumulateProduct(t, ia, av.rows(), av.cols(), [&](double* c) {
+          internal::MatMulBlocked(gout.data(), bv.data(), c, gout.rows(),
+                                  gout.cols(), bv.cols());
+        });
+        AccumulateProduct(t, ib, bv.rows(), bv.cols(), [&](double* c) {
+          internal::TransposeMatMulBlocked(gout.data(), av.data(), c,
+                                           gout.cols(), gout.rows(),
+                                           av.cols());
+        });
       },
       NeedsGrad(tape, a) || NeedsGrad(tape, b));
 }
@@ -290,14 +388,26 @@ Var Transpose(const Var& a) {
   Tape* tape = a.tape();
   const int ia = a.index();
   const Matrix& av = a.value();
-  Matrix& out = tape->NewValue(av.cols(), av.rows());
-  for (int r = 0; r < av.rows(); ++r) {
+  Matrix& out =
+      tape->NewValue(av.cols(), av.rows(), ValueInit::kOverwritten);
+  const int rows = av.rows();
+  double* dst = out.data();
+  for (int r = 0; r < rows; ++r) {
     const double* src = av.row_ptr(r);
-    for (int c = 0; c < av.cols(); ++c) out(c, r) = src[c];
+    for (int c = 0; c < av.cols(); ++c) dst[c * rows + r] = src[c];
   }
   return tape->MakeNode(
       [ia](Tape& t, const Matrix& gout) {
-        if (t.needs_grad(ia)) t.grad(ia) += gout.Transpose();
+        if (!t.needs_grad(ia)) return;
+        Matrix& ga = t.grad(ia);
+        DMVI_CHECK_EQ(gout.rows(), ga.cols());
+        DMVI_CHECK_EQ(gout.cols(), ga.rows());
+        const int rows = ga.rows();
+        const double* g = gout.data();
+        for (int r = 0; r < rows; ++r) {
+          double* dst = ga.row_ptr(r);
+          for (int c = 0; c < ga.cols(); ++c) dst[c] += g[c * rows + r];
+        }
       },
       NeedsGrad(tape, a));
 }
@@ -310,7 +420,7 @@ Var Reshape(const Var& a, int rows, int cols) {
   Tape* tape = a.tape();
   const int ia = a.index();
   const Matrix& av = a.value();
-  Matrix& out = tape->NewValue(rows, cols);
+  Matrix& out = tape->NewValue(rows, cols, ValueInit::kOverwritten);
   std::copy(av.data(), av.data() + av.size(), out.data());
   return tape->MakeNode(
       [ia](Tape& t, const Matrix& gout) {
@@ -331,7 +441,7 @@ Var SliceRows(const Var& a, int r0, int count) {
   DMVI_CHECK_GE(r0, 0);
   DMVI_CHECK_GE(count, 0);
   DMVI_CHECK_LE(r0 + count, av.rows());
-  Matrix& out = tape->NewValue(count, av.cols());
+  Matrix& out = tape->NewValue(count, av.cols(), ValueInit::kOverwritten);
   std::copy(av.row_ptr(r0), av.row_ptr(r0) + out.size(), out.data());
   return tape->MakeNode(
       [ia, r0](Tape& t, const Matrix& gout) {
@@ -354,7 +464,7 @@ Var SliceCols(const Var& a, int c0, int count) {
   DMVI_CHECK_GE(c0, 0);
   DMVI_CHECK_GE(count, 0);
   DMVI_CHECK_LE(c0 + count, av.cols());
-  Matrix& out = tape->NewValue(av.rows(), count);
+  Matrix& out = tape->NewValue(av.rows(), count, ValueInit::kOverwritten);
   for (int r = 0; r < av.rows(); ++r) {
     std::copy(av.row_ptr(r) + c0, av.row_ptr(r) + c0 + count, out.row_ptr(r));
   }
@@ -387,7 +497,7 @@ Var ConcatCols(const std::vector<Var>& parts) {
     indices.push_back(p.index());
     ng = ng || tape->needs_grad(p.index());
   }
-  Matrix& out = tape->NewValue(rows, total_cols);
+  Matrix& out = tape->NewValue(rows, total_cols, ValueInit::kOverwritten);
   for (size_t i = 0; i < parts.size(); ++i) {
     out.SetBlock(0, offsets[i], parts[i].value());
   }
@@ -423,7 +533,7 @@ Var ConcatRows(const std::vector<Var>& parts) {
     indices.push_back(p.index());
     ng = ng || tape->needs_grad(p.index());
   }
-  Matrix& out = tape->NewValue(total_rows, cols);
+  Matrix& out = tape->NewValue(total_rows, cols, ValueInit::kOverwritten);
   for (size_t i = 0; i < parts.size(); ++i) {
     out.SetBlock(offsets[i], 0, parts[i].value());
   }
@@ -448,7 +558,8 @@ Var GatherRows(const Var& a, const std::vector<int>& indices) {
   Tape* tape = a.tape();
   const int ia = a.index();
   const Matrix& av = a.value();
-  Matrix& out = tape->NewValue(static_cast<int>(indices.size()), av.cols());
+  Matrix& out = tape->NewValue(static_cast<int>(indices.size()), av.cols(),
+                                ValueInit::kOverwritten);
   for (size_t i = 0; i < indices.size(); ++i) {
     DMVI_CHECK_GE(indices[i], 0);
     DMVI_CHECK_LT(indices[i], av.rows());
@@ -479,7 +590,7 @@ Var RowBroadcastOp(const Var& a, const Var& row, bool subtract) {
   const int ia = a.index(), ir = row.index();
   const double sign = subtract ? -1.0 : 1.0;
   const Matrix& av = a.value();
-  Matrix& out = tape->NewValue(av.rows(), av.cols());
+  Matrix& out = tape->NewValue(av.rows(), av.cols(), ValueInit::kOverwritten);
   const double* rv = row.value().data();
   for (int r = 0; r < out.rows(); ++r) {
     const double* src = av.row_ptr(r);
@@ -518,7 +629,7 @@ Var MulRowVector(const Var& a, const Var& row) {
   DMVI_CHECK_EQ(row.cols(), a.cols());
   const int ia = a.index(), ir = row.index();
   const Matrix& av = a.value();
-  Matrix& out = tape->NewValue(av.rows(), av.cols());
+  Matrix& out = tape->NewValue(av.rows(), av.cols(), ValueInit::kOverwritten);
   const double* rv = row.value().data();
   for (int r = 0; r < out.rows(); ++r) {
     const double* src = av.row_ptr(r);
@@ -556,7 +667,7 @@ Var BroadcastScalar(const Var& a, int rows, int cols) {
   Tape* tape = a.tape();
   const int ia = a.index();
   const double v = a.value()(0, 0);
-  tape->NewValue(rows, cols).Fill(v);
+  tape->NewValue(rows, cols, ValueInit::kOverwritten).Fill(v);
   return tape->MakeNode(
       [ia](Tape& t, const Matrix& gout) {
         if (t.needs_grad(ia)) t.grad(ia)(0, 0) += gout.Sum();
@@ -571,7 +682,7 @@ Var Sum(const Var& a) {
   Tape* tape = a.tape();
   const int ia = a.index();
   const double sum = a.value().Sum();
-  tape->NewValue(1, 1)(0, 0) = sum;
+  tape->NewValue(1, 1, ValueInit::kOverwritten)(0, 0) = sum;
   return tape->MakeNode(
       [ia](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ia)) return;
@@ -593,7 +704,7 @@ Var RowSum(const Var& a) {
   Tape* tape = a.tape();
   const int ia = a.index();
   const Matrix& av = a.value();
-  Matrix& out = tape->NewValue(av.rows(), 1);
+  Matrix& out = tape->NewValue(av.rows(), 1, ValueInit::kOverwritten);
   for (int r = 0; r < av.rows(); ++r) {
     const double* p = av.row_ptr(r);
     double acc = 0.0;
@@ -618,7 +729,7 @@ Var ColSum(const Var& a) {
   Tape* tape = a.tape();
   const int ia = a.index();
   const Matrix& av = a.value();
-  Matrix& out = tape->NewValue(1, av.cols());
+  Matrix& out = tape->NewValue(1, av.cols(), ValueInit::kZeroed);
   double* sums = out.data();
   for (int r = 0; r < av.rows(); ++r) {
     const double* p = av.row_ptr(r);
@@ -650,7 +761,7 @@ Var MaskedSoftmaxRows(const Var& a, const Var& avail) {
   const int ia = a.index(), im = avail.index();
   const Matrix& av = a.value();
   const Matrix& mask = avail.value();
-  Matrix& out = tape->NewValue(av.rows(), av.cols());
+  Matrix& out = tape->NewValue(av.rows(), av.cols(), ValueInit::kZeroed);
   for (int r = 0; r < av.rows(); ++r) {
     const double* x = av.row_ptr(r);
     const double* m = mask.row_ptr(r);
@@ -715,7 +826,7 @@ Var WeightedMseLoss(const Var& pred, const Matrix& target, const Matrix& weight)
       loss += weight(r, c) * d * d;
     }
   }
-  tape->NewValue(1, 1)(0, 0) = loss / wsum;
+  tape->NewValue(1, 1, ValueInit::kOverwritten)(0, 0) = loss / wsum;
   return tape->MakeNode(
       [ip, target, weight, wsum](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ip)) return;
@@ -746,7 +857,7 @@ Var WeightedMaeLoss(const Var& pred, const Matrix& target, const Matrix& weight)
       loss += weight(r, c) * std::fabs(pv(r, c) - target(r, c));
     }
   }
-  tape->NewValue(1, 1)(0, 0) = loss / wsum;
+  tape->NewValue(1, 1, ValueInit::kOverwritten)(0, 0) = loss / wsum;
   return tape->MakeNode(
       [ip, target, weight, wsum](Tape& t, const Matrix& gout) {
         if (!t.needs_grad(ip)) return;

@@ -42,6 +42,10 @@ Var Abs(const Var& a);
 // ---- Linear algebra --------------------------------------------------------
 
 Var MatMul(const Var& a, const Var& b);
+/// x * w + b with the 1 x cols row b added to every row, in one node:
+/// bit-identical to AddRowVector(MatMul(x, w), b) in its value and in the
+/// gradients of x, w and b.
+Var Affine(const Var& x, const Var& w, const Var& b);
 /// a * b^T without a transpose node; bit-identical to
 /// MatMul(a, Transpose(b)) in its value and both gradients.
 Var MatMulTranspose(const Var& a, const Var& b);

@@ -56,9 +56,13 @@ Var Tape::Constant(Matrix value) {
   return Var(this, num_nodes_++);
 }
 
-Matrix& Tape::NewValue(int rows, int cols) {
+Matrix& Tape::NewValue(int rows, int cols, ValueInit init) {
   Node& node = NextNode();
-  node.value.AssignZeros(rows, cols);
+  if (init == ValueInit::kZeroed) {
+    node.value.AssignZeros(rows, cols);
+  } else {
+    node.value.AssignShape(rows, cols);
+  }
   value_pending_ = true;
   return node.value;
 }
@@ -114,6 +118,18 @@ Matrix& Tape::grad(int index) {
 const Matrix* Tape::AllocatedGrad(int index) const {
   const Node& node = nodes_[index];
   return node.grad_allocated ? &node.grad : nullptr;
+}
+
+double* Tape::PackBuffer(int64_t size) {
+  if (static_cast<int64_t>(pack_buffer_.size()) < size) {
+    pack_buffer_.resize(static_cast<size_t>(size));
+  }
+  return pack_buffer_.data();
+}
+
+Matrix& Tape::ProductBuffer(int rows, int cols) {
+  product_buffer_.AssignZeros(rows, cols);
+  return product_buffer_;
 }
 
 const Matrix& Tape::grad_or_zero(int index) const {

@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "tensor/matrix.h"
 
@@ -46,11 +47,12 @@ class Var {
 /// accumulate into each node's grad matrix; parameter gradients are read
 /// back through the Var handles. Reset() clears the graph between steps
 /// but keeps its storage: node i of the next graph takes the value and
-/// gradient buffers node i had, reshaped and zero-filled in place, so a
-/// loop that builds one similar graph per step (a chunk walk, a training
-/// slot) allocates node storage once rather than once per step. A tape
-/// holds at most the buffers of one graph, the last one, and frees them
-/// with itself; a tape is used by one thread at a time.
+/// gradient buffers node i had, reshaped in place, so a loop that builds
+/// one similar graph per step (a chunk walk, a training slot) allocates
+/// node storage once rather than once per step. A tape holds at most the
+/// buffers of one graph, the last one, plus two buffers its ops borrow
+/// (PackBuffer, ProductBuffer), and frees them with itself; a tape is
+/// used by one thread at a time.
 class Tape {
  public:
   Tape() = default;
@@ -98,11 +100,22 @@ class Tape {
   /// of its input nodes.
   using BackwardFn = std::function<void(Tape&, const Matrix& gout)>;
 
+  /// What NewValue leaves in a node's value storage.
+  enum class ValueInit {
+    /// Every element +0.0: for ops that accumulate into their output (the
+    /// GEMMs, ColSum) or leave some elements unwritten (MaskedSoftmaxRows).
+    kZeroed,
+    /// Unspecified, typically the previous graph's values: the op must
+    /// write every element.
+    kOverwritten,
+  };
+
   /// Starts the next interior node (index num_nodes()): returns its value
-  /// matrix, rows x cols and zero-filled, in the storage that node index
-  /// held in the previous graph. The op writes its forward value there and
-  /// then calls MakeNode; no other node may be created in between.
-  Matrix& NewValue(int rows, int cols);
+  /// matrix, rows x cols, in the storage that node index held in the
+  /// previous graph, zero-filled only when `init` is kZeroed. The op writes
+  /// its forward value there and then calls MakeNode; no other node may be
+  /// created in between.
+  Matrix& NewValue(int rows, int cols, ValueInit init);
 
   /// Creates the interior node whose value NewValue returned, with its
   /// backward closure. `needs_grad` should be true when any input requires
@@ -127,6 +140,15 @@ class Tape {
   /// must use this.
   const Matrix* AllocatedGrad(int index) const;
 
+  /// `size` doubles an op packs a GEMM operand into (MatMulTranspose's
+  /// b^T). Valid until the next call; not zero-filled.
+  double* PackBuffer(int64_t size);
+
+  /// A zero-filled rows x cols matrix for a GEMM product bound for a
+  /// gradient that already holds a contribution, added in once it is
+  /// formed. Valid until the next call.
+  Matrix& ProductBuffer(int rows, int cols);
+
  private:
   struct Node {
     Matrix value;
@@ -149,6 +171,8 @@ class Tape {
   bool value_pending_ = false;
   std::unordered_map<const void*, int> keyed_leaves_;
   Matrix empty_grad_;
+  std::vector<double> pack_buffer_;
+  Matrix product_buffer_;
 };
 
 }  // namespace ad

@@ -24,7 +24,7 @@ Var Linear::Forward(Tape& tape, const Var& x) const {
   DMVI_CHECK_EQ(x.cols(), in_features_);
   Var w = weight_->OnTape(tape);
   Var b = bias_->OnTape(tape);
-  return ad::AddRowVector(ad::MatMul(x, w), b);
+  return ad::Affine(x, w, b);
 }
 
 // ---- Embedding ---------------------------------------------------------------

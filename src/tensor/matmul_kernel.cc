@@ -1,7 +1,6 @@
 #include "tensor/matmul_kernel.h"
 
 #include <cmath>
-#include <memory>
 #include <string>
 
 #include "obs/profiler.h"
@@ -152,21 +151,20 @@ DMVI_KERNEL_BODY void TransposeMatMulBody(const double* a, const double* b,
   StridedMatMulBody(a, 1, m, b, c, m, k, n);
 }
 
-/// b is n x k: packing its transpose (k x n) lets the product run the
-/// row-streaming MatMulBody, whose vector lanes are output columns, where
-/// row-times-row dot products would have to gather across B's rows. Each
-/// output is still one ascending-k chain started from the zeroed `c`.
+/// b is n x k: packing its transpose (k x n) into the caller's `b_t` lets
+/// the product run the row-streaming MatMulBody, whose vector lanes are
+/// output columns, where row-times-row dot products would have to gather
+/// across B's rows. Each output is still one ascending-k chain started
+/// from the zeroed `c`. The pack writes each b_t row as one contiguous run;
+/// each cache line it reads from a row of b serves eight b_t rows in turn.
 DMVI_KERNEL_BODY void MatMulTransposeBody(const double* a, const double* b,
-                                          double* c, int m, int k, int n) {
-  const long long kn = static_cast<long long>(k) * n;
-  std::unique_ptr<double[]> b_t(new double[kn]);
-  for (int j = 0; j < n; ++j) {
-    const double* brow = b + static_cast<long long>(j) * k;
-    for (int kk = 0; kk < k; ++kk) {
-      b_t[static_cast<long long>(kk) * n + j] = brow[kk];
-    }
+                                          double* c, int m, int k, int n,
+                                          double* __restrict b_t) {
+  for (int kk = 0; kk < k; ++kk) {
+    double* dst = b_t + static_cast<long long>(kk) * n;
+    for (int j = 0; j < n; ++j) dst[j] = b[static_cast<long long>(j) * k + kk];
   }
-  MatMulBody(a, b_t.get(), c, m, k, n);
+  MatMulBody(a, b_t, c, m, k, n);
 }
 
 /// Elements are independent, so the loop runs in vector lanes; each
@@ -205,8 +203,8 @@ void TransposeMatMulPortable(const double* a, const double* b, double* c,
 }
 
 void MatMulTransposePortable(const double* a, const double* b, double* c,
-                             int m, int k, int n) {
-  MatMulTransposeBody(a, b, c, m, k, n);
+                             int m, int k, int n, double* b_t) {
+  MatMulTransposeBody(a, b, c, m, k, n, b_t);
 }
 
 void AdamUpdatePortable(double* value, double* m, double* v, const double* g,
@@ -233,8 +231,9 @@ __attribute__((target("avx2"))) void TransposeMatMulAvx2(const double* a,
 __attribute__((target("avx2"))) void MatMulTransposeAvx2(const double* a,
                                                          const double* b,
                                                          double* c, int m,
-                                                         int k, int n) {
-  MatMulTransposeBody(a, b, c, m, k, n);
+                                                         int k, int n,
+                                                         double* b_t) {
+  MatMulTransposeBody(a, b, c, m, k, n, b_t);
 }
 
 __attribute__((target("avx2"))) void AdamUpdateAvx2(double* value, double* m,
@@ -288,11 +287,11 @@ void TransposeMatMulBlocked(const double* a, const double* b, double* c, int m,
 }
 
 void MatMulTransposeBlocked(const double* a, const double* b, double* c, int m,
-                            int k, int n) {
+                            int k, int n, double* b_t) {
   obs::ProfileLabelScope profile_label("matmul.transpose_b");
   obs::Span span = obs::KernelSpan("matmul.transpose_b");
   AnnotateDims(span, m, k, n);
-  ActiveMatMulKernelSet().mat_mul_transpose(a, b, c, m, k, n);
+  ActiveMatMulKernelSet().mat_mul_transpose(a, b, c, m, k, n, b_t);
 }
 
 void AdamUpdate(double* value, double* m, double* v, const double* g,

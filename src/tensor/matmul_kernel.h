@@ -41,9 +41,12 @@ void MatMulBlocked(const double* a, const double* b, double* c, int m, int k,
 void TransposeMatMulBlocked(const double* a, const double* b, double* c, int m,
                             int k, int n);
 
-/// c[m x n] += a * b^T with a[m x k], b[n x k] (b is accessed transposed).
+/// c[m x n] += a * b^T with a[m x k], b[n x k]. b^T is packed into `b_t`,
+/// k * n doubles of storage the caller owns (an autodiff tape's pack
+/// buffer, or a buffer local to Matrix::MatMulTranspose), so the kernel
+/// allocates nothing.
 void MatMulTransposeBlocked(const double* a, const double* b, double* c, int m,
-                            int k, int n);
+                            int k, int n, double* b_t);
 
 /// Textbook ijk triple loop, kept as the bit-exact reference the blocked
 /// kernels are tested and benchmarked against.
@@ -79,7 +82,7 @@ struct MatMulKernelSet {
   void (*transpose_mat_mul)(const double* a, const double* b, double* c, int m,
                             int k, int n);
   void (*mat_mul_transpose)(const double* a, const double* b, double* c, int m,
-                            int k, int n);
+                            int k, int n, double* b_t);
   void (*adam_update)(double* value, double* m, double* v, const double* g,
                       long long n, const AdamStep& step);
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <sstream>
 
 #include "tensor/matmul_kernel.h"
@@ -79,6 +80,14 @@ void Matrix::AssignZeros(int rows, int cols) {
   cols_ = cols;
   // vector::assign reallocates only when the count exceeds the capacity.
   data_.assign(static_cast<size_t>(rows) * cols, 0.0);
+}
+
+void Matrix::AssignShape(int rows, int cols) {
+  DMVI_CHECK_GE(rows, 0);
+  DMVI_CHECK_GE(cols, 0);
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(static_cast<size_t>(rows) * cols);
 }
 
 void Matrix::SetRow(int r, const std::vector<double>& values) {
@@ -220,8 +229,10 @@ Matrix Matrix::TransposeMatMul(const Matrix& other) const {
 Matrix Matrix::MatMulTranspose(const Matrix& other) const {
   DMVI_CHECK_EQ(cols_, other.cols_);
   Matrix out(rows_, other.rows_);
+  // The packed other^T lives for this one product.
+  std::unique_ptr<double[]> other_t(new double[other.size()]);
   internal::MatMulTransposeBlocked(data(), other.data(), out.data(), rows_,
-                                   cols_, other.rows_);
+                                   cols_, other.rows_, other_t.get());
   return out;
 }
 

@@ -91,6 +91,10 @@ class Matrix {
   /// when it already holds rows * cols values, so only a larger shape
   /// allocates.
   void AssignZeros(int rows, int cols);
+  /// Reshapes to rows x cols like AssignZeros but leaves the values
+  /// unspecified (what the storage held before, zeros past its old size):
+  /// for a caller that then writes every element.
+  void AssignShape(int rows, int cols);
   void SetRow(int r, const std::vector<double>& values);
   void SetCol(int c, const std::vector<double>& values);
   /// Copies `block` into this matrix with top-left corner (r0, c0).

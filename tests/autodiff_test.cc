@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,6 +15,7 @@ namespace ad {
 namespace {
 
 using testutil::ExpectGradientsMatch;
+using testutil::ExpectSameBits;
 
 Matrix TestInput(int rows, int cols, uint64_t seed) {
   return testutil::RandomMatrix(rows, cols, seed, 0.7);
@@ -52,17 +53,6 @@ TEST(TapeTest, ResetInvalidatesNodes) {
   EXPECT_EQ(tape.num_nodes(), 1);
   tape.Reset();
   EXPECT_EQ(tape.num_nodes(), 0);
-}
-
-/// Byte equality: unlike ==, tells -0.0 from 0.0 and compares NaNs.
-void ExpectSameBits(const Matrix& actual, const Matrix& expected,
-                    const std::string& what) {
-  ASSERT_EQ(actual.rows(), expected.rows()) << what;
-  ASSERT_EQ(actual.cols(), expected.cols()) << what;
-  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
-                        sizeof(double) * actual.size()),
-            0)
-      << what;
 }
 
 /// The values and gradients of one small attention-shaped graph, and the
@@ -439,6 +429,259 @@ TEST(LossTest, MaeIgnoresZeroWeight) {
   Matrix weight = {{1.0, 0.0}};
   Var loss = WeightedMaeLoss(pred, target, weight);
   EXPECT_NEAR(loss.scalar(), 1.0, 1e-12);
+}
+
+// ---- Bit identity of the rewritten ops --------------------------------------
+
+/// The value of a node and the gradients of its inputs.
+struct OpResult {
+  Matrix value;
+  std::vector<Matrix> grads;
+};
+
+/// x * w + b through the fused node or through MatMul then AddRowVector,
+/// differentiated through a weighted tanh so every gradient is non-trivial.
+OpResult RunAffine(Tape& tape, bool fused, const Matrix& x_value,
+                   const Matrix& w_value, const Matrix& b_value) {
+  Var x = tape.Leaf(x_value);
+  Var w = tape.LeafFor(&w_value, w_value);
+  Var b = tape.LeafFor(&b_value, b_value);
+  Var y = fused ? Affine(x, w, b) : AddRowVector(MatMul(x, w), b);
+  const Matrix weights = TestInput(y.rows(), y.cols(), 50);
+  tape.Backward(Sum(Mul(Tanh(y), tape.Constant(weights))));
+  return {y.value(), {x.grad(), w.grad(), b.grad()}};
+}
+
+void ExpectSameResult(const OpResult& actual, const OpResult& expected,
+                      const std::string& what) {
+  ExpectSameBits(actual.value, expected.value, what + " value");
+  ASSERT_EQ(actual.grads.size(), expected.grads.size()) << what;
+  for (size_t i = 0; i < actual.grads.size(); ++i) {
+    ExpectSameBits(actual.grads[i], expected.grads[i],
+                   what + " gradient " + std::to_string(i));
+  }
+}
+
+TEST(OpsTest, AffineEqualsAddRowVectorOfMatMulBitForBit) {
+  const Matrix x = TestInput(7, 6, 51);
+  const Matrix w = TestInput(6, 5, 52);
+  const Matrix b = TestInput(1, 5, 53);
+  Tape unfused_tape;
+  const OpResult expected = RunAffine(unfused_tape, false, x, w, b);
+  Tape fresh;
+  ExpectSameResult(RunAffine(fresh, true, x, w, b), expected, "fresh tape");
+  // A larger previous graph leaves stale values in every slot the fused
+  // node and its gradients take.
+  Tape reused;
+  const Matrix big_w = TestInput(9, 8, 55);
+  const Matrix big_b = TestInput(1, 8, 56);
+  RunAffine(reused, true, TestInput(11, 9, 54), big_w, big_b);
+  reused.Reset();
+  ExpectSameResult(RunAffine(reused, true, x, w, b), expected, "reset tape");
+}
+
+TEST(GradCheck, Affine) {
+  ExpectGradientsMatch(
+      [](Tape&, const std::vector<Var>& v) {
+        return Sum(Tanh(Affine(v[0], v[1], v[2])));
+      },
+      {TestInput(4, 3, 57), TestInput(3, 5, 58), TestInput(1, 5, 59)});
+}
+
+TEST(OpsTest, UnaryOpsMatchTheirScalarExpressions) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> inputs = {nan, inf, -inf, 0.0, -0.0,
+                                      0.5, -1.5, 2.0, 1e-300, -800.0};
+  const int n = static_cast<int>(inputs.size());
+  Matrix x_value = Matrix::RowVector(inputs);
+  Matrix gout(1, n);
+  for (int i = 0; i < n; ++i) gout(0, i) = 0.25 * (i + 1) * (i % 2 ? -1 : 1);
+
+  struct Case {
+    const char* name;
+    Var (*op)(const Var&);
+    double (*value)(double);
+    double (*derivative)(double);
+  };
+  const Case cases[] = {
+      {"Relu", &Relu, [](double x) { return x > 0.0 ? x : 0.0; },
+       [](double x) { return x > 0.0 ? 1.0 : 0.0; }},
+      {"Tanh", &Tanh, [](double x) { return std::tanh(x); },
+       [](double x) { return 1.0 - std::tanh(x) * std::tanh(x); }},
+      {"Sigmoid", &Sigmoid, [](double x) { return 1.0 / (1.0 + std::exp(-x)); },
+       [](double x) {
+         const double s = 1.0 / (1.0 + std::exp(-x));
+         return s * (1.0 - s);
+       }},
+      {"Exp", &Exp, [](double x) { return std::exp(x); },
+       [](double x) { return std::exp(x); }},
+      {"Log", &Log, [](double x) { return std::log(x); },
+       [](double x) { return 1.0 / x; }},
+      {"Square", &Square, [](double x) { return x * x; },
+       [](double x) { return 2.0 * x; }},
+      {"Abs", &Abs, [](double x) { return std::fabs(x); },
+       [](double x) { return x > 0.0 ? 1.0 : (x < 0.0 ? -1.0 : 0.0); }},
+  };
+  for (const Case& c : cases) {
+    Tape tape;
+    Var x = tape.Leaf(x_value);
+    Var y = c.op(x);
+    // Mul's backward hands y exactly gout: 0 + 1 * g == g for finite g.
+    tape.Backward(Sum(Mul(y, tape.Constant(gout))));
+    Matrix value(1, n), grad(1, n);
+    for (int i = 0; i < n; ++i) {
+      value(0, i) = c.value(inputs[i]);
+      grad(0, i) = 0.0 + gout(0, i) * c.derivative(inputs[i]);
+    }
+    ExpectSameBits(y.value(), value, std::string(c.name) + " value");
+    ExpectSameBits(x.grad(), grad, std::string(c.name) + " gradient");
+  }
+}
+
+/// Every op once, each writing a node of its own; `in` holds three 4 x 3
+/// inputs. Returns every node's value and the inputs' gradients.
+std::vector<Matrix> RunEveryOp(Tape& tape, const std::vector<Matrix>& in) {
+  Var a = tape.Leaf(in[0]);
+  Var b = tape.Leaf(in[1]);
+  Var w = tape.Leaf(in[2].Block(0, 0, 3, 3));
+  Var row = SliceRows(b, 0, 1);
+  Matrix mask(4, 4, 1.0);
+  mask(0, 1) = 0.0;
+  for (int c = 0; c < 4; ++c) mask(2, c) = 0.0;  // Row 2: nothing available.
+  Matrix target = in[2].Block(0, 0, 4, 1);
+  Matrix weight(4, 1, 1.0);
+  weight(1, 0) = 0.0;
+  const std::vector<Var> nodes = {
+      Add(a, b), Sub(a, b), Mul(a, b), Div(a, AddScalar(Abs(b), 0.5)),
+      Neg(a), Scale(a, 1.5), MulConst(a, in[2]), Relu(a), Tanh(a),
+      Sigmoid(a), Exp(a), Log(AddScalar(Square(b), 0.1)), Sqrt(Abs(a), 0.01),
+      MatMul(a, w), Affine(a, w, row), MatMulTranspose(a, b),
+      Transpose(a), Reshape(a, 2, 6), SliceRows(a, 1, 2), SliceCols(a, 1, 2),
+      ConcatCols({a, b}), ConcatRows({a, b}), GatherRows(a, {3, 0, 3}),
+      AddRowVector(a, row), SubRowVector(a, row), MulRowVector(a, row),
+      BroadcastScalar(Sum(b), 2, 3), Mean(a), RowSum(a), ColSum(a),
+      SoftmaxRows(a),
+      MaskedSoftmaxRows(MatMulTranspose(a, b), tape.Constant(mask))};
+  std::vector<Var> sums;
+  for (const Var& node : nodes) sums.push_back(Sum(Square(node)));
+  sums.push_back(WeightedMseLoss(SliceCols(a, 0, 1), target, weight));
+  sums.push_back(WeightedMaeLoss(SliceCols(b, 2, 1), target, weight));
+  Var loss = sums[0];
+  for (size_t i = 1; i < sums.size(); ++i) loss = Add(loss, sums[i]);
+  tape.Backward(loss);
+  std::vector<Matrix> out;
+  for (const Var& node : nodes) out.push_back(node.value());
+  for (const Var& s : sums) out.push_back(s.value());
+  out.push_back(a.grad());
+  out.push_back(b.grad());
+  out.push_back(w.grad());
+  return out;
+}
+
+TEST(TapeTest, OpsGiveTheSameBitsOnAResetTapeWithStaleValues) {
+  const std::vector<Matrix> inputs = {TestInput(4, 3, 60), TestInput(4, 3, 61),
+                                      TestInput(4, 3, 62)};
+  // The previous graph leaves 16 x 16 non-zero values and gradients in
+  // more slots than RunEveryOp takes, and no node of it needs more: any
+  // element an op leaves unwritten keeps a stale value.
+  Tape reused;
+  Var stale = reused.Leaf(Matrix(16, 16, 1.0));
+  for (int i = 0; i < 400; ++i) stale = AddScalar(stale, 0.5);
+  reused.Backward(Sum(stale));
+  reused.Reset();
+  const std::vector<Matrix> actual = RunEveryOp(reused, inputs);
+  Tape fresh;
+  const std::vector<Matrix> expected = RunEveryOp(fresh, inputs);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ExpectSameBits(actual[i], expected[i], "result " + std::to_string(i));
+  }
+  EXPECT_LT(fresh.num_nodes(), 400);
+}
+
+TEST(OpsTest, SecondGemmContributionEqualsTemporaryThenAdd) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Matrix x_value = TestInput(5, 4, 63);
+  x_value(0, 0) = 0.0;
+  x_value(1, 2) = -0.0;
+  const Matrix w1_value = TestInput(4, 3, 64);
+  Matrix w2_value = TestInput(4, 3, 65);
+  w2_value(3, 1) = -0.0;
+  // The products' gradients are these weights: NaN, +-Inf and zeros
+  // (a gradient is summed from +0.0, so -0.0 arrives as +0.0).
+  Matrix c1 = TestInput(5, 3, 66);
+  c1(0, 0) = nan;
+  c1(2, 1) = inf;
+  c1(4, 2) = -0.0;
+  Matrix c2 = TestInput(5, 3, 67);
+  c2(1, 0) = -inf;
+  c2(3, 2) = 0.0;
+  Tape tape;
+  Var x = tape.Leaf(x_value);
+  Var w1 = tape.Leaf(w1_value);
+  Var w2 = tape.Leaf(w2_value);
+  Var p1 = MatMul(x, w1);
+  Var p2 = MatMul(x, w2);
+  tape.Backward(Add(Sum(Mul(p1, tape.Constant(c1))),
+                    Sum(Mul(p2, tape.Constant(c2)))));
+  // Backward reaches p2 first: its product fills x's untouched gradient,
+  // and p1's joins it as a temporary added in.
+  const Matrix g1 = p1.grad();
+  const Matrix g2 = p2.grad();
+  Matrix x_grad(5, 4);
+  x_grad += g2.MatMulTranspose(w2_value);
+  x_grad += g1.MatMulTranspose(w1_value);
+  Matrix w1_grad(4, 3);
+  w1_grad += x_value.TransposeMatMul(g1);
+  Matrix w2_grad(4, 3);
+  w2_grad += x_value.TransposeMatMul(g2);
+  ExpectSameBits(x.grad(), x_grad, "gradient of x");
+  ExpectSameBits(w1.grad(), w1_grad, "gradient of w1");
+  ExpectSameBits(w2.grad(), w2_grad, "gradient of w2");
+  EXPECT_TRUE(std::isnan(x.grad()(0, 0)));
+}
+
+TEST(OpsTest, InPlaceElementwiseBackwardEqualsTemporaryThenAdd) {
+  const Matrix x_value = TestInput(3, 4, 68);
+  Rng rng(69);
+  const Matrix y_value = Matrix::RandomUniform(3, 4, rng, 0.5, 2.0);
+  const std::vector<Matrix> c = {TestInput(3, 4, 70), TestInput(3, 4, 71),
+                                 TestInput(3, 4, 72)};
+  Tape tape;
+  Var x = tape.Leaf(x_value);
+  Var y = tape.Leaf(y_value);
+  // Backward runs the last-created node first, so the first Div writes
+  // into gradients that the Mul and the second Div already touched.
+  Var first_div = Div(x, y);
+  Var product = Mul(x, y);
+  Var second_div = Div(x, y);
+  Var loss = Sum(Mul(first_div, tape.Constant(c[0])));
+  loss = Add(loss, Sum(Mul(product, tape.Constant(c[1]))));
+  loss = Add(loss, Sum(Mul(second_div, tape.Constant(c[2]))));
+  tape.Backward(loss);
+  // Each contribution as the ops formed it before they added in place: a
+  // temporary Matrix, added into the gradient.
+  auto div_grad_of_y = [&](const Matrix& g) {
+    Matrix out(3, 4);
+    for (int r = 0; r < 3; ++r) {
+      for (int k = 0; k < 4; ++k) {
+        out(r, k) = -g(r, k) * x_value(r, k) / (y_value(r, k) * y_value(r, k));
+      }
+    }
+    return out;
+  };
+  Matrix x_grad(3, 4);
+  x_grad += c[2].CwiseQuotient(y_value);
+  x_grad += c[1].CwiseProduct(y_value);
+  x_grad += c[0].CwiseQuotient(y_value);
+  Matrix y_grad(3, 4);
+  y_grad += div_grad_of_y(c[2]);
+  y_grad += c[1].CwiseProduct(x_value);
+  y_grad += div_grad_of_y(c[0]);
+  ExpectSameBits(x.grad(), x_grad, "gradient of x");
+  ExpectSameBits(y.grad(), y_grad, "gradient of y");
 }
 
 // A composite graph resembling one attention step, checked end to end.

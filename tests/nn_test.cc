@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "nn/adam.h"
 #include "nn/layers.h"
@@ -91,6 +92,65 @@ TEST(LinearTest, LearnsLinearMap) {
   Matrix probe(1, 1, 0.5);
   Var pred = layer.Forward(tape, tape.Constant(probe));
   EXPECT_NEAR(pred.value()(0, 0), 0.0, 0.05);
+}
+
+/// The Linear layer's output and the gradients of its input, weight and
+/// bias, from `layer` itself or from MatMul then AddRowVector over the
+/// same parameters.
+struct LinearResult {
+  Matrix value, x_grad, w_grad, b_grad;
+  int nodes = 0;
+};
+
+LinearResult RunLinear(Tape& tape, const ParameterStore& store,
+                       const Linear& layer, bool layer_node,
+                       const Matrix& input) {
+  Var x = tape.Leaf(input);
+  const Parameter* w = store.Find("fc.weight");
+  const Parameter* b = store.Find("fc.bias");
+  Var y = layer_node ? layer.Forward(tape, x)
+                     : ad::AddRowVector(ad::MatMul(x, w->OnTape(tape)),
+                                        b->OnTape(tape));
+  LinearResult result;
+  result.nodes = tape.num_nodes();
+  const Matrix weights = testutil::RandomMatrix(y.rows(), y.cols(), 70);
+  tape.Backward(ad::Sum(ad::Mul(ad::Tanh(y), tape.Constant(weights))));
+  result.value = y.value();
+  result.x_grad = x.grad();
+  result.w_grad = w->grad_on(tape);
+  result.b_grad = b->grad_on(tape);
+  return result;
+}
+
+TEST(LinearTest, OneNodeBitIdenticalToMatMulThenAddRowVector) {
+  ParameterStore store;
+  Rng rng(9);
+  Linear layer(&store, "fc", 6, 5, rng);
+  // A zero bias would hide a missing or misplaced add.
+  store.Find("fc.bias")->value() = testutil::RandomMatrix(1, 5, 71);
+  const Matrix input = testutil::RandomMatrix(9, 6, 72);
+  Tape reference_tape;
+  const LinearResult expected =
+      RunLinear(reference_tape, store, layer, false, input);
+  Tape fresh;
+  Tape reused;
+  // The previous graph is larger: more rows, so stale values fill every
+  // slot the layer's node and gradients take.
+  RunLinear(reused, store, layer, true, testutil::RandomMatrix(13, 6, 73));
+  reused.Reset();
+  for (Tape* tape : {&fresh, &reused}) {
+    const LinearResult actual = RunLinear(*tape, store, layer, true, input);
+    const std::string what = tape == &fresh ? "fresh tape" : "reset tape";
+    // x, the two parameter leaves and one node, against two nodes.
+    EXPECT_EQ(actual.nodes, expected.nodes - 1) << what;
+    testutil::ExpectSameBits(actual.value, expected.value, what + " value");
+    testutil::ExpectSameBits(actual.x_grad, expected.x_grad,
+                             what + " input gradient");
+    testutil::ExpectSameBits(actual.w_grad, expected.w_grad,
+                             what + " weight gradient");
+    testutil::ExpectSameBits(actual.b_grad, expected.b_grad,
+                             what + " bias gradient");
+  }
 }
 
 TEST(EmbeddingTest, LookupMatchesTable) {

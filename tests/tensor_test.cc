@@ -124,11 +124,12 @@ SetProducts RunKernelSet(const internal::MatMulKernelSet& set,
   const Matrix a_t = a.Transpose();
   const Matrix b_t = b.Transpose();
   SetProducts out{Matrix(m, n), Matrix(m, n), Matrix(m, n)};
+  std::vector<double> pack(b.size());
   set.mat_mul(a.data(), b.data(), out.mat_mul.data(), m, k, n);
   set.transpose_mat_mul(a_t.data(), b.data(), out.transpose_mat_mul.data(), m,
                         k, n);
   set.mat_mul_transpose(a.data(), b_t.data(), out.mat_mul_transpose.data(), m,
-                        k, n);
+                        k, n, pack.data());
   return out;
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -58,6 +59,17 @@ inline void ExpectMatricesBitIdentical(const Matrix& actual,
           << what << " at (" << r << "," << c << ")";
     }
   }
+}
+
+/// Byte equality: unlike ==, tells -0.0 from 0.0 and compares NaNs.
+inline void ExpectSameBits(const Matrix& actual, const Matrix& expected,
+                           const std::string& what) {
+  ASSERT_EQ(actual.rows(), expected.rows()) << what;
+  ASSERT_EQ(actual.cols(), expected.cols()) << what;
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        sizeof(double) * actual.size()),
+            0)
+      << what;
 }
 
 /// Asserts that analytic and numerical gradients of `f` agree at `inputs`.

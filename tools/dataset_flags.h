@@ -1,7 +1,8 @@
 #ifndef DEEPMVI_TOOLS_DATASET_FLAGS_H_
 #define DEEPMVI_TOOLS_DATASET_FLAGS_H_
 
-// Shared dataset/mask assembly for dmvi_train and dmvi_serve.
+// Shared dataset/mask assembly for dmvi_train and dmvi_serve, and the
+// checked integer parser for tool and figure-bench flags.
 //
 // The two tools must reconstruct the *same* dataset and base mask from the
 // same flags: dmvi_serve's output is compared byte-for-byte against
@@ -9,7 +10,10 @@
 // drift between two copies of this logic would surface as a confusing
 // `cmp` failure. Keeping it in one place makes drift impossible.
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -50,13 +54,48 @@ inline const char* NextFlagValue(int argc, char** argv, int* i,
   return argv[++*i];
 }
 
+/// Parses `text` as a whole decimal integer in [lo, hi]; false for empty
+/// text, trailing characters, overflow or a value out of range.
+inline bool ParseInteger(const char* text, long long lo, long long hi,
+                         long long* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// ParseInteger for `value`, the value of `flag`, stored into *out. A
+/// malformed or out-of-range value prints "FLAG must be an integer in
+/// [lo, hi]: VALUE" to stderr and returns false; the caller exits 2, as
+/// for any usage error.
+template <typename T>
+bool ParseIntegerFlag(const char* flag, const char* value, long long lo,
+                      long long hi, T* out) {
+  long long parsed = 0;
+  if (!ParseInteger(value, lo, hi, &parsed)) {
+    std::fprintf(stderr, "%s must be an integer in [%lld, %lld]: %s\n", flag,
+                 lo, hi, value);
+    return false;
+  }
+  *out = static_cast<T>(parsed);
+  return true;
+}
+
 /// Consumes argv[*i] (and its value, advancing *i) when it is one of the
 /// dataset flags: --preset, --input, --mask, --scenario, --scenario-seed,
 /// --dataset-seed, --scale, --full. Returns true when consumed. A
 /// recognized flag whose value is missing sets *missing_value and returns
-/// false so the caller can report it precisely.
+/// false so the caller can report it precisely; one whose value is
+/// malformed (a seed that is not an integer, a scale other than quick or
+/// full) is reported to stderr, sets *bad_value and is consumed, and the
+/// caller exits 2.
 inline bool ParseDatasetFlag(int argc, char** argv, int* i, DatasetSpec* spec,
-                             bool* missing_value) {
+                             bool* missing_value, bool* bad_value) {
   auto next = [&](const char* flag) {
     return NextFlagValue(argc, argv, i, flag, missing_value);
   };
@@ -70,12 +109,20 @@ inline bool ParseDatasetFlag(int argc, char** argv, int* i, DatasetSpec* spec,
   } else if ((value = next("--scenario"))) {
     spec->scenario_name = value;
   } else if ((value = next("--scenario-seed"))) {
-    spec->scenario_seed = std::strtoull(value, nullptr, 10);
+    *bad_value = !ParseIntegerFlag("--scenario-seed", value, 0, LLONG_MAX,
+                                   &spec->scenario_seed);
   } else if ((value = next("--dataset-seed"))) {
-    spec->dataset_seed = std::strtoull(value, nullptr, 10);
+    *bad_value = !ParseIntegerFlag("--dataset-seed", value, 0, LLONG_MAX,
+                                   &spec->dataset_seed);
   } else if ((value = next("--scale"))) {
-    spec->scale = std::strcmp(value, "full") == 0 ? DatasetScale::kFull
-                                                  : DatasetScale::kReduced;
+    if (std::strcmp(value, "full") == 0) {
+      spec->scale = DatasetScale::kFull;
+    } else if (std::strcmp(value, "quick") == 0) {
+      spec->scale = DatasetScale::kReduced;
+    } else {
+      std::fprintf(stderr, "--scale must be quick or full: %s\n", value);
+      *bad_value = true;
+    }
   } else if (std::strcmp(argv[*i], "--full") == 0) {
     spec->scale = DatasetScale::kFull;
   } else {

@@ -33,6 +33,7 @@
 #include "storage/chunk_cache.h"
 #include "storage/chunk_store.h"
 #include "storage/data_source.h"
+#include "tools/dataset_flags.h"
 
 namespace deepmvi {
 namespace {
@@ -147,15 +148,6 @@ int Run(int argc, char** argv) {
   int cache_mb = 256;
   uint64_t seed = 1;
   // A usage error exits 2; exit 1 is reserved for failed cells.
-  auto integer_flag = [&](int* i, long long lo, long long hi, long long* out) {
-    const char* flag = argv[*i];
-    if (!bench::ParseInteger(argv[++*i], lo, hi, out)) {
-      std::fprintf(stderr, "%s must be an integer in [%lld, %lld]: %s\n",
-                   flag, lo, hi, argv[*i]);
-      return false;
-    }
-    return true;
-  };
   for (int i = 1; i < argc; ++i) {
     if (bench::ParseSharedOption(argc, argv, &i, &options)) continue;
     if (std::strcmp(argv[i], "--datasets") == 0 && i + 1 < argc) {
@@ -169,13 +161,14 @@ int Run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--data-dir") == 0 && i + 1 < argc) {
       data_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--cache-mb") == 0 && i + 1 < argc) {
-      long long value = 0;
-      if (!integer_flag(&i, 0, INT_MAX, &value)) return 2;
-      cache_mb = static_cast<int>(value);
+      if (!tools::ParseIntegerFlag("--cache-mb", argv[++i], 0, INT_MAX,
+                                   &cache_mb)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      long long value = 0;
-      if (!integer_flag(&i, 0, LLONG_MAX, &value)) return 2;
-      seed = static_cast<uint64_t>(value);
+      if (!tools::ParseIntegerFlag("--seed", argv[++i], 0, LLONG_MAX, &seed)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: dmvi_bench_suite [--datasets A,B] [--imputers I,J]\n"

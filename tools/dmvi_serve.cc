@@ -107,10 +107,11 @@ int Run(int argc, char** argv) {
   int synth = 0;
   int block = 10;
   serve::ServiceConfig service_config;
-  bool missing_value = false;
+  bool missing_value = false, bad_value = false;
   for (int i = 1; i < argc; ++i) {
     if (tools::ParseDatasetFlag(argc, argv, &i, &dataset_spec,
-                                &missing_value)) {
+                                &missing_value, &bad_value)) {
+      if (bad_value) return 2;
       continue;
     }
     auto next = [&](const char* flag) {

@@ -134,10 +134,11 @@ int Run(int argc, char** argv) {
   storage::ChunkStoreOptions options;
   int synth_series = 0, synth_length = 0;
   uint64_t synth_seed = 1;
-  bool missing_value = false;
+  bool missing_value = false, bad_value = false;
   for (int i = 1; i < argc; ++i) {
     if (tools::ParseDatasetFlag(argc, argv, &i, &dataset_spec,
-                                &missing_value)) {
+                                &missing_value, &bad_value)) {
+      if (bad_value) return 2;
       continue;
     }
     auto next = [&](const char* flag) {

@@ -17,7 +17,8 @@
 //
 // Model knobs: --seed, --max-epochs, --samples, --window, --filters,
 // --heads, --threads (training data-parallelism; results are bit-identical
-// for any value). With --impute-csv PATH the freshly trained model also imputes
+// for any value). A numeric flag whose value is not a whole integer in its
+// range exits 2 and names the flag, before anything trains. With --impute-csv PATH the freshly trained model also imputes
 // the training dataset in-process and writes the result — CI compares it
 // byte-for-byte against dmvi_serve's output for the same checkpoint to
 // prove the save/load path is exact.
@@ -31,6 +32,7 @@
 // flamegraph.pl or speedscope. Profiling, like tracing, never changes the
 // checkpoint bytes.
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -61,10 +63,11 @@ int Run(int argc, char** argv) {
   DeepMviConfig config;
   int cache_mb = 256;
   bool in_core = false;
-  bool missing_value = false;
+  bool missing_value = false, bad_value = false;
   for (int i = 1; i < argc; ++i) {
     if (tools::ParseDatasetFlag(argc, argv, &i, &dataset_spec,
-                                &missing_value)) {
+                                &missing_value, &bad_value)) {
+      if (bad_value) return 2;
       continue;
     }
     auto next = [&](const char* flag) {
@@ -76,29 +79,56 @@ int Run(int argc, char** argv) {
     } else if ((value = next("--data-dir"))) {
       data_dir = value;
     } else if ((value = next("--cache-mb"))) {
-      cache_mb = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--cache-mb", value, 0, INT_MAX,
+                                   &cache_mb)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--in-core") == 0) {
       in_core = true;
     } else if ((value = next("--impute-csv"))) {
       impute_csv = value;
     } else if ((value = next("--seed"))) {
-      config.seed = std::strtoull(value, nullptr, 10);
+      if (!tools::ParseIntegerFlag("--seed", value, 0, LLONG_MAX,
+                                   &config.seed)) {
+        return 2;
+      }
     } else if ((value = next("--max-epochs"))) {
-      config.max_epochs = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--max-epochs", value, 0, INT_MAX,
+                                   &config.max_epochs)) {
+        return 2;
+      }
     } else if ((value = next("--samples"))) {
-      config.samples_per_epoch = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--samples", value, 0, INT_MAX,
+                                   &config.samples_per_epoch)) {
+        return 2;
+      }
     } else if ((value = next("--window"))) {
-      config.window = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--window", value, 0, INT_MAX,
+                                   &config.window)) {
+        return 2;
+      }
     } else if ((value = next("--filters"))) {
-      config.filters = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--filters", value, 1, INT_MAX,
+                                   &config.filters)) {
+        return 2;
+      }
     } else if ((value = next("--heads"))) {
-      config.num_heads = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--heads", value, 1, INT_MAX,
+                                   &config.num_heads)) {
+        return 2;
+      }
     } else if ((value = next("--threads"))) {
-      config.num_threads = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--threads", value, 0, INT_MAX,
+                                   &config.num_threads)) {
+        return 2;
+      }
     } else if ((value = next("--profile-out"))) {
       profile_out = value;
     } else if ((value = next("--profile-hz"))) {
-      profile_hz = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--profile-hz", value, 1, INT_MAX,
+                                   &profile_hz)) {
+        return 2;
+      }
     } else if ((value = next("--trace-out"))) {
       trace_out = value;
     } else if ((value = next("--trace-level"))) {
