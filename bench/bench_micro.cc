@@ -1,9 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the substrates: dense matmul,
 // Jacobi SVD, centroid decomposition, autodiff attention forward/backward,
 // kernel regression features, one DeepMVI training step, one training
-// sample's forward and backward pass, and concurrent Predict calls.
+// sample's forward and backward pass, concurrent Predict calls, and one
+// pass of the offline Predict + per-store PredictCells call pattern.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
+
+#include <algorithm>
 
 #include "autodiff/ops.h"
 #include "common/stopwatch.h"
@@ -188,6 +192,94 @@ void BM_PredictConcurrent(benchmark::State& state) {
       benchmark::Counter::kAvgThreads);
 }
 BENCHMARK(BM_PredictConcurrent)->Threads(1)->Threads(3)->UseRealTime();
+
+// One pass of the repository benchmark's offline call pattern: full-scale
+// JanataHack (2128 x 134, 10% MCAR, mask seed 7) after a short fit, one
+// Predict, then one PredictCells per store (28 series each) in store
+// order, all against the same mask; each store's predictions must equal
+// the pass's Predict output, which stays alive until the pass ends.
+// Besides each call's wall time (`predict_ms`, `cells_call_ms`) it
+// reports the minor page faults (getrusage ru_minflt) per Predict and per
+// PredictCells call: a call whose buffers come back from the kernel each
+// time pays for it here.
+struct OfflineFixture {
+  DataTensor data;
+  Mask mask;
+  TrainedDeepMvi model;
+  std::vector<std::vector<CellIndex>> store_cells;
+};
+
+OfflineFixture MakeOfflineFixture() {
+  constexpr int kStoreSeries = 28;
+  OfflineFixture fixture;
+  fixture.data = MakeDataset("JanataHack", DatasetScale::kFull, /*seed=*/1);
+  ScenarioConfig scenario;
+  scenario.kind = ScenarioKind::kMcar;
+  scenario.percent_incomplete = 1.0;
+  scenario.seed = 7;
+  fixture.mask = GenerateScenario(scenario, fixture.data.num_series(),
+                                  fixture.data.num_times());
+  DeepMviConfig config;
+  config.max_epochs = 2;
+  config.samples_per_epoch = 32;
+  config.num_threads = 1;
+  DeepMviImputer imputer(config);
+  fixture.model = imputer.Fit(fixture.data, fixture.mask);
+  const int stores = fixture.data.num_series() / kStoreSeries;
+  fixture.store_cells.resize(stores);
+  for (const CellIndex& cell : fixture.mask.MissingIndices()) {
+    fixture.store_cells[std::min(cell.series / kStoreSeries, stores - 1)]
+        .push_back(cell);
+  }
+  return fixture;
+}
+
+long MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+void BM_OfflinePass(benchmark::State& state) {
+  static const OfflineFixture fixture = MakeOfflineFixture();
+  const storage::InMemoryDataSource source(&fixture.data);
+  double predict_s = 0.0, cells_s = 0.0;
+  long predict_faults = 0, cells_faults = 0;
+  for (auto _ : state) {
+    long faults = MinorFaults();
+    Stopwatch watch;
+    Matrix imputed = fixture.model.Predict(fixture.data, fixture.mask);
+    benchmark::DoNotOptimize(imputed);
+    predict_s += watch.ElapsedSeconds();
+    predict_faults += MinorFaults() - faults;
+    for (const std::vector<CellIndex>& cells : fixture.store_cells) {
+      faults = MinorFaults();
+      Stopwatch call_watch;
+      StatusOr<std::vector<double>> predicted =
+          fixture.model.PredictCells(source, fixture.mask, cells);
+      benchmark::DoNotOptimize(predicted);
+      cells_s += call_watch.ElapsedSeconds();
+      cells_faults += MinorFaults() - faults;
+      bool same = predicted.ok();
+      for (size_t i = 0; same && i < cells.size(); ++i) {
+        same = (*predicted)[i] == imputed(cells[i].series, cells[i].time);
+      }
+      if (!same) {
+        state.SkipWithError("PredictCells differs from Predict");
+        return;
+      }
+    }
+  }
+  const double passes = static_cast<double>(state.iterations());
+  const double calls = passes * static_cast<double>(fixture.store_cells.size());
+  state.counters["predict_ms"] = 1e3 * predict_s / passes;
+  state.counters["cells_call_ms"] = 1e3 * cells_s / calls;
+  state.counters["predict_minflt"] =
+      static_cast<double>(predict_faults) / passes;
+  state.counters["cells_call_minflt"] =
+      static_cast<double>(cells_faults) / calls;
+}
+BENCHMARK(BM_OfflinePass)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_JacobiSvd(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -102,40 +102,5 @@ Var PredictPositions(Tape& tape, const DeepMviModules& model,
   return model.output.Forward(tape, ad::ConcatCols(features));
 }
 
-Matrix ImputeMissingNormalized(const DeepMviModules& model,
-                               const DeepMviConfig& config,
-                               const DataTensor& data, const Matrix& values,
-                               const Mask& mask) {
-  const int t_len = data.num_times();
-  Tape tape;
-  Matrix imputed = values;
-  for (int row = 0; row < data.num_series(); ++row) {
-    // Collect this series' missing times and cover them chunk by chunk.
-    std::vector<int> missing;
-    for (int t = 0; t < t_len; ++t) {
-      if (mask.missing(row, t)) missing.push_back(t);
-    }
-    size_t next = 0;
-    while (next < missing.size()) {
-      Chunk chunk = MakeChunk(t_len, config.window, config.max_context,
-                              missing[next]);
-      std::vector<int> targets;
-      while (next < missing.size() &&
-             missing[next] < chunk.start + chunk.len) {
-        if (missing[next] >= chunk.start) targets.push_back(missing[next]);
-        ++next;
-      }
-      if (targets.empty()) break;  // Should not happen; guards looping.
-      tape.Reset();
-      Var pred = PredictPositions(tape, model, config, data, values, mask, row,
-                                  chunk, targets);
-      for (size_t i = 0; i < targets.size(); ++i) {
-        imputed(row, targets[i]) = pred.value()(static_cast<int>(i), 0);
-      }
-    }
-  }
-  return imputed;
-}
-
 }  // namespace internal
 }  // namespace deepmvi

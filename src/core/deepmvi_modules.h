@@ -18,10 +18,9 @@ namespace internal {
 /// ParameterStore owns the weights) plus the transformer's positional-
 /// encoding table, so move it rather than copy it.
 ///
-/// This used to live inside deepmvi.cc; it is a header now so that the
-/// training path (DeepMviImputer::Fit) and the serving path
-/// (TrainedDeepMvi::Predict, checkpoint loading) assemble and run exactly
-/// the same model.
+/// It is shared so that the training path (DeepMviImputer::Fit) and the
+/// serving path (TrainedDeepMvi::PredictCells, checkpoint loading)
+/// assemble and run exactly the same model.
 struct DeepMviModules {
   TemporalTransformer transformer;
   KernelRegression kernel_regression;
@@ -70,15 +69,6 @@ ad::Var PredictPositions(ad::Tape& tape, const DeepMviModules& model,
                          const ValueWindow& values, const MaskOverlay& avail,
                          int row, const Chunk& chunk,
                          const std::vector<int>& target_times);
-
-/// Inference only: fills every cell missing in `mask` with the model's
-/// prediction, chunk by chunk, and returns the completed matrix in
-/// normalized space (available cells pass through from `values`).
-/// Deterministic — no RNG is consumed — so repeated calls are bit-equal.
-Matrix ImputeMissingNormalized(const DeepMviModules& model,
-                               const DeepMviConfig& config,
-                               const DataTensor& data, const Matrix& values,
-                               const Mask& mask);
 
 }  // namespace internal
 }  // namespace deepmvi

@@ -152,49 +152,55 @@ int64_t TrainedDeepMvi::num_parameters() const {
 
 Status TrainedDeepMvi::ValidateInput(const DataTensor& data,
                                      const Mask& mask) const {
+  return CheckInput(storage::InMemoryDataSource(&data), mask);
+}
+
+Status TrainedDeepMvi::CheckInput(const storage::DataSource& source,
+                                  const Mask& mask) const {
   if (!trained()) {
     return Status::FailedPrecondition("model has not been trained or loaded");
   }
-  if (data.num_series() != mask.rows() || data.num_times() != mask.cols()) {
+  if (source.num_series() != mask.rows() || source.num_times() != mask.cols()) {
     return Status::InvalidArgument(
         "mask shape " + std::to_string(mask.rows()) + "x" +
         std::to_string(mask.cols()) + " does not match data " +
-        std::to_string(data.num_series()) + "x" +
-        std::to_string(data.num_times()));
+        std::to_string(source.num_series()) + "x" +
+        std::to_string(source.num_times()));
   }
-  if (data.num_series() != num_series()) {
+  if (source.num_series() != num_series()) {
     return Status::InvalidArgument(
-        "data has " + std::to_string(data.num_series()) +
+        "data has " + std::to_string(source.num_series()) +
         " series, model was trained on " + std::to_string(num_series()));
   }
   // A flattening model collapses the dims anyway, so only the row count
   // (checked above) matters there; otherwise every dimension must match
   // the training dataset member for member.
   if (!config_.flatten_multidim) {
-    if (data.num_dims() != static_cast<int>(dims_.size())) {
+    const std::vector<Dimension>& dims = source.dims();
+    if (dims.size() != dims_.size()) {
       return Status::InvalidArgument(
-          "data has " + std::to_string(data.num_dims()) +
+          "data has " + std::to_string(dims.size()) +
           " dimensions, model was trained on " +
           std::to_string(dims_.size()));
     }
     for (size_t i = 0; i < dims_.size(); ++i) {
-      if (data.dim(static_cast<int>(i)).size() != dims_[i].size()) {
+      if (dims[i].size() != dims_[i].size()) {
         return Status::InvalidArgument(
             "dimension '" + dims_[i].name + "' has " +
-            std::to_string(data.dim(static_cast<int>(i)).size()) +
+            std::to_string(dims[i].size()) +
             " members, model was trained on " +
             std::to_string(dims_[i].size()));
       }
     }
   }
   // Below one window the chunk walk degenerates to an empty chunk and
-  // Predict would return cells unimputed with no error — reject up front.
+  // cells would come back unimputed with no error — reject up front.
   // (Between one and two windows the transformer contributes nothing but
   // the fine-grained and kernel-regression paths still impute, matching
   // the historical Impute() behavior on degenerate-short series.)
-  if (data.num_times() < config_.window) {
+  if (source.num_times() < config_.window) {
     return Status::InvalidArgument(
-        "series of length " + std::to_string(data.num_times()) +
+        "series of length " + std::to_string(source.num_times()) +
         " is shorter than one window (window " +
         std::to_string(config_.window) +
         "); the model cannot impute it — refit with a smaller window");
@@ -202,25 +208,14 @@ Status TrainedDeepMvi::ValidateInput(const DataTensor& data,
   return Status::OK();
 }
 
-Matrix TrainedDeepMvi::Predict(const DataTensor& raw_data,
-                               const Mask& mask) const {
-  Status valid = ValidateInput(raw_data, mask);
-  DMVI_CHECK(valid.ok()) << valid.ToString();
-
-  // Project into the z-score space the model was trained in, using the
-  // fit-time statistics: normalization is part of the model.
-  const DataTensor data = config_.flatten_multidim
-                              ? raw_data.Flattened1D().Normalized(stats_)
-                              : raw_data.Normalized(stats_);
-  Matrix imputed = internal::ImputeMissingNormalized(modules_, config_, data,
-                                                     data.values(), mask);
-
-  // Denormalize and restore available cells exactly.
-  Matrix out = DataTensor::Denormalize(imputed, stats_);
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int t = 0; t < out.cols(); ++t) {
-      if (mask.available(r, t)) out(r, t) = raw_data.values()(r, t);
-    }
+Matrix TrainedDeepMvi::Predict(const DataTensor& data, const Mask& mask) const {
+  const std::vector<CellIndex> cells = mask.MissingIndices();
+  StatusOr<std::vector<double>> predicted =
+      PredictCells(storage::InMemoryDataSource(&data), mask, cells);
+  DMVI_CHECK(predicted.ok()) << predicted.status().ToString();
+  Matrix out = data.values();
+  for (size_t i = 0; i < cells.size(); ++i) {
+    out(cells[i].series, cells[i].time) = (*predicted)[i];
   }
   return out;
 }
@@ -228,24 +223,8 @@ Matrix TrainedDeepMvi::Predict(const DataTensor& raw_data,
 StatusOr<std::vector<double>> TrainedDeepMvi::PredictCells(
     const storage::DataSource& source, const Mask& mask,
     const std::vector<CellIndex>& cells) const {
-  if (!trained()) {
-    return Status::FailedPrecondition("model has not been trained or loaded");
-  }
-  if (source.num_series() != mask.rows() || source.num_times() != mask.cols()) {
-    return Status::InvalidArgument("mask shape does not match source");
-  }
-  if (source.num_series() != num_series()) {
-    return Status::InvalidArgument(
-        "source has " + std::to_string(source.num_series()) +
-        " series, model was trained on " + std::to_string(num_series()));
-  }
+  DMVI_RETURN_IF_ERROR(CheckInput(source, mask));
   const int t_len = source.num_times();
-  if (t_len < config_.window) {
-    return Status::InvalidArgument(
-        "series of length " + std::to_string(t_len) +
-        " is shorter than one window (window " +
-        std::to_string(config_.window) + ")");
-  }
 
   // Group the requested cells per series, ascending in time, remembering
   // where each prediction goes in the output.
@@ -277,8 +256,8 @@ StatusOr<std::vector<double>> TrainedDeepMvi::PredictCells(
     auto& row_cells = by_row[row];
     if (row_cells.empty()) continue;
     std::sort(row_cells.begin(), row_cells.end());
-    // Cover the row's cells chunk by chunk, as Predict covers its missing
-    // cells (internal::ImputeMissingNormalized).
+    // Cover the row's cells chunk by chunk: each chunk is centred on the
+    // first cell not yet covered and takes every later cell inside it.
     size_t next = 0;
     while (next < row_cells.size()) {
       internal::Chunk chunk = internal::MakeChunk(

@@ -44,28 +44,35 @@ class TrainedDeepMvi {
   /// True once the model holds trained weights (built by Fit or Load).
   bool trained() const { return store_ != nullptr; }
 
-  /// Recoverable validation of a prediction input: shape against the
-  /// training dataset, mask against the data. The serving layer calls this
-  /// to turn bad requests into error responses instead of aborts.
+  /// Recoverable validation of a prediction input: the checks PredictCells
+  /// runs on its source and mask (see there), applied to an in-core
+  /// tensor. The serving layer calls this to turn bad requests into error
+  /// responses instead of aborts.
   Status ValidateInput(const DataTensor& data, const Mask& mask) const;
 
-  /// Inference only: fills the cells of `data` missing in `mask` and
-  /// returns the completed matrix (available cells pass through
-  /// bit-unchanged). Deterministic: repeated calls with the same input are
+  /// Inference only: PredictCells over `data` at the mask's missing cells,
+  /// written into a copy of data.values(), so available cells pass through
+  /// bit-unchanged. Deterministic: repeated calls with the same input are
   /// bit-identical, and Fit(x, m).Predict(x, m) equals the historical
   /// single-shot Impute(x, m) bit for bit. Aborts on invalid input; call
   /// ValidateInput first when the input is untrusted.
   Matrix Predict(const DataTensor& data, const Mask& mask) const;
 
   /// Out-of-core inference at selected cells: predicts each requested
-  /// (series, time) cell — all of which must be missing in `mask` — from a
-  /// storage::DataSource, reading only the value windows the predictions
-  /// need. Returns the predictions in `cells` order, denormalized to raw
-  /// units like Predict. Per series, cells are covered chunk by chunk
-  /// (the chunk partition follows the requested cells, as Predict's does
-  /// its missing cells), so memory stays bounded by the source's cache
-  /// budget plus one window. The eval suite uses this to score a chunked
-  /// store's hidden cells without materializing the dense tensor.
+  /// (series, time) cell from a storage::DataSource, reading only the value
+  /// windows the predictions need. Returns the predictions in `cells`
+  /// order, denormalized to raw units. Per series, cells are covered chunk
+  /// by chunk (the chunk partition follows the requested cells), so memory
+  /// stays bounded by the source's cache budget plus one window. The eval
+  /// suite uses this to score a chunked store's hidden cells without
+  /// materializing the dense tensor.
+  ///
+  /// Returns FailedPrecondition for an untrained model and InvalidArgument
+  /// when the mask's shape differs from the source's, the source's series
+  /// count differs from the training data's, a non-flattening model's
+  /// dimensions differ from the training dimensions in count or member
+  /// count, the series are shorter than one window, or a cell is out of
+  /// range or available in `mask`.
   StatusOr<std::vector<double>> PredictCells(
       const storage::DataSource& source, const Mask& mask,
       const std::vector<CellIndex>& cells) const;
@@ -99,6 +106,10 @@ class TrainedDeepMvi {
 
  private:
   friend class DeepMviImputer;
+
+  /// The shape check ValidateInput and PredictCells share: every
+  /// PredictCells rejection but the per-cell ones.
+  Status CheckInput(const storage::DataSource& source, const Mask& mask) const;
 
   DeepMviConfig config_;            // Resolved: window > 0.
   std::vector<Dimension> dims_;     // Of the shaped (post-flatten) data.

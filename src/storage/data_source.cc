@@ -33,9 +33,10 @@ class InMemoryWindowReader : public WindowReader {
 
 StatusOr<std::unique_ptr<WindowReader>> InMemoryDataSource::MakeReader(
     const DataTensor::NormalizationStats& stats) const {
-  // The one full normalized copy the historical in-core Fit made.
-  return std::unique_ptr<WindowReader>(
-      new InMemoryWindowReader(data_->Normalized(stats).values()));
+  // The reader's one normalized copy, moved out of Normalized()'s result:
+  // copying it would hold two full copies at once.
+  return std::unique_ptr<WindowReader>(new InMemoryWindowReader(
+      std::move(data_->Normalized(stats).values())));
 }
 
 StatusOr<DataTensor::NormalizationStats> ChunkedDataSource::ComputeNormalization(

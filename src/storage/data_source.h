@@ -55,8 +55,11 @@ class DataSource {
 };
 
 /// In-core source: wraps a DataTensor the caller keeps alive. MakeReader
-/// materializes the normalized matrix once (exactly the historical
-/// Fit-time Normalized() copy) and serves zero-copy full views of it.
+/// builds one normalized copy of the values per reader and serves
+/// zero-copy full views of it. Fit makes one reader per call, and so does
+/// every TrainedDeepMvi::Predict and PredictCells call: a caller that
+/// predicts from the same tensor many times pays one normalized copy each
+/// time.
 class InMemoryDataSource : public DataSource {
  public:
   explicit InMemoryDataSource(const DataTensor* data) : data_(data) {}

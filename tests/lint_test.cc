@@ -74,6 +74,19 @@ TEST(LintTest, IostreamFixtureTripsOnlyInLibraryCode) {
   EXPECT_TRUE(LintFileContents("tools/iostream_write.cc", contents).empty());
 }
 
+TEST(LintTest, UncheckedParseFixtureTripsOnlyUnderTools) {
+  const std::string contents = ReadFixture("bad/unchecked_parse.cc");
+  const std::vector<Violation> in_tools =
+      LintFileContents("tools/unchecked_parse.cc", contents);
+  const auto counts = CountByRule(in_tools);
+  // The atoi, atol, atoll and atof lines.
+  EXPECT_EQ(counts.at("unchecked-parse"), 4) << Describe(in_tools);
+  EXPECT_EQ(counts.size(), 1u) << Describe(in_tools);
+  // The rule covers flag parsing in the tools, not library code.
+  EXPECT_TRUE(
+      LintFileContents("src/fake/unchecked_parse.cc", contents).empty());
+}
+
 TEST(LintTest, LayerCycleFixtureTripsDagRule) {
   const std::string contents = ReadFixture("bad/layer_cycle.cc");
   const std::vector<Violation> upward =

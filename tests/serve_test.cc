@@ -36,6 +36,8 @@ namespace {
 
 using testutil::ExpectMatricesBitIdentical;
 using testutil::MakeSeasonalCase;
+using testutil::McarMask;
+using testutil::RandomMatrix;
 using testutil::SeasonalCase;
 using testutil::TempPath;
 using testutil::TinyDeepMviConfig;
@@ -150,18 +152,60 @@ TEST(TrainedDeepMviTest, LoadRejectsCorruptAndTruncatedCheckpoints) {
   std::remove(path.c_str());
 }
 
-TEST(TrainedDeepMviTest, ValidateInputRejectsWrongShapes) {
-  TrainedCase c = MakeTrainedCase();
-  EXPECT_TRUE(
-      c.model.ValidateInput(c.data_case.data, c.data_case.mask).ok());
-  // Wrong series count.
-  SeasonalCase other = MakeSeasonalCase(33, 7, 120);
-  EXPECT_FALSE(c.model.ValidateInput(other.data, other.mask).ok());
-  // Mask shape disagrees with data.
-  EXPECT_FALSE(c.model.ValidateInput(c.data_case.data, Mask(5, 60)).ok());
-  // Untrained model.
-  EXPECT_FALSE(
-      TrainedDeepMvi().ValidateInput(c.data_case.data, c.data_case.mask).ok());
+TEST(TrainedDeepMviTest, PredictCellsRejectsWhatValidateInputRejects) {
+  // A non-flattening model trained on store x item = 2 x 6.
+  const int t_len = 80;
+  const Dimension stores{"store", {"a", "b"}};
+  const Dimension items{"item", {"s", "t", "u", "v", "w", "x"}};
+  const DataTensor data({stores, items}, RandomMatrix(12, t_len, 39));
+  const Mask mask = McarMask(12, t_len, 0.1, 40);
+  DeepMviImputer imputer(TinyDeepMviConfig());
+  const TrainedDeepMvi model = imputer.Fit(data, mask);
+  const TrainedDeepMvi untrained;
+  const int window = model.config().window;
+  ASSERT_GT(window, 1);
+
+  const DataTensor seven_series =
+      DataTensor::FromMatrix(RandomMatrix(7, t_len, 41));
+  const DataTensor short_data({stores, items},
+                              RandomMatrix(12, window - 1, 42));
+  Mask short_mask(12, window - 1);
+  short_mask.set_missing(0, 0);
+  // Same 12 series, but 3 x 4 members.
+  const DataTensor regrouped(
+      {Dimension{"store", {"a", "b", "c"}},
+       Dimension{"item", {"w", "x", "y", "z"}}},
+      data.values());
+
+  struct Case {
+    const char* name;
+    const TrainedDeepMvi* model;
+    const DataTensor* data;
+    Mask mask;
+  };
+  const Case cases[] = {
+      {"untrained model", &untrained, &data, mask},
+      {"mask of the wrong shape", &model, &data,
+       McarMask(12, t_len / 2, 0.1, 43)},
+      {"wrong series count", &model, &seven_series,
+       McarMask(7, t_len, 0.1, 44)},
+      {"shorter than one window", &model, &short_data, short_mask},
+      {"dims 3x4 for a 2x6 model", &model, &regrouped, mask},
+  };
+  for (const Case& c : cases) {
+    const Status validated = c.model->ValidateInput(*c.data, c.mask);
+    const StatusOr<std::vector<double>> predicted = c.model->PredictCells(
+        storage::InMemoryDataSource(c.data), c.mask, c.mask.MissingIndices());
+    EXPECT_FALSE(validated.ok()) << c.name;
+    EXPECT_FALSE(predicted.ok()) << c.name;
+    EXPECT_EQ(predicted.status().code(), validated.code()) << c.name;
+  }
+  // The control: the training input passes both.
+  EXPECT_TRUE(model.ValidateInput(data, mask).ok());
+  EXPECT_TRUE(model
+                  .PredictCells(storage::InMemoryDataSource(&data), mask,
+                                mask.MissingIndices())
+                  .ok());
 }
 
 TEST(TrainedDeepMviTest, RejectsSeriesShorterThanOneWindow) {

@@ -386,6 +386,43 @@ TEST(ChunkedTrainingTest, PredictCellsMatchesInCorePredict) {
   EXPECT_FALSE(model.PredictCells(source, seasonal.mask, {available}).ok());
 }
 
+TEST(ChunkedTrainingTest, FlatteningModelAgreesAcrossEntryPoints) {
+  // DeepMVI1D on a 2-dim tensor takes its flattened layout from the model,
+  // so the tensor, its Flattened1D() copy and a chunked store of it must
+  // give the same bits at every missing cell.
+  const DataTensor data = MultiDimTensor(120, 45);
+  const Mask mask = McarMask(6, 120, 0.15, 46);
+  DeepMviConfig config = TinyDeepMviConfig();
+  config.flatten_multidim = true;
+  DeepMviImputer imputer(config);
+  const TrainedDeepMvi model = imputer.Fit(data, mask);
+  const Matrix direct = model.Predict(data, mask);
+  const Matrix flattened = model.Predict(data.Flattened1D(), mask);
+
+  const std::string dir = StoreDir("flatten_predict");
+  ChunkStoreOptions options;
+  options.series_per_chunk = 4;
+  options.times_per_chunk = 32;
+  ASSERT_TRUE(ChunkedSeriesStore::WriteTensor(data, dir, options).ok());
+  StatusOr<ChunkedSeriesStore> store = ChunkedSeriesStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  ChunkCache cache(1 << 16);
+  ChunkedDataSource source(&store.value(), &cache);
+  const std::vector<CellIndex> missing = mask.MissingIndices();
+  ASSERT_FALSE(missing.empty());
+  StatusOr<std::vector<double>> cells =
+      model.PredictCells(source, mask, missing);
+  ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+
+  for (size_t i = 0; i < missing.size(); ++i) {
+    const CellIndex& cell = missing[i];
+    ASSERT_EQ(direct(cell.series, cell.time),
+              flattened(cell.series, cell.time))
+        << "cell " << i;
+    ASSERT_EQ(direct(cell.series, cell.time), (*cells)[i]) << "cell " << i;
+  }
+}
+
 TEST(ChunkedTrainingTest, TrainingSurfacesChunkCorruptionAsStatus) {
   SeasonalCase seasonal = MakeSeasonalCase(36);
   const std::string dir = StoreDir("corrupt_train");

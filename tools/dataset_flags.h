@@ -2,7 +2,8 @@
 #define DEEPMVI_TOOLS_DATASET_FLAGS_H_
 
 // Shared dataset/mask assembly for dmvi_train and dmvi_serve, and the
-// checked integer parser for tool and figure-bench flags.
+// checked integer and floating-point parsers for tool and figure-bench
+// flags.
 //
 // The two tools must reconstruct the *same* dataset and base mask from the
 // same flags: dmvi_serve's output is compared byte-for-byte against
@@ -12,6 +13,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -83,6 +85,25 @@ bool ParseIntegerFlag(const char* flag, const char* value, long long lo,
     return false;
   }
   *out = static_cast<T>(parsed);
+  return true;
+}
+
+/// Parses `value`, the value of `flag`, as a whole finite decimal number
+/// in [lo, hi] into *out. Empty text, trailing characters, overflow,
+/// inf/nan or a value out of range print "FLAG must be a number in
+/// [lo, hi]: VALUE" to stderr and return false; the caller exits 2.
+inline bool ParseDoubleFlag(const char* flag, const char* value, double lo,
+                            double hi, double* out) {
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(value, &end);
+  if (end == value || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(parsed) || parsed < lo || parsed > hi) {
+    std::fprintf(stderr, "%s must be a number in [%.15g, %.15g]: %s\n",
+                 flag, lo, hi, value);
+    return false;
+  }
+  *out = parsed;
   return true;
 }
 

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: dmvi_lint [--repo-root DIR] [ROOT...]\n"
                    "rules: sync-primitive raw-rng iostream "
-                   "status-nodiscard layer-include\n";
+                   "unchecked-parse status-nodiscard layer-include\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "dmvi_lint: unknown flag " << arg << "\n";

@@ -69,7 +69,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -90,6 +92,7 @@
 #include "scenario/scenarios.h"
 #include "serve/workload.h"
 #include "tensor/matrix.h"
+#include "tools/dataset_flags.h"
 
 namespace deepmvi {
 namespace {
@@ -298,23 +301,44 @@ int Run(int argc, char** argv) {
     } else if ((value = next("--port-file"))) {
       port_file = value;
     } else if ((value = next("--concurrency"))) {
-      options.concurrency = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--concurrency", value, 1, INT_MAX,
+                                   &options.concurrency)) {
+        return 2;
+      }
     } else if ((value = next("--synth"))) {
-      options.synth = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--synth", value, 0, INT_MAX,
+                                   &options.synth)) {
+        return 2;
+      }
     } else if ((value = next("--block"))) {
-      options.block = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--block", value, 1, INT_MAX,
+                                   &options.block)) {
+        return 2;
+      }
     } else if ((value = next("--workload-seed"))) {
-      options.workload_seed = std::strtoull(value, nullptr, 10);
+      if (!tools::ParseIntegerFlag("--workload-seed", value, 0, LLONG_MAX,
+                                   &options.workload_seed)) {
+        return 2;
+      }
     } else if ((value = next("--workload"))) {
       options.workload_path = value;
     } else if ((value = next("--rps"))) {
-      options.rps = std::atof(value);
+      if (!tools::ParseDoubleFlag("--rps", value, 0.0, DBL_MAX,
+                                  &options.rps)) {
+        return 2;
+      }
     } else if ((value = next("--impute-csv"))) {
       options.impute_csv = value;
     } else if ((value = next("--reload-every"))) {
-      options.reload_every = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--reload-every", value, 0, INT_MAX,
+                                   &options.reload_every)) {
+        return 2;
+      }
     } else if ((value = next("--max-p95-ms"))) {
-      options.max_p95_ms = std::atof(value);
+      if (!tools::ParseDoubleFlag("--max-p95-ms", value, 0.0, DBL_MAX,
+                                  &options.max_p95_ms)) {
+        return 2;
+      }
     } else if ((value = next("--request-id-prefix"))) {
       options.request_id_prefix = value;
     } else if ((value = next("--scrape-metrics"))) {
@@ -324,7 +348,10 @@ int Run(int argc, char** argv) {
     } else if ((value = next("--fetch-out"))) {
       options.fetch_out = value;
     } else if ((value = next("--slow-ms"))) {
-      options.slow_ms = std::atof(value);
+      if (!tools::ParseDoubleFlag("--slow-ms", value, 0.0, DBL_MAX,
+                                  &options.slow_ms)) {
+        return 2;
+      }
     } else if ((value = next("--check-quality"))) {
       options.check_quality = value;
       if (options.check_quality != "quiet" &&
@@ -333,7 +360,10 @@ int Run(int argc, char** argv) {
         return 2;
       }
     } else if ((value = next("--drift-rate"))) {
-      options.drift_rate = std::atof(value);
+      if (!tools::ParseDoubleFlag("--drift-rate", value, 0.0, DBL_MAX,
+                                  &options.drift_rate)) {
+        return 2;
+      }
     } else if ((value = next("--log-level"))) {
       if (!ParseLogSeverity(value, &MinLogSeverity())) {
         std::fprintf(stderr,
@@ -389,7 +419,6 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "--target: %s\n", parsed.ToString().c_str());
     return 2;
   }
-  options.concurrency = std::max(1, options.concurrency);
   if (options.slow_ms > 0.0 && options.request_id_prefix.empty()) {
     std::fprintf(stderr,
                  "--slow-ms needs --request-id-prefix (the /debug/slow "

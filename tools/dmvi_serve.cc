@@ -52,7 +52,9 @@
 // processes).
 
 #include <algorithm>
+#include <cfloat>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -123,33 +125,61 @@ int Run(int argc, char** argv) {
     } else if ((value = next("--workload"))) {
       workload_path = value;
     } else if ((value = next("--synth"))) {
-      synth = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--synth", value, 0, INT_MAX, &synth)) {
+        return 2;
+      }
     } else if ((value = next("--block"))) {
-      block = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--block", value, 1, INT_MAX, &block)) {
+        return 2;
+      }
     } else if ((value = next("--workload-seed"))) {
-      workload_seed = std::strtoull(value, nullptr, 10);
+      if (!tools::ParseIntegerFlag("--workload-seed", value, 0, LLONG_MAX,
+                                   &workload_seed)) {
+        return 2;
+      }
     } else if ((value = next("--impute-csv"))) {
       impute_csv = value;
     } else if ((value = next("--threads"))) {
-      service_config.threads = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--threads", value, 0, INT_MAX,
+                                   &service_config.threads)) {
+        return 2;
+      }
     } else if ((value = next("--cache-mb"))) {
-      service_config.cache_mb = std::atof(value);
+      if (!tools::ParseDoubleFlag("--cache-mb", value, 0.0, INT_MAX,
+                                  &service_config.cache_mb)) {
+        return 2;
+      }
     } else if ((value = next("--degrade-watermark"))) {
-      service_config.degrade_watermark = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--degrade-watermark", value, 0, INT_MAX,
+                                   &service_config.degrade_watermark)) {
+        return 2;
+      }
     } else if ((value = next("--shed-watermark"))) {
-      service_config.shed_watermark = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--shed-watermark", value, 0, INT_MAX,
+                                   &service_config.shed_watermark)) {
+        return 2;
+      }
     } else if ((value = next("--degrade-method"))) {
       service_config.degrade_method = value;
     } else if ((value = next("--listen"))) {
       listen_address = value;
     } else if ((value = next("--http-workers"))) {
-      http_workers = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--http-workers", value, 1, INT_MAX,
+                                   &http_workers)) {
+        return 2;
+      }
     } else if ((value = next("--port-file"))) {
       port_file = value;
     } else if ((value = next("--flight-records"))) {
-      flight_records = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--flight-records", value, 1, INT_MAX,
+                                   &flight_records)) {
+        return 2;
+      }
     } else if ((value = next("--slow-ms"))) {
-      slow_ms = std::atof(value);
+      if (!tools::ParseDoubleFlag("--slow-ms", value, 0.0, DBL_MAX,
+                                  &slow_ms)) {
+        return 2;
+      }
     } else if ((value = next("--quality"))) {
       if (std::strcmp(value, "on") == 0) {
         quality_on = true;
@@ -160,11 +190,20 @@ int Run(int argc, char** argv) {
         return 2;
       }
     } else if ((value = next("--drift-threshold"))) {
-      drift_threshold = std::atof(value);
+      if (!tools::ParseDoubleFlag("--drift-threshold", value, 0.0, DBL_MAX,
+                                  &drift_threshold)) {
+        return 2;
+      }
     } else if ((value = next("--selfscore-every"))) {
-      quality_options.selfscore_every = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--selfscore-every", value, 0, INT_MAX,
+                                   &quality_options.selfscore_every)) {
+        return 2;
+      }
     } else if ((value = next("--selfscore-fraction"))) {
-      quality_options.selfscore_fraction = std::atof(value);
+      if (!tools::ParseDoubleFlag("--selfscore-fraction", value, 0.0, 1.0,
+                                  &quality_options.selfscore_fraction)) {
+        return 2;
+      }
     } else if ((value = next("--trace-out"))) {
       trace_out = value;
     } else if ((value = next("--trace-level"))) {

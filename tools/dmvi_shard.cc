@@ -19,6 +19,7 @@
 // Presets and synthetic datasets are generated in-core first (their
 // generators are), then written through the same streaming writer.
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -148,15 +149,30 @@ int Run(int argc, char** argv) {
     if ((value = next("--out-dir"))) {
       out_dir = value;
     } else if ((value = next("--series-per-chunk"))) {
-      options.series_per_chunk = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--series-per-chunk", value, 1, INT_MAX,
+                                   &options.series_per_chunk)) {
+        return 2;
+      }
     } else if ((value = next("--times-per-chunk"))) {
-      options.times_per_chunk = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--times-per-chunk", value, 1, INT_MAX,
+                                   &options.times_per_chunk)) {
+        return 2;
+      }
     } else if ((value = next("--synth-series"))) {
-      synth_series = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--synth-series", value, 1, INT_MAX,
+                                   &synth_series)) {
+        return 2;
+      }
     } else if ((value = next("--synth-length"))) {
-      synth_length = std::atoi(value);
+      if (!tools::ParseIntegerFlag("--synth-length", value, 1, INT_MAX,
+                                   &synth_length)) {
+        return 2;
+      }
     } else if ((value = next("--synth-seed"))) {
-      synth_seed = std::strtoull(value, nullptr, 10);
+      if (!tools::ParseIntegerFlag("--synth-seed", value, 0, LLONG_MAX,
+                                   &synth_seed)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: dmvi_shard (--input data.csv [--mask mask.csv]\n"

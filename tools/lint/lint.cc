@@ -238,6 +238,26 @@ void CheckIostream(const std::string& path, int line_number,
   }
 }
 
+void CheckUncheckedParse(const std::string& path, int line_number,
+                         const std::string& raw, const std::string& code,
+                         std::vector<Violation>* out) {
+  if (!IsUnder(path, "tools")) return;  // Flag values are parsed in tools.
+  if (LineAllows(raw, "unchecked-parse")) return;
+  // Literals split mid-word: see the sync-primitive table.
+  static const char* const kBanned[] = {"at" "oi", "at" "ol", "at" "oll",
+                                        "at" "of"};
+  for (const char* name : kBanned) {
+    if (ContainsCall(code, name)) {
+      out->push_back({path, line_number, "unchecked-parse",
+                      std::string(name) +
+                          ": cannot report a malformed value; use "
+                          "tools::ParseIntegerFlag or ParseDoubleFlag "
+                          "(tools/dataset_flags.h)"});
+      return;
+    }
+  }
+}
+
 void CheckLayerInclude(const std::string& path, int line_number,
                        const std::string& raw, const std::string& code,
                        std::vector<Violation>* out) {
@@ -305,6 +325,7 @@ std::vector<Violation> LintFileContents(const std::string& path,
     CheckSyncPrimitives(path, line_number, raw, code, &violations);
     CheckRawRng(path, line_number, raw, code, &violations);
     CheckIostream(path, line_number, raw, code, &violations);
+    CheckUncheckedParse(path, line_number, raw, code, &violations);
     CheckLayerInclude(path, line_number, raw, code, &violations);
   }
   return violations;

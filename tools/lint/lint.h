@@ -26,6 +26,9 @@ struct Violation {
 ///    reproducible.
 ///  - iostream       : std::cout/cerr writes in library code (src/ outside
 ///    the logging emitter) — libraries report through DMVI_LOG / Status.
+///  - unchecked-parse : atoi/atol/atoll/atof calls under tools/ — they
+///    cannot report a malformed value, so a mistyped flag would run with
+///    0; tools parse flags with tools::ParseIntegerFlag / ParseDoubleFlag.
 ///  - status-nodiscard : src/common/status.h must keep [[nodiscard]] on
 ///    Status and StatusOr so ignored error returns stay compiler errors.
 ///  - layer-include  : project includes in src/<layer>/ must respect the
