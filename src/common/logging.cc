@@ -1,8 +1,8 @@
 #include "common/logging.h"
 
-#include <cstdio>
 #include <iostream>
 
+#include "common/json_escape.h"
 #include "common/mutex.h"
 
 namespace deepmvi {
@@ -70,36 +70,6 @@ Mutex& EmitMutex() {
   return mutex;
 }
 
-void AppendJsonEscaped(std::string* out, const std::string& value) {
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 bool NeedsKvQuoting(const std::string& value) {
   if (value.empty()) return true;
   for (char c : value) {
@@ -117,7 +87,7 @@ void AppendKvValue(std::string* out, const std::string& value) {
     return;
   }
   *out += '"';
-  AppendJsonEscaped(out, value);
+  *out += EscapeJson(value);
   *out += '"';
 }
 
@@ -160,15 +130,15 @@ std::string FormatLogEvent(const LogEvent& event, LogFormat format) {
       out += "{\"level\":\"";
       out += LogSeverityName(event.severity);
       out += "\",\"src\":\"";
-      AppendJsonEscaped(&out, event.source);
+      out += EscapeJson(event.source);
       out += "\",\"msg\":\"";
-      AppendJsonEscaped(&out, event.message);
+      out += EscapeJson(event.message);
       out += "\"";
       for (const LogField& field : event.fields) {
         out += ",\"";
-        AppendJsonEscaped(&out, field.key);
+        out += EscapeJson(field.key);
         out += "\":\"";
-        AppendJsonEscaped(&out, field.value);
+        out += EscapeJson(field.value);
         out += "\"";
       }
       out += "}";

@@ -107,18 +107,13 @@ TrainedDeepMvi DeepMviImputer::Fit(const DataTensor& raw_data, const Mask& mask)
 
 StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
                                              const Mask& mask) {
+  DMVI_RETURN_IF_ERROR(config_.Validate());
   if (source.num_series() != mask.rows() || source.num_times() != mask.cols()) {
     return Status::InvalidArgument(
         "mask shape " + std::to_string(mask.rows()) + "x" +
         std::to_string(mask.cols()) + " does not match data " +
         std::to_string(source.num_series()) + "x" +
         std::to_string(source.num_times()));
-  }
-  // Each epoch draws samples a batch at a time; with no room in a batch
-  // the epoch would never end.
-  if (config_.batch_size < 1) {
-    return Status::InvalidArgument("DeepMviConfig::batch_size must be >= 1, got " +
-                                   std::to_string(config_.batch_size));
   }
 
   // Imputer-contract hygiene: stale diagnostics from a previous call must

@@ -56,8 +56,9 @@ class DeepMviImputer : public Imputer {
   /// InMemoryDataSource), and the two produce byte-identical checkpoints:
   /// same RNG sample schedule, same reduction order, any num_threads.
   /// I/O failures (corrupt or truncated chunks) surface as Status errors,
-  /// as does a config().batch_size below 1 (InvalidArgument; the in-core
-  /// Fit aborts with it).
+  /// as does a config() that fails DeepMviConfig::Validate, checked before
+  /// anything is allocated (InvalidArgument; the in-core Fit aborts with
+  /// it).
   StatusOr<TrainedDeepMvi> Fit(const storage::DataSource& source,
                                const Mask& mask);
 

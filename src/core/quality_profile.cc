@@ -19,9 +19,6 @@ constexpr uint32_t kProfileVersion = 1;
 // chunked sources observe identical value sequences.
 constexpr int kStripeLen = 4096;
 
-// Plausibility guard mirroring the checkpoint reader's limits.
-constexpr int64_t kMaxProfileSeries = int64_t{1} << 26;
-
 }  // namespace
 
 double QualityProfile::MissingRate() const {
@@ -111,7 +108,7 @@ Status AppendQualityProfileRecord(std::ostream& os,
   return Status::OK();
 }
 
-StatusOr<bool> ReadQualityProfileRecord(std::istream& is,
+StatusOr<bool> ReadQualityProfileRecord(std::istream& is, int num_series,
                                         QualityProfile* out) {
   char magic[4];
   is.read(magic, sizeof(magic));
@@ -129,14 +126,14 @@ StatusOr<bool> ReadQualityProfileRecord(std::istream& is,
     return Status::InvalidArgument("unsupported quality profile version " +
                                    std::to_string(version));
   }
-  int64_t num_series = 0;
-  if (!nn::ReadPod(is, &num_series)) {
+  int64_t count = 0;
+  if (!nn::ReadPod(is, &count)) {
     return Status::IoError("truncated file: quality profile header missing");
   }
-  if (num_series < 0 || num_series > kMaxProfileSeries) {
+  if (count != num_series) {
     return Status::InvalidArgument(
-        "corrupt file: implausible quality profile series count " +
-        std::to_string(num_series));
+        "corrupt file: quality profile covers " + std::to_string(count) +
+        " series but the model has " + std::to_string(num_series));
   }
   QualityProfile profile;
   profile.series.resize(static_cast<size_t>(num_series));

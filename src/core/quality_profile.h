@@ -60,8 +60,10 @@ StatusOr<QualityProfile> ComputeQualityProfile(
 /// Reads the trailing profile record if the stream has one. Returns true
 /// and fills `out` when a record was read; false on clean EOF (a legacy
 /// profile-less checkpoint); an error Status on a partial magic, wrong
-/// magic, unsupported version, or truncated body.
+/// magic, unsupported version, a series count other than the model's
+/// `num_series` (checked before anything is allocated), or truncated body.
 [[nodiscard]] StatusOr<bool> ReadQualityProfileRecord(std::istream& is,
+                                                      int num_series,
                                                       QualityProfile* out);
 
 }  // namespace deepmvi

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "nn/serialize.h"
@@ -16,29 +15,8 @@ namespace {
 constexpr char kCheckpointMagic[4] = {'D', 'M', 'V', 'C'};
 constexpr uint32_t kCheckpointVersion = 1;
 
-// Guards against allocating from a corrupt header.
-constexpr uint32_t kMaxDims = 64;
-constexpr uint32_t kMaxMembers = 1 << 24;
-constexpr uint32_t kMaxSeries = 1 << 26;
-// Architecture bounds, well above the paper's p = 32, w = 10/20, 4 heads,
-// d = 10. BuildDeepMviModules sizes its tensors from these fields before
-// any parameter record is read; at the bounds the transformer's
-// parameters, Adam moments included, stay under 0.5 GiB.
-constexpr int kMaxFilters = 128;
-constexpr int kMaxWindow = 512;
-constexpr int kMaxHeads = 32;
-constexpr int kMaxEmbeddingDim = 256;
-// max_context sizes the transformer's positional-encoding table; at this
-// bound the table stays under 16 MiB at every window and filter count.
-constexpr int kMaxContext = TemporalTransformer::kMaxTableContext;
-// top_siblings counts members of one dimension; below 1 the kernel
-// regression's top-L selection would index before the candidate list.
-constexpr int kMaxTopSiblings = static_cast<int>(kMaxMembers);
-
 using nn::ReadPod;
-using nn::ReadString;
 using nn::WritePod;
-using nn::WriteString;
 
 Status WriteConfig(std::ostream& os, const DeepMviConfig& config) {
   WritePod(os, static_cast<int32_t>(config.filters));
@@ -94,20 +72,14 @@ Status ReadConfig(std::istream& is, DeepMviConfig* config) {
                   read_bool(&config->use_fine_grained) &&
                   read_bool(&config->flatten_multidim);
   if (!ok) return Status::IoError("truncated file: checkpoint config missing");
-  for (const auto& [name, value, max] :
-       {std::make_tuple("filters", config->filters, kMaxFilters),
-        std::make_tuple("window", config->window, kMaxWindow),
-        std::make_tuple("num_heads", config->num_heads, kMaxHeads),
-        std::make_tuple("embedding_dim", config->embedding_dim,
-                        kMaxEmbeddingDim),
-        std::make_tuple("top_siblings", config->top_siblings, kMaxTopSiblings),
-        std::make_tuple("max_context", config->max_context, kMaxContext)}) {
-    if (value <= 0 || value > max) {
-      return Status::InvalidArgument(
-          std::string("corrupt file: implausible model config: ") + name +
-          " " + std::to_string(value) + " outside [1, " +
-          std::to_string(max) + "]");
-    }
+  // Fit resolved the stored window, so 0 ("choose one") is corrupt too.
+  const Status valid =
+      config->window == 0
+          ? Status::InvalidArgument("DeepMviConfig::window 0 is unresolved")
+          : config->Validate();
+  if (!valid.ok()) {
+    return Status::InvalidArgument(
+        "corrupt file: implausible model config: " + valid.message());
   }
   return Status::OK();
 }
@@ -120,14 +92,17 @@ Status WriteDoubles(std::ostream& os, const std::vector<double>& values) {
   return Status::OK();
 }
 
-StatusOr<std::vector<double>> ReadDoubles(std::istream& is) {
+/// Reads a vector written by WriteDoubles whose length must be `expected`,
+/// checked before anything is allocated.
+StatusOr<std::vector<double>> ReadDoubles(std::istream& is, int expected) {
   uint32_t count = 0;
   if (!ReadPod(is, &count)) {
     return Status::IoError("truncated file: vector length missing");
   }
-  if (count > kMaxSeries) {
-    return Status::InvalidArgument("corrupt file: implausible vector length " +
-                                   std::to_string(count));
+  if (count != static_cast<uint32_t>(expected)) {
+    return Status::InvalidArgument(
+        "corrupt file: dimensions imply " + std::to_string(expected) +
+        " series but a normalization vector covers " + std::to_string(count));
   }
   std::vector<double> out(count);
   const std::streamsize bytes =
@@ -301,14 +276,7 @@ Status TrainedDeepMvi::Save(const std::string& path) const {
   WritePod(os, kCheckpointVersion);
   DMVI_RETURN_IF_ERROR(WriteConfig(os, config_));
 
-  WritePod(os, static_cast<uint32_t>(dims_.size()));
-  for (const Dimension& dim : dims_) {
-    DMVI_RETURN_IF_ERROR(WriteString(os, dim.name));
-    WritePod(os, static_cast<uint32_t>(dim.members.size()));
-    for (const std::string& member : dim.members) {
-      DMVI_RETURN_IF_ERROR(WriteString(os, member));
-    }
-  }
+  DMVI_RETURN_IF_ERROR(nn::WriteDims(os, dims_).status());
 
   DMVI_RETURN_IF_ERROR(WriteDoubles(os, stats_.mean));
   DMVI_RETURN_IF_ERROR(WriteDoubles(os, stats_.stddev));
@@ -349,60 +317,15 @@ StatusOr<TrainedDeepMvi> TrainedDeepMvi::Load(const std::string& path) {
   TrainedDeepMvi model;
   DMVI_RETURN_IF_ERROR(ReadConfig(is, &model.config_));
 
-  uint32_t num_dims = 0;
-  if (!ReadPod(is, &num_dims)) {
-    return Status::IoError("truncated file: dimension count missing");
-  }
-  if (num_dims == 0 || num_dims > kMaxDims) {
-    return Status::InvalidArgument("corrupt file: implausible dimension count " +
-                                   std::to_string(num_dims));
-  }
-  for (uint32_t d = 0; d < num_dims; ++d) {
-    Dimension dim;
-    StatusOr<std::string> name = ReadString(is);
-    if (!name.ok()) return name.status();
-    dim.name = std::move(name).value();
-    uint32_t num_members = 0;
-    if (!ReadPod(is, &num_members)) {
-      return Status::IoError("truncated file: member count missing");
-    }
-    if (num_members == 0 || num_members > kMaxMembers) {
-      return Status::InvalidArgument(
-          "corrupt file: implausible member count " +
-          std::to_string(num_members));
-    }
-    dim.members.reserve(num_members);
-    for (uint32_t m = 0; m < num_members; ++m) {
-      StatusOr<std::string> member = ReadString(is);
-      if (!member.ok()) return member.status();
-      dim.members.push_back(std::move(member).value());
-    }
-    model.dims_.push_back(std::move(dim));
-  }
-
-  StatusOr<std::vector<double>> mean = ReadDoubles(is);
+  StatusOr<int> num_series = nn::ReadDims(is, &model.dims_);
+  if (!num_series.ok()) return num_series.status();
+  // One normalization entry per series, a member combination of the dims.
+  StatusOr<std::vector<double>> mean = ReadDoubles(is, *num_series);
   if (!mean.ok()) return mean.status();
   model.stats_.mean = std::move(mean).value();
-  StatusOr<std::vector<double>> stddev = ReadDoubles(is);
+  StatusOr<std::vector<double>> stddev = ReadDoubles(is, *num_series);
   if (!stddev.ok()) return stddev.status();
   model.stats_.stddev = std::move(stddev).value();
-  if (model.stats_.mean.size() != model.stats_.stddev.size()) {
-    return Status::InvalidArgument(
-        "corrupt file: normalization vectors disagree in length");
-  }
-  // The stats are per flattened series, one per member-combination of the
-  // dims; a mismatch means a corrupt header and would otherwise surface
-  // later as an out-of-bounds embedding lookup instead of a Status.
-  uint64_t expected_series = 1;
-  for (const Dimension& dim : model.dims_) {
-    expected_series *= static_cast<uint64_t>(dim.size());
-  }
-  if (expected_series != model.stats_.mean.size()) {
-    return Status::InvalidArgument(
-        "corrupt file: dimensions imply " + std::to_string(expected_series) +
-        " series but normalization stats cover " +
-        std::to_string(model.stats_.mean.size()));
-  }
 
   // Rebuild the model skeleton from the stored config and dimensions (the
   // Rng only feeds initial values, which the store load overwrites), then
@@ -415,16 +338,10 @@ StatusOr<TrainedDeepMvi> TrainedDeepMvi::Load(const std::string& path) {
 
   // Optional trailing quality-profile record. Checkpoints written before
   // the record existed end right here; they load with no profile.
-  StatusOr<bool> has_profile = ReadQualityProfileRecord(is, &model.profile_);
+  StatusOr<bool> has_profile =
+      ReadQualityProfileRecord(is, *num_series, &model.profile_);
   if (!has_profile.ok()) return has_profile.status();
   model.has_profile_ = has_profile.value();
-  if (model.has_profile_ &&
-      model.profile_.series.size() != model.stats_.mean.size()) {
-    return Status::InvalidArgument(
-        "corrupt file: quality profile covers " +
-        std::to_string(model.profile_.series.size()) + " series but model has " +
-        std::to_string(model.stats_.mean.size()));
-  }
   return model;
 }
 

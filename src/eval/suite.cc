@@ -2,51 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <exception>
 #include <fstream>
 #include <sstream>
 
+#include "common/json_escape.h"
 #include "common/mutex.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 
 namespace deepmvi {
 namespace {
-
-/// JSON string escaping (control characters, quote, backslash).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// JSON has no literal for non-finite doubles; emit null so the document
 /// stays parseable even if a metric diverged.
@@ -136,7 +102,7 @@ SuiteResult RunSuite(const SuiteSpec& spec) {
 std::string SuiteToJson(const SuiteResult& suite) {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"git_commit\": \"" << JsonEscape(suite.git_commit) << "\",\n";
+  os << "  \"git_commit\": \"" << EscapeJson(suite.git_commit) << "\",\n";
   os << "  \"wall_seconds\": " << JsonNumber(suite.wall_seconds) << ",\n";
   os << "  \"effective_threads\": " << suite.threads_used << ",\n";
   os << "  \"num_cells\": " << suite.cells.size() << ",\n";
@@ -145,9 +111,9 @@ std::string SuiteToJson(const SuiteResult& suite) {
   for (size_t i = 0; i < suite.cells.size(); ++i) {
     const SuiteCell& cell = suite.cells[i];
     os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"dataset\": \"" << JsonEscape(cell.dataset) << "\", "
-       << "\"scenario\": \"" << JsonEscape(cell.scenario_name) << "\", "
-       << "\"imputer\": \"" << JsonEscape(cell.imputer) << "\", "
+    os << "    {\"dataset\": \"" << EscapeJson(cell.dataset) << "\", "
+       << "\"scenario\": \"" << EscapeJson(cell.scenario_name) << "\", "
+       << "\"imputer\": \"" << EscapeJson(cell.imputer) << "\", "
        << "\"ok\": " << (cell.ok ? "true" : "false");
     if (cell.ok) {
       os << ", \"mae\": " << JsonNumber(cell.result.mae)
@@ -156,7 +122,7 @@ std::string SuiteToJson(const SuiteResult& suite) {
          << ", \"runtime_seconds\": " << JsonNumber(cell.result.runtime_seconds)
          << ", \"missing_cells\": " << cell.result.missing_cells;
     } else {
-      os << ", \"error\": \"" << JsonEscape(cell.error) << "\"";
+      os << ", \"error\": \"" << EscapeJson(cell.error) << "\"";
     }
     os << "}";
   }

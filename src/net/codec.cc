@@ -1,10 +1,10 @@
 #include "net/codec.h"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
+#include "common/json_escape.h"
 #include "data/io.h"
 
 namespace deepmvi {
@@ -269,31 +269,6 @@ class JsonParser {
 
 StatusOr<JsonValue> ParseJson(const std::string& text) {
   return JsonParser(text).Parse();
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 // ---- /v1/impute decoding ----------------------------------------------------

@@ -67,9 +67,6 @@ class JsonValue {
 /// offset — the server turns it into a 400 whose body carries the message.
 StatusOr<JsonValue> ParseJson(const std::string& text);
 
-/// JSON string escaping (quotes not included).
-std::string EscapeJson(const std::string& s);
-
 // ---- /v1/impute request decoding --------------------------------------------
 
 /// The decoded intent of one POST /v1/impute body. Exactly one data mode:

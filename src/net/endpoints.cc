@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/json_escape.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "net/codec.h"

@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 #include <set>
+#include <utility>
 
 namespace deepmvi {
 namespace nn {
@@ -18,26 +19,61 @@ constexpr uint32_t kStoreVersion = 1;
 // multi-gigabyte allocation.
 constexpr uint32_t kMaxNameLength = 1 << 20;
 constexpr uint64_t kMaxParameters = 1 << 24;
-constexpr int64_t kMaxMatrixElements = int64_t{1} << 32;
 
-/// Reads a matrix record into the existing `dst`, enforcing its shape.
-Status ReadMatrixShaped(std::istream& is, const std::string& what, Matrix& dst) {
-  StatusOr<Matrix> read = ReadMatrix(is);
-  if (!read.ok()) return read.status();
-  if (read->rows() != dst.rows() || read->cols() != dst.cols()) {
-    return Status::InvalidArgument(
-        "shape mismatch for " + what + ": file has " +
-        std::to_string(read->rows()) + "x" + std::to_string(read->cols()) +
-        ", store has " + std::to_string(dst.rows()) + "x" +
-        std::to_string(dst.cols()));
+/// Reads a matrix record straight into the existing `dst`: the record's
+/// shape must equal dst's, so nothing is allocated.
+Status ReadMatrixInto(std::istream& is, const std::string& what, Matrix& dst) {
+  int32_t rows = 0;
+  int32_t cols = 0;
+  if (!ReadPod(is, &rows) || !ReadPod(is, &cols)) {
+    return Status::IoError("truncated file: matrix shape missing");
   }
-  dst = std::move(read).value();
+  if (rows != dst.rows() || cols != dst.cols()) {
+    return Status::InvalidArgument(
+        "shape mismatch for " + what + ": file has " + std::to_string(rows) +
+        "x" + std::to_string(cols) + ", store has " +
+        std::to_string(dst.rows()) + "x" + std::to_string(dst.cols()));
+  }
+  const std::streamsize bytes =
+      static_cast<std::streamsize>(dst.size() * sizeof(double));
+  is.read(reinterpret_cast<char*>(dst.data()), bytes);
+  if (is.gcount() != bytes) {
+    return Status::IoError("truncated file: matrix body missing");
+  }
+  return Status::OK();
+}
+
+Status CheckDimCount(uint64_t count) {
+  if (count == 0 || count > kMaxDims) {
+    return Status::InvalidArgument(
+        "invalid dimension table: dimension count " +
+        std::to_string(count) + " outside [1, " + std::to_string(kMaxDims) +
+        "]");
+  }
+  return Status::OK();
+}
+
+/// Multiplies *series by a dimension's member count, which must be at least
+/// one and keep the product within kMaxTableSeries.
+Status MultiplySeries(const std::string& dim, uint64_t members, int* series) {
+  if (members == 0 ||
+      members > static_cast<uint64_t>(kMaxTableSeries / *series)) {
+    return Status::InvalidArgument(
+        "invalid dimension table: dimension '" + dim + "' has " +
+        std::to_string(members) + " members, a table holds 1 to " +
+        std::to_string(kMaxTableSeries) + " series");
+  }
+  *series *= static_cast<int>(members);
   return Status::OK();
 }
 
 }  // namespace
 
 Status WriteString(std::ostream& os, const std::string& s) {
+  if (s.size() > kMaxNameLength) {
+    return Status::InvalidArgument("string of " + std::to_string(s.size()) +
+                                   " bytes exceeds the string record bound");
+  }
   WritePod(os, static_cast<uint32_t>(s.size()));
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
   if (!os) return Status::IoError("write failed for string record");
@@ -70,26 +106,57 @@ Status WriteMatrix(std::ostream& os, const Matrix& matrix) {
   return Status::OK();
 }
 
-StatusOr<Matrix> ReadMatrix(std::istream& is) {
-  int32_t rows = 0;
-  int32_t cols = 0;
-  if (!ReadPod(is, &rows) || !ReadPod(is, &cols)) {
-    return Status::IoError("truncated file: matrix shape missing");
+StatusOr<int> TableSeriesCount(const std::vector<Dimension>& dims) {
+  DMVI_RETURN_IF_ERROR(CheckDimCount(dims.size()));
+  int series = 1;
+  for (const Dimension& dim : dims) {
+    DMVI_RETURN_IF_ERROR(MultiplySeries(dim.name, dim.members.size(), &series));
   }
-  if (rows < 0 || cols < 0 ||
-      static_cast<int64_t>(rows) * cols > kMaxMatrixElements) {
-    return Status::InvalidArgument("corrupt file: implausible matrix shape " +
-                                   std::to_string(rows) + "x" +
-                                   std::to_string(cols));
+  return series;
+}
+
+StatusOr<int> WriteDims(std::ostream& os, const std::vector<Dimension>& dims) {
+  StatusOr<int> series = TableSeriesCount(dims);
+  if (!series.ok()) return series.status();
+  WritePod(os, static_cast<uint32_t>(dims.size()));
+  for (const Dimension& dim : dims) {
+    DMVI_RETURN_IF_ERROR(WriteString(os, dim.name));
+    WritePod(os, static_cast<uint32_t>(dim.members.size()));
+    for (const std::string& member : dim.members) {
+      DMVI_RETURN_IF_ERROR(WriteString(os, member));
+    }
   }
-  Matrix out(rows, cols);
-  const std::streamsize bytes =
-      static_cast<std::streamsize>(out.size() * sizeof(double));
-  is.read(reinterpret_cast<char*>(out.data()), bytes);
-  if (is.gcount() != bytes) {
-    return Status::IoError("truncated file: matrix body missing");
+  if (!os) return Status::IoError("write failed for dimension table");
+  return series;
+}
+
+StatusOr<int> ReadDims(std::istream& is, std::vector<Dimension>* dims) {
+  uint32_t count = 0;
+  if (!ReadPod(is, &count)) {
+    return Status::IoError("truncated file: dimension count missing");
   }
-  return out;
+  DMVI_RETURN_IF_ERROR(CheckDimCount(count));
+  dims->clear();
+  int series = 1;
+  for (uint32_t d = 0; d < count; ++d) {
+    Dimension dim;
+    StatusOr<std::string> name = ReadString(is);
+    if (!name.ok()) return name.status();
+    dim.name = std::move(name).value();
+    uint32_t num_members = 0;
+    if (!ReadPod(is, &num_members)) {
+      return Status::IoError("truncated file: member count missing");
+    }
+    DMVI_RETURN_IF_ERROR(MultiplySeries(dim.name, num_members, &series));
+    // No reserve: the members grow only as fast as the file supplies them.
+    for (uint32_t m = 0; m < num_members; ++m) {
+      StatusOr<std::string> member = ReadString(is);
+      if (!member.ok()) return member.status();
+      dim.members.push_back(std::move(member).value());
+    }
+    dims->push_back(std::move(dim));
+  }
+  return series;
 }
 
 Status WriteParameter(std::ostream& os, const Parameter& parameter) {
@@ -111,11 +178,11 @@ StatusOr<std::string> ReadParameterInto(std::istream& is,
     return Status::NotFound("checkpoint names unknown parameter '" + *name +
                             "'");
   }
-  DMVI_RETURN_IF_ERROR(ReadMatrixShaped(is, *name, parameter->value()));
+  DMVI_RETURN_IF_ERROR(ReadMatrixInto(is, *name, parameter->value()));
   DMVI_RETURN_IF_ERROR(
-      ReadMatrixShaped(is, *name + ".adam_m", parameter->adam_m()));
+      ReadMatrixInto(is, *name + ".adam_m", parameter->adam_m()));
   DMVI_RETURN_IF_ERROR(
-      ReadMatrixShaped(is, *name + ".adam_v", parameter->adam_v()));
+      ReadMatrixInto(is, *name + ".adam_v", parameter->adam_v()));
   return name;
 }
 

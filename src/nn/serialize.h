@@ -1,12 +1,15 @@
 #ifndef DEEPMVI_NN_SERIALIZE_H_
 #define DEEPMVI_NN_SERIALIZE_H_
 
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "nn/parameter.h"
+#include "tensor/data_tensor.h"
 #include "tensor/matrix.h"
 
 namespace deepmvi {
@@ -47,23 +50,42 @@ bool ReadPod(std::istream& is, T* value) {
   return is.gcount() == static_cast<std::streamsize>(sizeof(T));
 }
 
-/// Length-prefixed string record.
+/// Length-prefixed string record (uint32 length + bytes). Both sides
+/// reject a string longer than 1 MiB.
 Status WriteString(std::ostream& os, const std::string& s);
 StatusOr<std::string> ReadString(std::istream& is);
 
+/// Bounds of a valid dimension table: 1 to kMaxDims dimensions, each with
+/// at least one member, whose member counts multiply out to at most
+/// kMaxTableSeries series (so no dimension has more members than that).
+constexpr uint32_t kMaxDims = 64;
+constexpr int kMaxTableSeries = 1 << 24;
+
+/// The dimension table of checkpoints and chunk-store manifests: uint32
+/// dimension count, then per dimension its name string, a uint32 member
+/// count and the member strings. WriteDims fails on every table ReadDims
+/// would reject (on one that breaks the bounds above before writing a
+/// byte), so a table it finishes always reads back. ReadDims checks the
+/// bounds as it reads, before it reads a dimension's members. Both return
+/// the table's series count, the product of its member counts.
+StatusOr<int> WriteDims(std::ostream& os, const std::vector<Dimension>& dims);
+StatusOr<int> ReadDims(std::istream& is, std::vector<Dimension>* dims);
+
+/// The series count of `dims`, or InvalidArgument when the table breaks a
+/// bound above; the check WriteDims runs before it writes.
+StatusOr<int> TableSeriesCount(const std::vector<Dimension>& dims);
+
 /// Writes one matrix record (shape header + raw doubles) to `os`.
 Status WriteMatrix(std::ostream& os, const Matrix& matrix);
-
-/// Reads one matrix record written by WriteMatrix.
-StatusOr<Matrix> ReadMatrix(std::istream& is);
 
 /// Writes one parameter record (name + value + Adam moments).
 Status WriteParameter(std::ostream& os, const Parameter& parameter);
 
 /// Reads the next parameter record and applies it to the parameter of the
-/// same name in `store` (value and Adam moments). Returns the restored
-/// name. Fails with kNotFound for unknown names and kInvalidArgument for
-/// shape mismatches.
+/// same name in `store` (value and Adam moments), reading each matrix body
+/// straight into the parameter. Returns the restored name. Fails with
+/// kNotFound for unknown names and kInvalidArgument for a shape mismatch,
+/// found from the record's shape before any body is read.
 StatusOr<std::string> ReadParameterInto(std::istream& is,
                                         ParameterStore& store);
 

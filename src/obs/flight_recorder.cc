@@ -8,48 +8,12 @@
 #include <sstream>
 #include <utility>
 
+#include "common/json_escape.h"
 #include "common/logging.h"
 
 namespace deepmvi {
 namespace obs {
 namespace {
-
-/// Minimal JSON string escaping (obs cannot reach the net codec — the
-/// layer DAG points the other way; trace.cc keeps its own copy for the
-/// same reason).
-std::string EscapeJsonString(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void AppendNumber(std::ostringstream& os, double value) {
   if (!std::isfinite(value)) {
@@ -152,9 +116,9 @@ std::string FlightRecordsJson(const std::vector<RequestRecord>& records) {
   for (const RequestRecord& record : records) {
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "  {\"request_id\": \"" << EscapeJsonString(record.request_id)
-       << "\", \"model\": \"" << EscapeJsonString(record.model)
-       << "\", \"status\": \"" << EscapeJsonString(record.status)
+    os << "  {\"request_id\": \"" << EscapeJson(record.request_id)
+       << "\", \"model\": \"" << EscapeJson(record.model)
+       << "\", \"status\": \"" << EscapeJson(record.status)
        << "\", \"ok\": " << (record.ok ? "true" : "false")
        << ", \"latency_seconds\": ";
     AppendNumber(os, record.latency_seconds);
@@ -164,7 +128,7 @@ std::string FlightRecordsJson(const std::vector<RequestRecord>& records) {
        << ", \"cache_hit\": " << (record.cache_hit ? "true" : "false")
        << ", \"degraded\": " << (record.degraded ? "true" : "false")
        << ", \"degrade_method\": \""
-       << EscapeJsonString(record.degrade_method)
+       << EscapeJson(record.degrade_method)
        << "\", \"shed\": " << (record.shed ? "true" : "false")
        << ", \"completed_seconds\": ";
     AppendNumber(os, record.completed_seconds);

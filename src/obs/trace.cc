@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json_escape.h"
 #include "common/logging.h"
 
 namespace deepmvi {
@@ -24,39 +25,6 @@ ThreadSpanStack& LocalStack() {
 }
 
 std::atomic<Tracer*> g_tracer{nullptr};
-
-std::string EscapeJson(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Microseconds with sub-microsecond residue kept — chrome://tracing
 /// accepts fractional "ts"/"dur" and short kernel spans need it.

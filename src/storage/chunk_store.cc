@@ -14,18 +14,11 @@ namespace {
 constexpr char kManifestMagic[4] = {'D', 'M', 'V', 'S'};
 constexpr uint32_t kManifestVersion = 1;
 
-// Sanity bounds: a corrupt manifest must fail fast, not drive a huge
-// allocation (same convention as nn/serialize.cc).
-constexpr uint32_t kMaxDims = 64;
-constexpr uint32_t kMaxMembers = 1 << 26;
-constexpr int64_t kMaxChunkElements = int64_t{1} << 32;
-
 using nn::ReadPod;
-using nn::ReadString;
 using nn::WritePod;
-using nn::WriteString;
 
-int DivCeil(int a, int b) { return (a + b - 1) / b; }
+// Written so that a + b cannot overflow.
+int DivCeil(int a, int b) { return a / b + (a % b != 0); }
 
 std::string ManifestPath(const std::string& dir) {
   return dir + "/" + kManifestFileName;
@@ -150,11 +143,11 @@ Status ChunkedSeriesStoreWriter::Finish(std::vector<Dimension> dims) {
     }
     dims.push_back(std::move(d));
   }
-  int64_t expected = 1;
-  for (const auto& d : dims) expected *= d.size();
-  if (expected != rows_appended_) {
+  StatusOr<int> expected = nn::TableSeriesCount(dims);
+  if (!expected.ok()) return expected.status();
+  if (*expected != rows_appended_) {
     return Status::InvalidArgument(
-        "dimensions imply " + std::to_string(expected) + " series but " +
+        "dimensions imply " + std::to_string(*expected) + " series but " +
         std::to_string(rows_appended_) + " rows were appended");
   }
 
@@ -165,14 +158,7 @@ Status ChunkedSeriesStoreWriter::Finish(std::vector<Dimension> dims) {
   }
   os.write(kManifestMagic, sizeof(kManifestMagic));
   WritePod(os, kManifestVersion);
-  WritePod(os, static_cast<uint32_t>(dims.size()));
-  for (const Dimension& dim : dims) {
-    DMVI_RETURN_IF_ERROR(WriteString(os, dim.name));
-    WritePod(os, static_cast<uint32_t>(dim.members.size()));
-    for (const std::string& member : dim.members) {
-      DMVI_RETURN_IF_ERROR(WriteString(os, member));
-    }
-  }
+  DMVI_RETURN_IF_ERROR(nn::WriteDims(os, dims).status());
   WritePod(os, static_cast<int32_t>(rows_appended_));
   WritePod(os, static_cast<int32_t>(num_times_));
   WritePod(os, static_cast<int32_t>(options_.series_per_chunk));
@@ -213,36 +199,8 @@ StatusOr<ChunkedSeriesStore> ChunkedSeriesStore::Open(const std::string& dir) {
 
   ChunkedSeriesStore store;
   store.dir_ = dir;
-  uint32_t num_dims = 0;
-  if (!ReadPod(is, &num_dims)) {
-    return Status::IoError("truncated manifest: dimension count missing");
-  }
-  if (num_dims == 0 || num_dims > kMaxDims) {
-    return Status::InvalidArgument("corrupt manifest: implausible dimension count " +
-                                   std::to_string(num_dims));
-  }
-  for (uint32_t d = 0; d < num_dims; ++d) {
-    Dimension dim;
-    StatusOr<std::string> name = ReadString(is);
-    if (!name.ok()) return name.status();
-    dim.name = std::move(name).value();
-    uint32_t num_members = 0;
-    if (!ReadPod(is, &num_members)) {
-      return Status::IoError("truncated manifest: member count missing");
-    }
-    if (num_members == 0 || num_members > kMaxMembers) {
-      return Status::InvalidArgument(
-          "corrupt manifest: implausible member count " +
-          std::to_string(num_members));
-    }
-    dim.members.reserve(num_members);
-    for (uint32_t m = 0; m < num_members; ++m) {
-      StatusOr<std::string> member = ReadString(is);
-      if (!member.ok()) return member.status();
-      dim.members.push_back(std::move(member).value());
-    }
-    store.dims_.push_back(std::move(dim));
-  }
+  StatusOr<int> expected = nn::ReadDims(is, &store.dims_);
+  if (!expected.ok()) return expected.status();
 
   int32_t num_series = 0, num_times = 0, series_per_chunk = 0,
           times_per_chunk = 0;
@@ -254,11 +212,9 @@ StatusOr<ChunkedSeriesStore> ChunkedSeriesStore::Open(const std::string& dir) {
       times_per_chunk <= 0) {
     return Status::InvalidArgument("corrupt manifest: non-positive shape");
   }
-  int64_t expected = 1;
-  for (const auto& dim : store.dims_) expected *= dim.size();
-  if (expected != num_series) {
+  if (*expected != num_series) {
     return Status::InvalidArgument(
-        "corrupt manifest: dimensions imply " + std::to_string(expected) +
+        "corrupt manifest: dimensions imply " + std::to_string(*expected) +
         " series but header says " + std::to_string(num_series));
   }
   store.num_series_ = num_series;
@@ -268,32 +224,47 @@ StatusOr<ChunkedSeriesStore> ChunkedSeriesStore::Open(const std::string& dir) {
   store.num_row_groups_ = DivCeil(num_series, series_per_chunk);
   store.num_time_blocks_ = DivCeil(num_times, times_per_chunk);
 
+  // The table grows entry by entry, so a header that declares more chunks
+  // than the manifest holds fails at its end instead of sizing a table
+  // from the geometry. Each chunk must have the byte size its geometry
+  // implies and lie inside chunks.bin, so ReadChunk never allocates more
+  // than the file holds.
+  std::error_code ec;
+  const uint64_t data_bytes =
+      std::filesystem::file_size(ChunkDataPath(dir), ec);
+  if (ec) {
+    return Status::IoError("cannot stat " + ChunkDataPath(dir) + ": " +
+                           ec.message());
+  }
   const int64_t num_chunks =
       static_cast<int64_t>(store.num_row_groups_) * store.num_time_blocks_;
-  store.chunks_.resize(num_chunks);
   for (int64_t i = 0; i < num_chunks; ++i) {
-    ChunkRecord& chunk = store.chunks_[i];
+    ChunkRecord chunk;
     if (!ReadPod(is, &chunk.offset) || !ReadPod(is, &chunk.byte_size) ||
         !ReadPod(is, &chunk.checksum)) {
       return Status::IoError("truncated manifest: chunk table ends at entry " +
                              std::to_string(i) + " of " +
                              std::to_string(num_chunks));
     }
-  }
-  // Chunk byte sizes must match the declared geometry exactly.
-  for (int g = 0; g < store.num_row_groups_; ++g) {
-    for (int b = 0; b < store.num_time_blocks_; ++b) {
-      const ChunkRecord& chunk = store.chunks_[store.ChunkKey(g, b)];
-      const uint64_t expected_bytes =
-          static_cast<uint64_t>(store.group_num_rows(g)) *
-          store.block_num_times(b) * sizeof(double);
-      if (chunk.byte_size != expected_bytes) {
-        return Status::InvalidArgument(
-            "corrupt manifest: chunk (" + std::to_string(g) + "," +
-            std::to_string(b) + ") has " + std::to_string(chunk.byte_size) +
-            " bytes, geometry implies " + std::to_string(expected_bytes));
-      }
+    const int g = static_cast<int>(i / store.num_time_blocks_);
+    const int b = static_cast<int>(i % store.num_time_blocks_);
+    const uint64_t expected_bytes =
+        static_cast<uint64_t>(store.group_num_rows(g)) *
+        store.block_num_times(b) * sizeof(double);
+    if (chunk.byte_size != expected_bytes) {
+      return Status::InvalidArgument(
+          "corrupt manifest: chunk (" + std::to_string(g) + "," +
+          std::to_string(b) + ") has " + std::to_string(chunk.byte_size) +
+          " bytes, geometry implies " + std::to_string(expected_bytes));
     }
+    if (chunk.offset > data_bytes ||
+        chunk.byte_size > data_bytes - chunk.offset) {
+      return Status::IoError(
+          "truncated chunk data: chunk (" + std::to_string(g) + "," +
+          std::to_string(b) + ") ends past the " + std::to_string(data_bytes) +
+          " bytes of " + ChunkDataPath(dir));
+    }
+    store.chunks_.push_back(chunk);
   }
   return store;
 }
@@ -316,9 +287,6 @@ StatusOr<Matrix> ChunkedSeriesStore::ReadChunk(int g, int b) const {
   const ChunkRecord& chunk = chunks_[ChunkKey(g, b)];
   const int rows = group_num_rows(g);
   const int cols = block_num_times(b);
-  if (static_cast<int64_t>(rows) * cols > kMaxChunkElements) {
-    return Status::InvalidArgument("implausible chunk shape");
-  }
   // Each read opens its own handle: concurrent readers never share stream
   // state, so no locking is needed at this layer (the ChunkCache amortizes
   // the open cost across hits).

@@ -32,8 +32,9 @@ namespace storage {
 /// Manifest format (little-endian, nn/serialize.h record conventions):
 ///   magic    "DMVS" (4 bytes)
 ///   version  uint32 (currently 1)
-///   ndims    uint32, then per dimension: name string record,
-///            uint32 member count, member string records
+///   dims     the dimension table of nn::WriteDims (uint32 count, then
+///            per dimension a name string, uint32 member count and
+///            member strings; at most nn::kMaxTableSeries series)
 ///   num_series int32, num_times int32
 ///   series_per_chunk int32, times_per_chunk int32
 ///   per chunk, row-major (group-major, block within group):
@@ -69,10 +70,10 @@ class ChunkedSeriesStoreWriter {
   /// have the same length.
   Status AppendRow(const std::vector<double>& row);
 
-  /// Flushes the tail group and writes the manifest. `dims` must multiply
-  /// out to the number of appended rows; when empty, a single anonymous
-  /// "series" dimension with members s0, s1, ... is used (mirroring
-  /// DataTensor::FromMatrix).
+  /// Flushes the tail group and writes the manifest. `dims` must be a
+  /// valid table (nn::TableSeriesCount) that multiplies out to the number
+  /// of appended rows; when empty, a single anonymous "series" dimension
+  /// with members s0, s1, ... is used (mirroring DataTensor::FromMatrix).
   Status Finish(std::vector<Dimension> dims);
 
   int rows_appended() const { return rows_appended_; }
@@ -99,8 +100,8 @@ class ChunkedSeriesStoreWriter {
 };
 
 /// Read side of the chunked time-block store. Open() parses and validates
-/// the manifest; ReadChunk() fetches one chunk from chunks.bin, verifying
-/// its checksum. All read methods are const and thread-safe (each read
+/// the manifest, including that every chunk lies inside chunks.bin;
+/// ReadChunk() fetches one chunk from chunks.bin, verifying its checksum. All read methods are const and thread-safe (each read
 /// opens its own file handle), so concurrent trainers can share one store.
 class ChunkedSeriesStore {
  public:

@@ -477,6 +477,11 @@ std::string FileBytes(const std::string& path) {
   return buffer.str();
 }
 
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
 TEST(DeepMviTest, TrainingIsBitIdenticalAcrossThreadCounts) {
   // The data-parallel Fit schedule must be a pure wall-clock optimization:
   // for any num_threads the trained model — weights and Adam moments, so
@@ -668,6 +673,29 @@ TEST(QualityProfileTest, CorruptTrailingRecordIsAnError) {
     out << bytes;
   }
   EXPECT_FALSE(TrainedDeepMvi::Load(path).ok());
+
+  // A 16-byte record (magic, version 1, count 2^26) in place of the real
+  // one: the count must equal the model's 5 series, checked before the
+  // profile is sized for 2^26 series.
+  std::ostringstream record;
+  ASSERT_TRUE(
+      AppendQualityProfileRecord(record, *trained.quality_profile()).ok());
+  ASSERT_TRUE(trained.Save(path).ok());
+  std::string forged = FileBytes(path);
+  forged.resize(forged.size() - record.str().size());
+  forged += "DMVQ";
+  forged.append(4, '\0');
+  forged[forged.size() - 4] = 1;
+  const int64_t count = int64_t{1} << 26;
+  forged.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  WriteFileBytes(path, forged);
+  testutil::ExpectErrorUnderAddressSpaceLimit(
+      [&] { return TrainedDeepMvi::Load(path).status(); });
+  const Status status = TrainedDeepMvi::Load(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("quality profile covers 67108864"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST(CheckpointTest, OutOfRangeArchitectureFieldsFailBeforeAllocating) {
@@ -715,6 +743,144 @@ TEST(CheckpointTest, OutOfRangeArchitectureFieldsFailBeforeAllocating) {
   }
   // The untouched file still loads.
   EXPECT_TRUE(TrainedDeepMvi::Load(path).ok());
+}
+
+TEST(CheckpointTest, FitAndLoadShareEveryConfigBound) {
+  // Every bounded DeepMviConfig field at each end of its range and one
+  // past it. At the bound Fit trains and its checkpoint loads; one past,
+  // Fit returns InvalidArgument naming the field, and so does Load of a
+  // checkpoint whose header holds that value.
+  testutil::SeasonalCase c = testutil::MakeSeasonalCase(97, 4, 60);
+  storage::InMemoryDataSource source(&c.data);
+  const std::string base_path = testutil::TempPath("bounds_base.dmvi");
+  ASSERT_TRUE(DeepMviImputer(testutil::TinyDeepMviConfig())
+                  .Fit(c.data, c.mask)
+                  .Save(base_path)
+                  .ok());
+  const std::string base = FileBytes(base_path);
+  struct Bound {
+    const char* name;
+    int DeepMviConfig::*field;
+    int at;
+    int past;
+    int offset;  // Of the int32 in the checkpoint header; -1: not stored.
+  };
+  const Bound bounds[] = {
+      {"filters", &DeepMviConfig::filters, 1, 0, 8},
+      {"filters", &DeepMviConfig::filters, 128, 129, 8},
+      {"window", &DeepMviConfig::window, 0, -1, 12},
+      {"window", &DeepMviConfig::window, 512, 513, 12},
+      {"num_heads", &DeepMviConfig::num_heads, 1, 0, 16},
+      {"num_heads", &DeepMviConfig::num_heads, 32, 33, 16},
+      {"embedding_dim", &DeepMviConfig::embedding_dim, 1, 0, 20},
+      {"embedding_dim", &DeepMviConfig::embedding_dim, 256, 257, 20},
+      {"top_siblings", &DeepMviConfig::top_siblings, 1, 0, 32},
+      {"top_siblings", &DeepMviConfig::top_siblings, 1 << 24,
+       (1 << 24) + 1, 32},
+      {"max_epochs", &DeepMviConfig::max_epochs, 0, -1, 44},
+      {"samples_per_epoch", &DeepMviConfig::samples_per_epoch, 0, -1, 48},
+      {"batch_size", &DeepMviConfig::batch_size, 1, 0, 52},
+      {"max_context", &DeepMviConfig::max_context, 1, 0, 68},
+      {"max_context", &DeepMviConfig::max_context, 8192, 8193, 68},
+      {"num_threads", &DeepMviConfig::num_threads, 0, -1, -1}};
+  const std::string path = testutil::TempPath("bounds.dmvi");
+  for (const Bound& bound : bounds) {
+    const std::string where =
+        std::string(bound.name) + " = " + std::to_string(bound.at);
+    DeepMviConfig config = testutil::TinyDeepMviConfig();
+    config.max_epochs = 1;
+    config.*bound.field = bound.at;
+    StatusOr<TrainedDeepMvi> trained = DeepMviImputer(config).Fit(source, c.mask);
+    ASSERT_TRUE(trained.ok()) << where << ": " << trained.status().ToString();
+    ASSERT_TRUE(trained->Save(path).ok()) << where;
+    StatusOr<TrainedDeepMvi> loaded = TrainedDeepMvi::Load(path);
+    EXPECT_TRUE(loaded.ok()) << where << ": " << loaded.status().ToString();
+
+    config.*bound.field = bound.past;
+    const Status fit = DeepMviImputer(config).Fit(source, c.mask).status();
+    EXPECT_EQ(fit.code(), StatusCode::kInvalidArgument) << bound.name;
+    EXPECT_NE(fit.message().find(bound.name), std::string::npos)
+        << fit.ToString();
+    if (bound.offset < 0) continue;
+    std::string mutated = base;
+    const int32_t past = bound.past;
+    std::memcpy(&mutated[bound.offset], &past, sizeof(past));
+    WriteFileBytes(path, mutated);
+    const Status load = TrainedDeepMvi::Load(path).status();
+    EXPECT_EQ(load.code(), StatusCode::kInvalidArgument) << bound.name;
+    EXPECT_NE(load.message().find(bound.name), std::string::npos)
+        << load.ToString();
+  }
+  // A stored window was resolved by Fit, so Load rejects 0 as well.
+  std::string unresolved = base;
+  std::memset(&unresolved[12], 0, sizeof(int32_t));
+  WriteFileBytes(path, unresolved);
+  const Status load = TrainedDeepMvi::Load(path).status();
+  EXPECT_EQ(load.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(load.message().find("window"), std::string::npos)
+      << load.ToString();
+}
+
+TEST(CheckpointTest, CraftedRecordsFailBeforeAllocating) {
+  testutil::SeasonalCase c = testutil::MakeSeasonalCase(101, 5, 120);
+  TrainedDeepMvi trained =
+      DeepMviImputer(testutil::TinyDeepMviConfig()).Fit(c.data, c.mask);
+  const std::string path = testutil::TempPath("crafted.dmvi");
+  ASSERT_TRUE(trained.Save(path).ok());
+  const std::string bytes = FileBytes(path);
+  auto expect_rejected = [&](const std::string& crafted,
+                             const std::string& message) {
+    WriteFileBytes(path, crafted);
+    testutil::ExpectErrorUnderAddressSpaceLimit(
+        [&] { return TrainedDeepMvi::Load(path).status(); });
+    const Status status = TrainedDeepMvi::Load(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << message;
+    EXPECT_NE(status.message().find(message), std::string::npos)
+        << status.ToString();
+  };
+
+  // The first matrix record claims 65536x65536 (32 GiB of doubles): its
+  // shape is checked against the parameter before any body is allocated.
+  // The store section is "DMVP", uint32 version, uint64 count, then the
+  // record's name string and its int32 rows and cols.
+  const size_t store = bytes.find("DMVP");
+  ASSERT_NE(store, std::string::npos);
+  uint32_t name_length = 0;
+  std::memcpy(&name_length, &bytes[store + 16], sizeof(name_length));
+  std::string wide = bytes;
+  const int32_t huge = 65536;
+  const size_t shape = store + 20 + name_length;
+  std::memcpy(&wide[shape], &huge, sizeof(huge));
+  std::memcpy(&wide[shape + 4], &huge, sizeof(huge));
+  expect_rejected(wide, "65536x65536");
+
+  // 64 two-member dimensions in place of the real table: their 2^64
+  // series overflow any count, and the table is rejected as it is read,
+  // before the model is built. The config ends at byte 85.
+  constexpr size_t kConfigEnd = 85;
+  const std::string table = testutil::RawDims(trained.dims());
+  ASSERT_EQ(bytes.compare(kConfigEnd, table.size(), table), 0);
+  expect_rejected(bytes.substr(0, kConfigEnd) +
+                      testutil::RawDims(testutil::UniformDims(64, 2)) +
+                      bytes.substr(kConfigEnd + table.size()),
+                  "dimension table");
+}
+
+TEST(CheckpointTest, SaveRejectsATableLoadWouldReject) {
+  // 65 dimensions, one past nn::kMaxDims: the model trains, but Save fails
+  // instead of writing a checkpoint Load would refuse.
+  testutil::SeasonalCase c = testutil::MakeSeasonalCase(103, 5, 120);
+  std::vector<Dimension> dims = c.data.dims();
+  for (const Dimension& extra : testutil::UniformDims(64, 1)) {
+    dims.push_back(extra);
+  }
+  const DataTensor data(dims, c.data.values());
+  TrainedDeepMvi trained =
+      DeepMviImputer(testutil::TinyDeepMviConfig()).Fit(data, c.mask);
+  const Status saved = trained.Save(testutil::TempPath("65_dims.dmvi"));
+  EXPECT_EQ(saved.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(saved.message().find("dimension count 65"), std::string::npos)
+      << saved.ToString();
 }
 
 TEST(QualityProfileTest, ComputeIsMaskAware) {

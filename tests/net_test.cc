@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "baselines/simple.h"
+#include "common/json_escape.h"
 #include "common/rng.h"
 #include "core/deepmvi.h"
 #include "data/io.h"
@@ -299,7 +300,7 @@ TEST(JsonTest, DepthIsCapped) {
 TEST(JsonTest, EscapeRoundTripsThroughParser) {
   const std::string nasty = "a\"b\\c\nd\te\x01f";
   StatusOr<net::JsonValue> doc =
-      net::ParseJson("\"" + net::EscapeJson(nasty) + "\"");
+      net::ParseJson("\"" + EscapeJson(nasty) + "\"");
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   EXPECT_EQ(doc->string_value(), nasty);
 }

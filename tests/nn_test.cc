@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/adam.h"
 #include "nn/layers.h"
@@ -393,23 +395,19 @@ void FillStore(ParameterStore& store, uint64_t seed) {
 
 using testutil::ExpectMatricesBitIdentical;
 
-TEST(SerializeTest, MatrixRoundTripIsExact) {
-  Rng rng(21);
-  Matrix m = Matrix::RandomGaussian(5, 9, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteMatrix(buffer, m).ok());
-  StatusOr<Matrix> back = ReadMatrix(buffer);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectMatricesBitIdentical(*back, m);
-}
-
 TEST(SerializeTest, EmptyMatrixRoundTrips) {
+  ParameterStore store;
+  FillStore(store, 21);
+  store.Create("empty", Matrix());
   std::stringstream buffer;
-  ASSERT_TRUE(WriteMatrix(buffer, Matrix()).ok());
-  StatusOr<Matrix> back = ReadMatrix(buffer);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->rows(), 0);
-  EXPECT_EQ(back->cols(), 0);
+  ASSERT_TRUE(SaveParameterStore(store, buffer).ok());
+  ParameterStore fresh;
+  FillStore(fresh, 22);
+  fresh.Create("empty", Matrix());
+  ASSERT_TRUE(LoadParameterStore(buffer, fresh).ok());
+  EXPECT_EQ(fresh.Find("empty")->value().size(), 0);
+  ExpectMatricesBitIdentical(fresh.Find("layer.bias")->value(),
+                             store.Find("layer.bias")->value());
 }
 
 TEST(SerializeTest, StoreRoundTripsThroughFileBitIdentical) {
@@ -528,6 +526,68 @@ TEST(SerializeTest, DuplicateParameterRecordIsAnError) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("twice"), std::string::npos);
+}
+
+TEST(SerializeTest, StringRecordBoundHoldsForWriterAndReader) {
+  std::stringstream buffer;
+  const std::string at_bound(1 << 20, 'x');
+  ASSERT_TRUE(WriteString(buffer, at_bound).ok());
+  StatusOr<std::string> back = ReadString(buffer);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, at_bound);
+
+  std::stringstream past;
+  EXPECT_EQ(WriteString(past, at_bound + "x").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(past.str().empty());
+  WritePod(past, static_cast<uint32_t>((1 << 20) + 1));
+  EXPECT_EQ(ReadString(past).status().code(), StatusCode::kInvalidArgument);
+}
+
+using testutil::RawDims;
+using testutil::UniformDims;
+
+TEST(SerializeTest, DimensionTableBoundsHoldForWriterAndReader) {
+  // At each bound (kMaxDims dimensions, kMaxTableSeries series) the table
+  // round-trips and both sides count its series.
+  for (const auto& [dims, series] :
+       {std::make_pair(UniformDims(64, 1), 1),
+        std::make_pair(UniformDims(24, 2), 1 << 24),
+        std::make_pair(UniformDims(1, 1 << 12), 1 << 12)}) {
+    std::stringstream buffer;
+    StatusOr<int> written = WriteDims(buffer, dims);
+    ASSERT_TRUE(written.ok()) << written.status().ToString();
+    EXPECT_EQ(*written, series);
+    EXPECT_EQ(buffer.str(), RawDims(dims));
+    std::vector<Dimension> back;
+    StatusOr<int> read = ReadDims(buffer, &back);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(*read, series);
+    ASSERT_EQ(back.size(), dims.size());
+    for (size_t d = 0; d < dims.size(); ++d) {
+      EXPECT_EQ(back[d].name, dims[d].name);
+      EXPECT_EQ(back[d].members, dims[d].members);
+    }
+  }
+  // One past a bound, the writer refuses before writing a byte and the
+  // reader rejects the same table. 64 two-member dimensions would
+  // overflow a 64-bit series count.
+  for (const std::vector<Dimension>& dims :
+       {UniformDims(65, 1), UniformDims(25, 2), UniformDims(64, 2),
+        UniformDims(0, 1), UniformDims(2, 0)}) {
+    std::stringstream buffer;
+    EXPECT_EQ(WriteDims(buffer, dims).status().code(),
+              StatusCode::kInvalidArgument)
+        << dims.size() << " dims";
+    EXPECT_TRUE(buffer.str().empty());
+    std::stringstream raw(RawDims(dims));
+    std::vector<Dimension> back;
+    StatusOr<int> read = ReadDims(raw, &back);
+    EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument)
+        << dims.size() << " dims: " << read.status().ToString();
+    EXPECT_NE(read.status().message().find("dimension table"),
+              std::string::npos);
+  }
 }
 
 TEST(SerializeTest, MissingFileIsAnIoError) {

@@ -9,12 +9,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
 #include "core/deepmvi.h"
 #include "data/io.h"
+#include "nn/serialize.h"
 #include "storage/chunk_cache.h"
 #include "storage/chunk_store.h"
 #include "storage/data_source.h"
@@ -124,6 +127,17 @@ TEST(ChunkStoreTest, WriterRejectsRaggedRowsAndBadDims) {
   // Dims that do not multiply out to the appended row count.
   Dimension dim{"series", {"a", "b", "c"}};
   EXPECT_EQ((*writer)->Finish({dim}).code(), StatusCode::kInvalidArgument);
+
+  // 65 one-member dims, one past nn::kMaxDims: no manifest Open would
+  // refuse is written.
+  const std::string wide_dir = StoreDir("wide");
+  const Status wide = ChunkedSeriesStore::WriteTensor(
+      DataTensor(UniformDims(65, 1), RandomMatrix(1, 20, 8)), wide_dir);
+  EXPECT_EQ(wide.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wide.message().find("dimension count 65"), std::string::npos)
+      << wide.ToString();
+  EXPECT_FALSE(
+      std::filesystem::exists(wide_dir + "/" + storage::kManifestFileName));
 }
 
 // ---- Corruption and truncation ---------------------------------------------
@@ -162,15 +176,19 @@ TEST(ChunkStoreTest, TruncatedChunkDataIsIoError) {
   const std::string dir = StoreDir("truncated");
   ASSERT_TRUE(ChunkedSeriesStore::WriteTensor(data, dir, {}).ok());
   const std::string chunk_path = dir + "/" + storage::kChunkDataFileName;
+  StatusOr<ChunkedSeriesStore> store = ChunkedSeriesStore::Open(dir);
+  ASSERT_TRUE(store.ok());
   std::string bytes = ReadFileBytes(chunk_path);
   std::ofstream(chunk_path, std::ios::binary | std::ios::trunc)
       << bytes.substr(0, bytes.size() / 2);
 
-  StatusOr<ChunkedSeriesStore> store = ChunkedSeriesStore::Open(dir);
-  ASSERT_TRUE(store.ok());
+  // Truncated under an open store: the read finds the short file.
   StatusOr<Matrix> chunk = store->ReadChunk(0, 0);
   ASSERT_FALSE(chunk.ok());
   EXPECT_EQ(chunk.status().code(), StatusCode::kIoError);
+  // Truncated before Open: the manifest's chunks no longer fit the file.
+  EXPECT_EQ(ChunkedSeriesStore::Open(dir).status().code(),
+            StatusCode::kIoError);
 }
 
 TEST(ChunkStoreTest, CorruptAndTruncatedManifestsAreErrors) {
@@ -191,6 +209,58 @@ TEST(ChunkStoreTest, CorruptAndTruncatedManifestsAreErrors) {
       << bytes.substr(0, bytes.size() - 7);
   EXPECT_EQ(ChunkedSeriesStore::Open(dir).status().code(),
             StatusCode::kIoError);
+
+  // Crafted manifests, each opened in a child under an address-space cap
+  // far below what a chunk table sized from their headers would take.
+  auto expect_open_fails = [&](const std::string& crafted, StatusCode code,
+                               const std::string& message) {
+    std::ofstream(manifest, std::ios::binary | std::ios::trunc) << crafted;
+    ExpectErrorUnderAddressSpaceLimit(
+        [&] { return ChunkedSeriesStore::Open(dir).status(); });
+    const Status status = ChunkedSeriesStore::Open(dir).status();
+    EXPECT_EQ(status.code(), code) << message;
+    EXPECT_NE(status.message().find(message), std::string::npos)
+        << status.ToString();
+  };
+  // Magic, version, a dimension table, the shape header, then the chunk
+  // entries given as (offset, byte size) pairs, checksums zero.
+  auto raw_manifest = [](const std::vector<Dimension>& dims, int32_t series,
+                         int32_t times, int32_t series_per_chunk,
+                         int32_t times_per_chunk,
+                         const std::vector<std::pair<uint64_t, uint64_t>>&
+                             entries) {
+    std::ostringstream os;
+    os << "DMVS";
+    nn::WritePod(os, uint32_t{1});
+    os << RawDims(dims);
+    for (const int32_t field :
+         {series, times, series_per_chunk, times_per_chunk}) {
+      nn::WritePod(os, field);
+    }
+    for (const auto& [offset, byte_size] : entries) {
+      nn::WritePod(os, offset);
+      nn::WritePod(os, byte_size);
+      nn::WritePod(os, uint64_t{0});
+    }
+    return os.str();
+  };
+  // 64 two-member dimensions: 2^64 series, no overflow in the count.
+  expect_open_fails(raw_manifest(UniformDims(64, 2), 1, 20, 64, 4096, {}),
+                    StatusCode::kInvalidArgument, "dimension table");
+  // 30 two-member dimensions and a 2^30 x 2^30 geometry in 1 x 1 chunks:
+  // 2^30 series are past the table's bound.
+  expect_open_fails(raw_manifest(UniformDims(30, 2), 1 << 30, 1 << 30, 1, 1,
+                                 {{0, 8}, {8, 8}}),
+                    StatusCode::kInvalidArgument, "dimension table");
+  // A valid 2^24-series table over 2^30 steps in 1 x 1 chunks declares
+  // 2^54 chunks; the table ends after the two the manifest holds.
+  expect_open_fails(raw_manifest(UniformDims(24, 2), 1 << 24, 1 << 30, 1, 1,
+                                 {{0, 8}, {8, 8}}),
+                    StatusCode::kIoError, "chunk table ends at entry 2");
+  // A chunk of the right size that lies past the end of chunks.bin.
+  expect_open_fails(
+      raw_manifest(data.dims(), 3, 20, 64, 4096, {{1 << 20, 3 * 20 * 8}}),
+      StatusCode::kIoError, "ends past the");
 
   // Missing manifest.
   std::filesystem::remove(manifest);

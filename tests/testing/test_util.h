@@ -8,17 +8,23 @@
 // `using namespace testutil;` inside their own anonymous namespace.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "autodiff/ops.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "core/deepmvi_config.h"
 #include "data/imputer.h"
 #include "data/synthetic.h"
+#include "nn/serialize.h"
 #include "scenario/scenarios.h"
 #include "tensor/data_tensor.h"
 #include "tensor/mask.h"
@@ -231,6 +237,60 @@ inline DeepMviConfig FastDeepMviConfig() {
 /// Path inside gtest's per-run temp directory.
 inline std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+// ---- Untrusted input --------------------------------------------------------
+
+/// `count` dimensions d0, d1, ... of `members` members m0, m1, ... each.
+inline std::vector<Dimension> UniformDims(int count, int members) {
+  std::vector<Dimension> dims(count);
+  for (int d = 0; d < count; ++d) {
+    dims[d].name = "d" + std::to_string(d);
+    for (int m = 0; m < members; ++m) {
+      dims[d].members.push_back("m" + std::to_string(m));
+    }
+  }
+  return dims;
+}
+
+/// The dimension-table bytes nn::WriteDims would write, with none of its
+/// checks, so readers can be handed tables every writer refuses.
+inline std::string RawDims(const std::vector<Dimension>& dims) {
+  std::ostringstream out;
+  nn::WritePod(out, static_cast<uint32_t>(dims.size()));
+  for (const Dimension& dim : dims) {
+    EXPECT_TRUE(nn::WriteString(out, dim.name).ok());
+    nn::WritePod(out, static_cast<uint32_t>(dim.members.size()));
+    for (const std::string& member : dim.members) {
+      EXPECT_TRUE(nn::WriteString(out, member).ok());
+    }
+  }
+  return out.str();
+}
+
+/// Caps this process's address space at 1 GiB (or keeps a lower cap it
+/// already has), runs `decode` and exits 0 when it returned an error
+/// Status (1 when it succeeded). Sanitizer builds leave the cap off: their
+/// shadow memory alone exceeds it.
+[[noreturn]] inline void DecodeUnderAddressSpaceLimit(
+    const std::function<Status()>& decode) {
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  rlimit limit{};
+  if (getrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+  limit.rlim_cur = std::min(limit.rlim_cur, rlim_t{1} << 30);
+  if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+#endif
+  std::_Exit(decode().ok() ? 1 : 0);
+}
+
+/// Expects `decode`, run in a child under DecodeUnderAddressSpaceLimit's
+/// cap (far below what the corrupt files the tests craft ask for), to
+/// return an error Status instead of dying of a failed allocation.
+inline void ExpectErrorUnderAddressSpaceLimit(
+    const std::function<Status()>& decode) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(DecodeUnderAddressSpaceLimit(decode),
+              ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace testutil

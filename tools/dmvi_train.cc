@@ -17,11 +17,13 @@
 //
 // Model knobs: --seed, --max-epochs, --samples, --window, --filters,
 // --heads, --threads (training data-parallelism; results are bit-identical
-// for any value). A numeric flag whose value is not a whole integer in its
-// range exits 2 and names the flag, before anything trains. With --impute-csv PATH the freshly trained model also imputes
-// the training dataset in-process and writes the result — CI compares it
-// byte-for-byte against dmvi_serve's output for the same checkpoint to
-// prove the save/load path is exact.
+// for any value). Before anything trains, a numeric flag whose value is
+// not a whole integer exits 2 and names the flag, and so does a model knob
+// outside its field's range in DeepMviConfig::Validate, the check Fit and
+// Load run too. With --impute-csv PATH the freshly trained model also
+// imputes the training dataset in-process and writes the result — CI
+// compares it byte-for-byte against dmvi_serve's output for the same
+// checkpoint to prove the save/load path is exact.
 //
 // Presets have no missing values of their own, so a scenario mask
 // (default MCAR, seed 7) supplies the training missing pattern; CSV
@@ -64,6 +66,15 @@ int Run(int argc, char** argv) {
   int cache_mb = 256;
   bool in_core = false;
   bool missing_value = false, bad_value = false;
+  // The model's int flags take any int: DeepMviConfig::Validate bounds
+  // them once parsing is done.
+  const std::pair<const char*, int*> model_flags[] = {
+      {"--max-epochs", &config.max_epochs},
+      {"--samples", &config.samples_per_epoch},
+      {"--window", &config.window},
+      {"--filters", &config.filters},
+      {"--heads", &config.num_heads},
+      {"--threads", &config.num_threads}};
   for (int i = 1; i < argc; ++i) {
     if (tools::ParseDatasetFlag(argc, argv, &i, &dataset_spec,
                                 &missing_value, &bad_value)) {
@@ -74,7 +85,19 @@ int Run(int argc, char** argv) {
       return tools::NextFlagValue(argc, argv, &i, flag, &missing_value);
     };
     const char* value = nullptr;
-    if ((value = next("--output"))) {
+    const std::pair<const char*, int*>* model_flag = nullptr;
+    for (const auto& flag : model_flags) {
+      if ((value = next(flag.first))) {
+        model_flag = &flag;
+        break;
+      }
+    }
+    if (model_flag != nullptr) {
+      if (!tools::ParseIntegerFlag(model_flag->first, value, INT_MIN, INT_MAX,
+                                   model_flag->second)) {
+        return 2;
+      }
+    } else if ((value = next("--output"))) {
       output = value;
     } else if ((value = next("--data-dir"))) {
       data_dir = value;
@@ -90,36 +113,6 @@ int Run(int argc, char** argv) {
     } else if ((value = next("--seed"))) {
       if (!tools::ParseIntegerFlag("--seed", value, 0, LLONG_MAX,
                                    &config.seed)) {
-        return 2;
-      }
-    } else if ((value = next("--max-epochs"))) {
-      if (!tools::ParseIntegerFlag("--max-epochs", value, 0, INT_MAX,
-                                   &config.max_epochs)) {
-        return 2;
-      }
-    } else if ((value = next("--samples"))) {
-      if (!tools::ParseIntegerFlag("--samples", value, 0, INT_MAX,
-                                   &config.samples_per_epoch)) {
-        return 2;
-      }
-    } else if ((value = next("--window"))) {
-      if (!tools::ParseIntegerFlag("--window", value, 0, INT_MAX,
-                                   &config.window)) {
-        return 2;
-      }
-    } else if ((value = next("--filters"))) {
-      if (!tools::ParseIntegerFlag("--filters", value, 1, INT_MAX,
-                                   &config.filters)) {
-        return 2;
-      }
-    } else if ((value = next("--heads"))) {
-      if (!tools::ParseIntegerFlag("--heads", value, 1, INT_MAX,
-                                   &config.num_heads)) {
-        return 2;
-      }
-    } else if ((value = next("--threads"))) {
-      if (!tools::ParseIntegerFlag("--threads", value, 0, INT_MAX,
-                                   &config.num_threads)) {
         return 2;
       }
     } else if ((value = next("--profile-out"))) {
@@ -175,6 +168,10 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "unknown argument: %s (see --help)\n", argv[i]);
       return 2;
     }
+  }
+  if (Status valid = config.Validate(); !valid.ok()) {
+    std::fprintf(stderr, "%s (see --help)\n", valid.message().c_str());
+    return 2;
   }
 
   // ---- Assemble the training dataset and mask. ---------------------------
