@@ -40,9 +40,9 @@ StatusOr<QualityProfile> ComputeQualityProfile(
     return Status::InvalidArgument("quality profile: mask shape mismatch");
   }
 
-  // Identity stats make the reader's (v - mean) / stddev a bit-preserving
-  // no-op, so the profile summarizes raw values through the same windowed
-  // read path training uses.
+  // Identity stats make the window's (v - mean) / stddev a bit-preserving
+  // no-op on finite values, so the profile summarizes raw values through
+  // the same windowed read path training uses.
   DataTensor::NormalizationStats identity;
   identity.mean.assign(static_cast<size_t>(num_series), 0.0);
   identity.stddev.assign(static_cast<size_t>(num_series), 1.0);

@@ -93,7 +93,9 @@ Status WriteDoubles(std::ostream& os, const std::vector<double>& values) {
 }
 
 /// Reads a vector written by WriteDoubles whose length must be `expected`,
-/// checked before anything is allocated.
+/// checked before anything is allocated. The body is read in bounded
+/// pieces, so the vector grows only as fast as the file supplies bytes: a
+/// short file claiming 2^24 series costs one piece, not 128 MiB.
 StatusOr<std::vector<double>> ReadDoubles(std::istream& is, int expected) {
   uint32_t count = 0;
   if (!ReadPod(is, &count)) {
@@ -104,12 +106,17 @@ StatusOr<std::vector<double>> ReadDoubles(std::istream& is, int expected) {
         "corrupt file: dimensions imply " + std::to_string(expected) +
         " series but a normalization vector covers " + std::to_string(count));
   }
-  std::vector<double> out(count);
-  const std::streamsize bytes =
-      static_cast<std::streamsize>(count * sizeof(double));
-  is.read(reinterpret_cast<char*>(out.data()), bytes);
-  if (is.gcount() != bytes) {
-    return Status::IoError("truncated file: vector body missing");
+  constexpr size_t kPiece = 8192;  // 64 KiB of doubles.
+  std::vector<double> out;
+  while (out.size() < count) {
+    const size_t begin = out.size();
+    out.resize(std::min<size_t>(count, begin + kPiece));
+    const std::streamsize bytes =
+        static_cast<std::streamsize>((out.size() - begin) * sizeof(double));
+    is.read(reinterpret_cast<char*>(out.data() + begin), bytes);
+    if (is.gcount() != bytes) {
+      return Status::IoError("truncated file: vector body missing");
+    }
   }
   return out;
 }

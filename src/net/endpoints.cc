@@ -12,6 +12,7 @@
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "net/codec.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/process_stats.h"
 #include "obs/profiler.h"
@@ -41,7 +42,7 @@ HttpMessage HandleImpute(const ServingContext& ctx,
 
   Stopwatch decode_watch;
   StatusOr<ImputeApiRequest> decoded = [&] {
-    obs::Span decode_span(ctx.tracer, "impute.decode");
+    obs::Span decode_span = obs::GlobalSpan("impute.decode");
     if (decode_span.active()) decode_span.set_request_id(request_id);
     return DecodeImputeRequest(request);
   }();
@@ -74,7 +75,7 @@ HttpMessage HandleImpute(const ServingContext& ctx,
   Stopwatch encode_watch;
   HttpMessage reply;
   {
-    obs::Span encode_span(ctx.tracer, "impute.encode");
+    obs::Span encode_span = obs::GlobalSpan("impute.encode");
     if (encode_span.active()) encode_span.set_request_id(request_id);
     if (api.csv_response) {
       reply = MakeResponse(
@@ -106,11 +107,12 @@ const char* QualityStatus(const serve::QualitySnapshot& snapshot,
 }
 
 HttpMessage HandleDebugQuality(const ServingContext& ctx) {
-  if (ctx.quality == nullptr) {
+  const serve::QualityMonitor* monitor = ctx.service->config().quality;
+  if (monitor == nullptr) {
     return ErrorResponse(
         Status::FailedPrecondition("no quality monitor is configured"));
   }
-  const serve::QualitySnapshot snapshot = ctx.quality->Snapshot();
+  const serve::QualitySnapshot snapshot = monitor->Snapshot();
   std::ostringstream os;
   os.precision(9);
   os << "{\n";
@@ -212,8 +214,8 @@ HttpMessage HandleHealthz(const ServingContext& ctx,
   os << "  \"degradation\": \"" << degradation << "\",\n";
   // Model-quality rung: live drift against the training reference.
   const char* quality = "off";
-  if (ctx.quality != nullptr) {
-    quality = QualityStatus(ctx.quality->Snapshot(), ctx.drift_threshold,
+  if (config.quality != nullptr) {
+    quality = QualityStatus(config.quality->Snapshot(), ctx.drift_threshold,
                             true);
   }
   os << "  \"drift_threshold\": " << ctx.drift_threshold << ",\n";
@@ -261,20 +263,21 @@ HttpMessage HandleDebugProfile(const HttpMessage& request) {
 }
 
 HttpMessage HandleDebugRequests(const ServingContext& ctx, bool slow_only) {
-  if (ctx.recorder == nullptr) {
+  const obs::FlightRecorder* recorder = ctx.service->config().recorder;
+  if (recorder == nullptr) {
     return ErrorResponse(
         Status::FailedPrecondition("no flight recorder is configured"));
   }
   std::ostringstream os;
   os.precision(9);
   os << "{\n  \"slow_threshold_seconds\": "
-     << ctx.recorder->slow_threshold_seconds()
-     << ",\n  \"capacity\": " << ctx.recorder->capacity()
-     << ",\n  \"total_recorded\": " << ctx.recorder->total_recorded()
-     << ",\n  \"total_slow\": " << ctx.recorder->total_slow()
+     << recorder->slow_threshold_seconds()
+     << ",\n  \"capacity\": " << recorder->capacity()
+     << ",\n  \"total_recorded\": " << recorder->total_recorded()
+     << ",\n  \"total_slow\": " << recorder->total_slow()
      << ",\n  \"records\": "
-     << obs::FlightRecordsJson(slow_only ? ctx.recorder->SlowSnapshot()
-                                         : ctx.recorder->Snapshot())
+     << obs::FlightRecordsJson(slow_only ? recorder->SlowSnapshot()
+                                         : recorder->Snapshot())
      << "}\n";
   return MakeResponse(200, os.str(), "application/json");
 }
@@ -415,8 +418,8 @@ void RegisterServingEndpoints(HttpServer* server, ServingContext ctx) {
     // Model-quality gauges refresh at scrape time like the process
     // gauges below. The drift gauge is registered only once a reference
     // profile exists — legacy profile-less checkpoints scrape without it.
-    if (ctx.quality != nullptr) {
-      const serve::QualitySnapshot snapshot = ctx.quality->Snapshot();
+    if (const serve::QualityMonitor* monitor = ctx.service->config().quality) {
+      const serve::QualitySnapshot snapshot = monitor->Snapshot();
       int64_t cells = 0;
       int64_t missing = 0;
       for (const serve::ModelQualitySnapshot& model : snapshot.models) {

@@ -7,7 +7,6 @@
 
 #include "common/stopwatch.h"
 #include "net/server.h"
-#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "serve/service.h"
 #include "tensor/data_tensor.h"
@@ -21,6 +20,14 @@ namespace net {
 /// replay: query-mode requests hide one block on top of `base_mask` and
 /// ask the service to fill it, so the network path and the in-process path
 /// answer literally the same ImputationRequests.
+///
+/// Each serving hook has one owner. The routes record into and render
+/// service->metrics(); they read the flight recorder and the quality
+/// monitor from service->config() (no recorder answers /debug/requests
+/// and /debug/slow with 503; no monitor answers /debug/quality with 503
+/// and reports the /healthz quality rung as "off"); and the
+/// impute.decode / impute.encode spans go to the process tracer
+/// (obs::GlobalTracer).
 struct ServingContext {
   serve::ImputationService* service = nullptr;
   std::shared_ptr<const DataTensor> data;
@@ -31,22 +38,9 @@ struct ServingContext {
   /// call it.
   std::function<Status(const std::string& model, const std::string& path)>
       reload;
-  /// Optional tracer (borrowed; null disables): wraps request decoding and
-  /// response encoding in spans. Metrics need no hook — the routes record
-  /// into and render service->metrics().
-  obs::Tracer* tracer = nullptr;
-  /// Optional flight recorder (borrowed; null answers the /debug/requests
-  /// and /debug/slow routes with 503). Feeding it is the service's job —
-  /// wire the same pointer into ServiceConfig::recorder.
-  obs::FlightRecorder* recorder = nullptr;
-  /// Optional collecting sink behind `tracer`, so /metrics can export the
-  /// dropped-span count (borrowed; null skips the metric).
+  /// Optional collecting sink behind the process tracer, so /metrics can
+  /// export the dropped-span count (borrowed; null skips the metric).
   obs::CollectingTraceSink* trace_sink = nullptr;
-  /// Optional model-quality monitor (borrowed; null answers GET
-  /// /debug/quality with 503 and reports the /healthz quality rung as
-  /// "off"). Feeding it is the service's job — wire the same pointer
-  /// into ServiceConfig::quality.
-  serve::QualityMonitor* quality = nullptr;
   /// PSI above which the /healthz quality rung reports "drifting" (and
   /// /debug/quality marks the model). The conventional PSI reading:
   /// < 0.1 stable, > 0.25 drifted; the default splits the difference.

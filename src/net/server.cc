@@ -15,6 +15,7 @@
 #include "common/parallel.h"
 #include "net/codec.h"
 #include "net/fault.h"
+#include "obs/trace.h"
 
 namespace deepmvi {
 namespace net {
@@ -280,7 +281,7 @@ void HttpServer::ServeConnection(int fd) {
   HttpParser parser(HttpParser::Mode::kRequest, config_.limits);
   char buffer[8192];
   double idle_seconds = 0.0;
-  obs::Tracer* tracer = config_.tracer;
+  obs::Tracer* tracer = obs::GlobalTracer();
   const bool traced = tracer != nullptr && tracer->enabled();
   // Read-stage timing opens at the first byte of each message, not at the
   // recv loop — idle keep-alive time is not read time.

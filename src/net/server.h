@@ -17,7 +17,6 @@
 #include "net/fault.h"
 #include "net/http.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace deepmvi {
 namespace net {
@@ -43,13 +42,12 @@ struct ServerConfig {
   /// plain syscalls — production pays one branch. Tests inject short
   /// reads/writes, EINTR, and mid-stream resets reproducibly.
   std::shared_ptr<FaultInjector> fault;
-  /// Optional observability hooks, both borrowed (must outlive the
-  /// server; null disables). The registry receives dmvi_http_requests_total
-  /// and per-stage histograms (read, handle, write); the tracer receives
-  /// the http.request / http.read / http.handle / http.write span family,
-  /// one tree per request.
+  /// Optional metrics registry, borrowed (must outlive the server; null
+  /// disables). It receives dmvi_http_requests_total and per-stage
+  /// histograms (read, handle, write). The http.request / http.read /
+  /// http.handle / http.write span family, one tree per request, goes to
+  /// the process tracer (obs::GlobalTracer), read once per connection.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::Tracer* tracer = nullptr;
 };
 
 /// Dependency-free HTTP/1.1 server on POSIX sockets: a listener + accept

@@ -1,68 +1,9 @@
 #include "serve/response_cache.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "storage/chunk_store.h"
 
 namespace deepmvi {
 namespace serve {
-
-ResponseCache::ResponsePtr ResponseCache::Get(const void* model,
-                                              uint64_t data_fingerprint,
-                                              uint64_t mask_fingerprint) {
-  const Key key{model, data_fingerprint, mask_fingerprint};
-  MutexLock lock(&mu_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return it->second.response;
-}
-
-void ResponseCache::Put(const void* model, uint64_t data_fingerprint,
-                        uint64_t mask_fingerprint, CachedResponse response) {
-  const Key key{model, data_fingerprint, mask_fingerprint};
-  const int64_t bytes =
-      static_cast<int64_t>(sizeof(CachedResponse)) +
-      static_cast<int64_t>(response.imputed.rows()) * response.imputed.cols() *
-          static_cast<int64_t>(sizeof(double));
-  if (bytes > byte_budget_) return;  // Never retain a budget-buster.
-  auto holder = std::make_shared<const CachedResponse>(std::move(response));
-  MutexLock lock(&mu_);
-  if (entries_.find(key) != entries_.end()) return;  // First insert wins.
-  EvictToFitLocked(bytes);
-  lru_.push_front(key);
-  entries_.emplace(key, Entry{std::move(holder), bytes, lru_.begin()});
-  stats_.bytes_cached += bytes;
-  stats_.peak_bytes = std::max(stats_.peak_bytes, stats_.bytes_cached);
-}
-
-void ResponseCache::EvictToFitLocked(int64_t incoming_bytes) {
-  while (!lru_.empty() && stats_.bytes_cached + incoming_bytes > byte_budget_) {
-    const Key& victim = lru_.back();
-    const auto it = entries_.find(victim);
-    stats_.bytes_cached -= it->second.bytes;
-    ++stats_.evictions;
-    entries_.erase(it);
-    lru_.pop_back();
-  }
-}
-
-ResponseCache::Stats ResponseCache::stats() const {
-  MutexLock lock(&mu_);
-  return stats_;
-}
-
-void ResponseCache::Clear() {
-  MutexLock lock(&mu_);
-  entries_.clear();
-  lru_.clear();
-  stats_.bytes_cached = 0;
-}
 
 uint64_t FingerprintData(const DataTensor& data) {
   const Matrix& values = data.values();

@@ -1,113 +1,65 @@
 #ifndef DEEPMVI_SERVE_RESPONSE_CACHE_H_
 #define DEEPMVI_SERVE_RESPONSE_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <string>
-#include <unordered_map>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
+#include "common/lru_cache.h"
 #include "tensor/data_tensor.h"
 #include "tensor/mask.h"
 
 namespace deepmvi {
 namespace serve {
 
-/// Bytes-budgeted, thread-safe LRU cache of imputation results, the
-/// serving-side sibling of storage::ChunkCache (same eviction discipline,
-/// same shared_ptr pinning: eviction drops only the cache's reference, so
-/// a response being copied out stays valid).
-///
-/// Keys are (model identity, data fingerprint, mask fingerprint):
+/// A response-cache key: (model identity, data fingerprint, mask
+/// fingerprint).
 ///  - model identity is the registry's TrainedDeepMvi pointer — models are
 ///    retired, never destroyed, on re-register, so the pointer uniquely
 ///    names one set of weights for the process lifetime. A warm reload
 ///    swaps the pointer and therefore *cannot* serve stale cached results;
 ///    old entries simply age out of the LRU.
-///  - data/mask fingerprints are FNV-1a 64 over the raw cell bytes
-///    (storage::Fnv1a64, the chunk-store checksum function).
-/// Predict is deterministic, so a hit is bit-identical to recomputing —
-/// the cache changes latency, never bytes (net_test/serve_test assert
-/// this).
-class ResponseCache {
- public:
-  /// An entry: the completed matrix plus the response counters that went
-  /// with it (so a hit reproduces the full response, not just the values).
-  struct CachedResponse {
-    Matrix imputed;
-    int64_t cells_imputed = 0;
-    int64_t rows_touched = 0;
-  };
-  using ResponsePtr = std::shared_ptr<const CachedResponse>;
-
-  /// `byte_budget` <= 0 disables retention entirely (every probe misses).
-  explicit ResponseCache(int64_t byte_budget) : byte_budget_(byte_budget) {}
-  ResponseCache(const ResponseCache&) = delete;
-  ResponseCache& operator=(const ResponseCache&) = delete;
-
-  /// The cached response for the key, or nullptr (counted as hit/miss).
-  ResponsePtr Get(const void* model, uint64_t data_fingerprint,
-                  uint64_t mask_fingerprint);
-
-  /// Inserts a response, evicting LRU entries to fit the budget. An entry
-  /// larger than the whole budget is not retained. Racing inserts for the
-  /// same key keep the first.
-  void Put(const void* model, uint64_t data_fingerprint,
-           uint64_t mask_fingerprint, CachedResponse response);
-
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t evictions = 0;
-    int64_t bytes_cached = 0;
-    int64_t peak_bytes = 0;
-  };
-  Stats stats() const;
-  int64_t byte_budget() const { return byte_budget_; }
-
-  /// Drops every retained entry (outstanding ResponsePtrs stay valid).
-  void Clear();
-
- private:
-  struct Key {
-    const void* model;
-    uint64_t data_fp;
-    uint64_t mask_fp;
-    bool operator==(const Key& other) const {
-      return model == other.model && data_fp == other.data_fp &&
-             mask_fp == other.mask_fp;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      // Splitmix-style fold of the three words.
-      uint64_t h = reinterpret_cast<uintptr_t>(key.model);
-      h = (h ^ (key.data_fp >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      h = (h ^ key.data_fp) * 0x94d049bb133111ebULL;
-      h = (h ^ (key.mask_fp >> 27)) * 0xbf58476d1ce4e5b9ULL;
-      h ^= key.mask_fp;
-      return static_cast<size_t>(h);
-    }
-  };
-  struct Entry {
-    ResponsePtr response;
-    int64_t bytes = 0;
-    std::list<Key>::iterator lru_it;
-  };
-
-  void EvictToFitLocked(int64_t incoming_bytes) DMVI_REQUIRES(mu_);
-
-  const int64_t byte_budget_;
-  mutable Mutex mu_;
-  std::unordered_map<Key, Entry, KeyHash> entries_ DMVI_GUARDED_BY(mu_);
-  std::list<Key> lru_ DMVI_GUARDED_BY(mu_);  // Front = most recent.
-  Stats stats_ DMVI_GUARDED_BY(mu_);
+///  - data/mask fingerprints are FingerprintData / FingerprintMask below.
+struct ResponseCacheKey {
+  const void* model;
+  uint64_t data_fp;
+  uint64_t mask_fp;
+  bool operator==(const ResponseCacheKey& other) const {
+    return model == other.model && data_fp == other.data_fp &&
+           mask_fp == other.mask_fp;
+  }
 };
 
-/// FNV-1a 64 fingerprints of the raw cell bytes, shared by the service's
-/// cache probe and tests.
+struct ResponseCacheKeyHash {
+  size_t operator()(const ResponseCacheKey& key) const {
+    // Splitmix-style fold of the three words.
+    uint64_t h = reinterpret_cast<uintptr_t>(key.model);
+    h = (h ^ (key.data_fp >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ key.data_fp) * 0x94d049bb133111ebULL;
+    h = (h ^ (key.mask_fp >> 27)) * 0xbf58476d1ce4e5b9ULL;
+    h ^= key.mask_fp;
+    return static_cast<size_t>(h);
+  }
+};
+
+/// A cached answer: the completed matrix plus the response counters that
+/// went with it (so a hit reproduces the full response, not just the
+/// values). An entry's bytes are sizeof(CachedResponse) plus its doubles.
+struct CachedResponse {
+  Matrix imputed;
+  int64_t cells_imputed = 0;
+  int64_t rows_touched = 0;
+};
+
+/// Bytes-budgeted, thread-safe LRU cache of imputation results, sharing
+/// storage::ChunkCache's LruCache. Predict is deterministic, so a hit is
+/// bit-identical to recomputing — the cache changes latency, never bytes
+/// (net_test/serve_test assert this).
+using ResponseCache =
+    LruCache<ResponseCacheKey, CachedResponse, ResponseCacheKeyHash>;
+
+/// FNV-1a 64 fingerprints of the raw cell bytes (storage::Fnv1a64, the
+/// chunk-store checksum function), shared by the service's cache probe and
+/// tests.
 uint64_t FingerprintData(const DataTensor& data);
 uint64_t FingerprintMask(const Mask& mask);
 

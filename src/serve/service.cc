@@ -6,6 +6,7 @@
 #include "baselines/simple.h"
 #include "common/parallel.h"
 #include "obs/profiler.h"
+#include "obs/trace.h"
 
 namespace deepmvi {
 namespace serve {
@@ -85,7 +86,7 @@ ImputationService::ImputationService(ServiceConfig config)
 ImputationResponse ImputationService::Process(const ImputationRequest& request,
                                               bool degrade) {
   obs::ProfileLabelScope profile_label("service.process");
-  obs::Span span(config_.tracer, "service.process");
+  obs::Span span = obs::GlobalSpan("service.process");
   if (span.active() && !request.request_id.empty()) {
     span.set_request_id(request.request_id);
   }
@@ -119,7 +120,7 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
       // bypassed in both directions — a fallback answer must never be
       // served later as a model answer or vice versa.
       {
-        obs::Span fallback_span(config_.tracer, "degrade.fallback");
+        obs::Span fallback_span = obs::GlobalSpan("degrade.fallback");
         if (fallback_span.active()) {
           fallback_span.set_request_id(request.request_id);
         }
@@ -147,12 +148,13 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
     // a hit is bit-identical to recomputing.
     uint64_t data_fp = 0, mask_fp = 0;
     if (cache_ != nullptr) {
-      obs::Span probe_span(config_.tracer, "cache.probe");
+      obs::Span probe_span = obs::GlobalSpan("cache.probe");
       if (probe_span.active()) probe_span.set_request_id(request.request_id);
       Stopwatch probe_watch;
       data_fp = MemoizedDataFingerprint(request.data);
       mask_fp = FingerprintMask(request.mask);
-      ResponseCache::ResponsePtr hit = cache_->Get(model, data_fp, mask_fp);
+      const ResponseCache::ValuePtr hit =
+          cache_->Get({model, data_fp, mask_fp});
       stage_cache_probe_->Observe(probe_watch.ElapsedSeconds());
       if (probe_span.active()) {
         probe_span.AddArg("hit", hit != nullptr ? "true" : "false");
@@ -169,7 +171,7 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
     }
 
     {
-      obs::Span predict_span(config_.tracer, "model.predict");
+      obs::Span predict_span = obs::GlobalSpan("model.predict");
       if (predict_span.active()) predict_span.set_request_id(request.request_id);
       Stopwatch predict_watch;
       response.imputed = model->Predict(*request.data, request.mask);
@@ -179,11 +181,14 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
     response.cells_imputed = request.mask.CountMissing();
     response.rows_touched = CountRowsTouched(request.mask);
     if (cache_ != nullptr) {
-      ResponseCache::CachedResponse cached;
-      cached.imputed = response.imputed;
-      cached.cells_imputed = response.cells_imputed;
-      cached.rows_touched = response.rows_touched;
-      cache_->Put(model, data_fp, mask_fp, std::move(cached));
+      const int64_t bytes = static_cast<int64_t>(sizeof(CachedResponse)) +
+                            response.imputed.size() *
+                                static_cast<int64_t>(sizeof(double));
+      cache_->Insert({model, data_fp, mask_fp},
+                     std::make_shared<const CachedResponse>(CachedResponse{
+                         response.imputed, response.cells_imputed,
+                         response.rows_touched}),
+                     bytes);
     }
     // Masked self-scoring rides every Nth successful full-model predict
     // (cache hits, degraded answers, and errors returned above). Seeded
@@ -191,7 +196,7 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
     // cells; the response is already complete and is never touched.
     if (config_.quality != nullptr &&
         config_.quality->SelfScoreDue(request.model)) {
-      obs::Span score_span(config_.tracer, "quality.selfscore");
+      obs::Span score_span = obs::GlobalSpan("quality.selfscore");
       if (score_span.active()) score_span.set_request_id(request.request_id);
       const uint64_t seed =
           MemoizedDataFingerprint(request.data) ^

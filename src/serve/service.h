@@ -12,7 +12,6 @@
 #include "common/thread_annotations.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "serve/quality_monitor.h"
 #include "serve/registry.h"
 #include "serve/response_cache.h"
@@ -80,25 +79,27 @@ struct ServiceConfig {
   int shed_watermark = 0;
   /// Fallback imputer: "LinearInterp" (default) or "Mean".
   std::string degrade_method = "LinearInterp";
-  /// Optional observability hooks, both borrowed (must outlive the
-  /// service). The registry receives the serving counters
-  /// (dmvi_*_total), the request-latency histogram, and the per-stage
-  /// latency histograms (predict, cache probe, fallback); null makes the
-  /// service record into a registry of its own. The tracer receives
-  /// per-request spans (null disables).
+  /// Optional metrics registry, borrowed (must outlive the service). It
+  /// receives the serving counters (dmvi_*_total), the request-latency
+  /// histogram, and the per-stage latency histograms (predict, cache
+  /// probe, fallback); null makes the service record into a registry of
+  /// its own. Per-request spans go to the process tracer
+  /// (obs::GlobalTracer), like every other span in the tree.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::Tracer* tracer = nullptr;
-  /// Optional flight recorder, borrowed like the hooks above (null
+  /// Optional flight recorder, borrowed like the registry (null
   /// disables). Every completed request — including cache hits, degraded
   /// answers, and sheds — appends one RequestRecord; recording never
   /// touches response bytes, so the byte-identity bar holds with it on.
+  /// This is the recorder's one wiring point: the /debug/requests and
+  /// /debug/slow routes read it from here.
   obs::FlightRecorder* recorder = nullptr;
-  /// Optional model-quality monitor, borrowed like the hooks above (null
+  /// Optional model-quality monitor, borrowed like the registry (null
   /// disables). Every validated request input is folded into the
   /// monitor's live distributions, and every Nth successful full-model
   /// predict triggers a masked self-scoring round on a side copy of the
   /// mask. Strictly read-only for serving: responses are cmp-identical
-  /// with the monitor on or off.
+  /// with the monitor on or off. The /debug/quality, /healthz and
+  /// /metrics routes read it from here.
   QualityMonitor* quality = nullptr;
 };
 

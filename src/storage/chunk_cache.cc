@@ -1,6 +1,5 @@
 #include "storage/chunk_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace deepmvi {
@@ -8,66 +7,13 @@ namespace storage {
 
 StatusOr<ChunkCache::ChunkPtr> ChunkCache::GetOrLoad(int64_t key,
                                                      const Loader& loader) {
-  {
-    MutexLock lock(&mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.chunk;
-    }
-    ++stats_.misses;
-  }
-
-  // Load outside the lock: disk latency must not serialize other readers.
+  if (ChunkPtr cached = Get(key)) return cached;
   StatusOr<Matrix> loaded = loader();
   if (!loaded.ok()) return loaded.status();
-  const int64_t bytes =
-      static_cast<int64_t>(loaded->size()) * static_cast<int64_t>(sizeof(double));
-  auto chunk = std::make_shared<const Matrix>(std::move(loaded).value());
-
-  MutexLock lock(&mu_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    // A racing loader inserted first; use its copy and drop ours.
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.chunk;
-  }
-  if (bytes > byte_budget_) {
-    // Oversized (or zero-budget) chunk: hand it out but never retain it,
-    // so bytes_cached_ can't exceed the budget.
-    return ChunkPtr(chunk);
-  }
-  EvictToFitLocked(bytes);
-  lru_.push_front(key);
-  entries_[key] = Entry{chunk, bytes, lru_.begin()};
-  stats_.bytes_cached += bytes;
-  stats_.peak_bytes = std::max(stats_.peak_bytes, stats_.bytes_cached);
-  return ChunkPtr(chunk);
-}
-
-void ChunkCache::EvictToFitLocked(int64_t incoming_bytes) {
-  while (!lru_.empty() && stats_.bytes_cached + incoming_bytes > byte_budget_) {
-    const int64_t victim = lru_.back();
-    lru_.pop_back();
-    auto it = entries_.find(victim);
-    stats_.bytes_cached -= it->second.bytes;
-    entries_.erase(it);
-    ++stats_.evictions;
-  }
-}
-
-ChunkCache::Stats ChunkCache::stats() const {
-  MutexLock lock(&mu_);
-  return stats_;
-}
-
-void ChunkCache::Clear() {
-  MutexLock lock(&mu_);
-  stats_.evictions += static_cast<int64_t>(entries_.size());
-  entries_.clear();
-  lru_.clear();
-  stats_.bytes_cached = 0;
+  const int64_t bytes = static_cast<int64_t>(loaded->size()) *
+                        static_cast<int64_t>(sizeof(double));
+  return Insert(key, std::make_shared<const Matrix>(std::move(loaded).value()),
+                bytes);
 }
 
 }  // namespace storage

@@ -3,76 +3,32 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <unordered_map>
 
-#include "common/mutex.h"
+#include "common/lru_cache.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "tensor/matrix.h"
 
 namespace deepmvi {
 namespace storage {
 
-/// Bounded, bytes-budgeted LRU cache of store chunks, thread-safe for
-/// concurrent readers (the training loop fans samples over worker threads
-/// that all read through one cache).
-///
-/// Entries are handed out as shared_ptr<const Matrix>: eviction only drops
-/// the cache's reference, so a reader holding a chunk keeps it alive while
-/// the cache stays within budget for everything it retains. Before a new
-/// chunk is inserted, least-recently-used entries are evicted until the
-/// new total fits the budget; a single chunk larger than the whole budget
-/// is returned to the caller but never retained.
-///
-/// Loads run outside the cache lock so slow disk reads don't serialize
-/// unrelated readers; two threads racing on the same missing key may both
-/// load it, and the first insert wins (counted as one miss each).
-class ChunkCache {
+/// Bounded, bytes-budgeted LRU cache of store chunks keyed by
+/// ChunkedSeriesStore::ChunkKey, shared by the training loop's worker
+/// threads. The eviction, pinning and stats are LruCache's; a chunk's
+/// bytes are its doubles.
+class ChunkCache : public LruCache<int64_t, Matrix> {
  public:
   using ChunkPtr = std::shared_ptr<const Matrix>;
   using Loader = std::function<StatusOr<Matrix>()>;
 
-  /// `byte_budget` <= 0 disables retention: every call loads.
-  explicit ChunkCache(int64_t byte_budget) : byte_budget_(byte_budget) {}
-
-  ChunkCache(const ChunkCache&) = delete;
-  ChunkCache& operator=(const ChunkCache&) = delete;
+  using LruCache::LruCache;
 
   /// Returns the cached chunk for `key`, or runs `loader` and caches the
-  /// result. Load failures are returned and nothing is cached.
+  /// result. Load failures are returned and nothing is cached. The load
+  /// runs outside the cache lock so slow disk reads don't serialize
+  /// unrelated readers; two threads racing on the same missing key may
+  /// both load it, and the first insert wins (counted as one miss each).
   StatusOr<ChunkPtr> GetOrLoad(int64_t key, const Loader& loader);
-
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t evictions = 0;
-    int64_t bytes_cached = 0;
-    /// High-water mark of bytes_cached, for asserting the budget held.
-    int64_t peak_bytes = 0;
-  };
-  Stats stats() const;
-  int64_t byte_budget() const { return byte_budget_; }
-
-  /// Drops every retained chunk (outstanding ChunkPtrs stay valid).
-  void Clear();
-
- private:
-  struct Entry {
-    ChunkPtr chunk;
-    int64_t bytes = 0;
-    std::list<int64_t>::iterator lru_it;
-  };
-
-  // Evicts LRU entries until bytes_cached_ + incoming fits the budget.
-  void EvictToFitLocked(int64_t incoming_bytes) DMVI_REQUIRES(mu_);
-
-  const int64_t byte_budget_;
-  mutable Mutex mu_;
-  std::unordered_map<int64_t, Entry> entries_ DMVI_GUARDED_BY(mu_);
-  std::list<int64_t> lru_ DMVI_GUARDED_BY(mu_);  // Front = most recent.
-  Stats stats_ DMVI_GUARDED_BY(mu_);
 };
 
 }  // namespace storage

@@ -8,35 +8,48 @@ namespace deepmvi {
 namespace storage {
 namespace {
 
-/// Zero-copy reader over a pre-normalized in-core matrix: every Read
-/// returns a full view, which trivially covers any requested stripe.
+Status CheckStatsCover(const DataTensor::NormalizationStats& stats,
+                       int num_series) {
+  if (static_cast<int>(stats.mean.size()) != num_series ||
+      static_cast<int>(stats.stddev.size()) != num_series) {
+    return Status::InvalidArgument(
+        "normalization stats cover " + std::to_string(stats.mean.size()) +
+        " series, source has " + std::to_string(num_series));
+  }
+  return Status::OK();
+}
+
+/// Zero-copy reader over the caller's in-core values: every Read returns a
+/// full view z-scored on read, which trivially covers any requested
+/// stripe.
 class InMemoryWindowReader : public WindowReader {
  public:
-  explicit InMemoryWindowReader(Matrix normalized)
-      : normalized_(std::move(normalized)) {}
+  InMemoryWindowReader(const Matrix* values,
+                       DataTensor::NormalizationStats stats)
+      : values_(values), stats_(std::move(stats)) {}
 
   StatusOr<ValueWindow> Read(int t0, int len) const override {
-    if (t0 < 0 || len <= 0 || t0 + len > normalized_.cols()) {
+    if (t0 < 0 || len <= 0 || t0 + len > values_->cols()) {
       return Status::InvalidArgument(
           "window [" + std::to_string(t0) + ", " + std::to_string(t0 + len) +
-          ") out of range for " + std::to_string(normalized_.cols()) +
+          ") out of range for " + std::to_string(values_->cols()) +
           " time steps");
     }
-    return ValueWindow(normalized_);
+    return ValueWindow(*values_, stats_);
   }
 
  private:
-  Matrix normalized_;
+  const Matrix* values_;
+  DataTensor::NormalizationStats stats_;
 };
 
 }  // namespace
 
 StatusOr<std::unique_ptr<WindowReader>> InMemoryDataSource::MakeReader(
     const DataTensor::NormalizationStats& stats) const {
-  // The reader's one normalized copy, moved out of Normalized()'s result:
-  // copying it would hold two full copies at once.
-  return std::unique_ptr<WindowReader>(new InMemoryWindowReader(
-      std::move(data_->Normalized(stats).values())));
+  DMVI_RETURN_IF_ERROR(CheckStatsCover(stats, data_->num_series()));
+  return std::unique_ptr<WindowReader>(
+      new InMemoryWindowReader(&data_->values(), stats));
 }
 
 StatusOr<DataTensor::NormalizationStats> ChunkedDataSource::ComputeNormalization(
@@ -73,11 +86,7 @@ StatusOr<DataTensor::NormalizationStats> ChunkedDataSource::ComputeNormalization
 
 StatusOr<std::unique_ptr<WindowReader>> ChunkedDataSource::MakeReader(
     const DataTensor::NormalizationStats& stats) const {
-  if (static_cast<int>(stats.mean.size()) != store_->num_series()) {
-    return Status::InvalidArgument(
-        "normalization stats cover " + std::to_string(stats.mean.size()) +
-        " series, store has " + std::to_string(store_->num_series()));
-  }
+  DMVI_RETURN_IF_ERROR(CheckStatsCover(stats, store_->num_series()));
   return std::unique_ptr<WindowReader>(
       new WindowedSampleReader(store_, cache_, stats));
 }

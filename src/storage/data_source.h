@@ -22,8 +22,10 @@ class WindowReader {
   virtual ~WindowReader() = default;
 
   /// Normalized values for the absolute time range [t0, t0 + len) across
-  /// all series. The returned window may cover more than requested (the
-  /// in-core reader always returns the full matrix view).
+  /// all series, z-scored on read by the window. The returned window may
+  /// cover more than requested (the in-core reader always returns the full
+  /// matrix view) and borrows the reader's stats, so it must not outlive
+  /// the reader.
   virtual StatusOr<ValueWindow> Read(int t0, int len) const = 0;
 };
 
@@ -48,18 +50,18 @@ class DataSource {
   virtual StatusOr<DataTensor::NormalizationStats> ComputeNormalization(
       const Mask& mask) const = 0;
 
-  /// Builds a thread-safe reader of values normalized by `stats`. The
-  /// reader borrows this source and must not outlive it.
+  /// Builds a thread-safe reader of values normalized by `stats` (which
+  /// must cover every series; InvalidArgument otherwise). The reader keeps
+  /// its own copy of the stats, borrows this source and must not outlive
+  /// it.
   virtual StatusOr<std::unique_ptr<WindowReader>> MakeReader(
       const DataTensor::NormalizationStats& stats) const = 0;
 };
 
-/// In-core source: wraps a DataTensor the caller keeps alive. MakeReader
-/// builds one normalized copy of the values per reader and serves
-/// zero-copy full views of it. Fit makes one reader per call, and so does
-/// every TrainedDeepMvi::Predict and PredictCells call: a caller that
-/// predicts from the same tensor many times pays one normalized copy each
-/// time.
+/// In-core source: wraps a DataTensor the caller keeps alive. Its readers
+/// copy nothing: every Read is a zero-copy full view of the caller's
+/// values, z-scored on read, so the many Predict and PredictCells calls a
+/// caller makes on one tensor cost no copy of it.
 class InMemoryDataSource : public DataSource {
  public:
   explicit InMemoryDataSource(const DataTensor* data) : data_(data) {}

@@ -45,18 +45,14 @@ StatusOr<ValueWindow> WindowedSampleReader::Read(int t0, int len) const {
       const Matrix& raw = **chunk;
       const int row0 = store_->group_begin_row(g);
       for (int r = 0; r < raw.rows(); ++r) {
-        const int series = row0 + r;
-        const double mean = stats_.mean[series];
-        const double stddev = stats_.stddev[series];
-        const double* src = raw.row_ptr(r) + (lo - block_t0);
-        double* dst = slab.row_ptr(series) + (lo - t0);
-        // Same expression as DataTensor::Normalized, so out-of-core
-        // windows are bit-identical to slices of the normalized tensor.
-        for (int t = 0; t < hi - lo; ++t) dst[t] = (src[t] - mean) / stddev;
+        std::copy_n(raw.row_ptr(r) + (lo - block_t0), hi - lo,
+                    slab.row_ptr(row0 + r) + (lo - t0));
       }
     }
   }
-  return ValueWindow::OwnedSlab(std::move(slab), t0);
+  // The window z-scores on read, as the in-core reader's does, so
+  // out-of-core windows are bit-identical to in-core ones.
+  return ValueWindow::OwnedSlab(std::move(slab), t0, stats_);
 }
 
 }  // namespace storage

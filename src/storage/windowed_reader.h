@@ -11,9 +11,10 @@ namespace storage {
 /// assembled into an owned slab from the time blocks it spans — at most
 /// two when len <= times_per_chunk, which holds for every DeepMVI training
 /// window as long as the store's block size is >= the config's
-/// max_context — normalizing each value with the fit-time stats on the
-/// way. Raw chunks are fetched through the shared ChunkCache, so the
-/// working set stays within the cache's byte budget plus one slab per
+/// max_context. The slab holds raw values and the returned window
+/// z-scores them on read with the fit-time stats, which it borrows from
+/// this reader. Raw chunks are fetched through the shared ChunkCache, so
+/// the working set stays within the cache's byte budget plus one slab per
 /// in-flight sample.
 ///
 /// Thread-safe: the reader itself is immutable and the cache locks

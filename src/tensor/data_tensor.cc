@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "tensor/value_window.h"
+
 namespace deepmvi {
 
 DataTensor::DataTensor(std::vector<Dimension> dims, Matrix values)
@@ -148,11 +150,10 @@ DataTensor::NormalizationStats DataTensor::NormalizationAccumulator::Finalize()
 
 DataTensor DataTensor::Normalized(const NormalizationStats& stats) const {
   DMVI_CHECK_EQ(static_cast<int>(stats.mean.size()), num_series());
-  Matrix out = values_;
+  const ValueWindow normalized(values_, stats);
+  Matrix out(num_series(), num_times());
   for (int r = 0; r < num_series(); ++r) {
-    for (int t = 0; t < num_times(); ++t) {
-      out(r, t) = (out(r, t) - stats.mean[r]) / stats.stddev[r];
-    }
+    for (int t = 0; t < num_times(); ++t) out(r, t) = normalized(r, t);
   }
   return DataTensor(dims_, std::move(out));
 }

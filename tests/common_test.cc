@@ -4,12 +4,15 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/lru_cache.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -419,6 +422,115 @@ TEST(TablePrinterTest, WriteCsvCreatesFile) {
   std::string line;
   std::getline(in, line);
   EXPECT_EQ(line, "k,v");
+}
+
+// ---- LruCache ---------------------------------------------------------------
+
+using StringCache = LruCache<int, std::string>;
+
+StringCache::ValuePtr Text(const std::string& text) {
+  return std::make_shared<const std::string>(text);
+}
+
+TEST(LruCacheTest, GetCountsHitsAndMisses) {
+  StringCache cache(100);
+  EXPECT_EQ(cache.Get(1), nullptr);
+  cache.Insert(1, Text("one"), 10);
+  ASSERT_NE(cache.Get(1), nullptr);
+  EXPECT_EQ(*cache.Get(1), "one");
+  EXPECT_EQ(cache.Get(2), nullptr);
+  const StringCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2);
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.bytes_cached, 10);
+  EXPECT_EQ(cache.byte_budget(), 100);
+}
+
+TEST(LruCacheTest, EvictsLeastRecentlyUsedToFitTheBudget) {
+  StringCache cache(30);
+  cache.Insert(1, Text("a"), 10);
+  cache.Insert(2, Text("b"), 10);
+  cache.Insert(3, Text("c"), 10);
+  cache.Get(1);  // Order, most recent first: 1, 3, 2.
+  cache.Insert(4, Text("d"), 10);  // Evicts 2.
+  EXPECT_EQ(cache.Get(2), nullptr);
+  cache.Insert(5, Text("e"), 20);  // Evicts 3, then 1 (4 was just used).
+  EXPECT_EQ(cache.Get(3), nullptr);
+  EXPECT_EQ(cache.Get(1), nullptr);
+  EXPECT_NE(cache.Get(4), nullptr);
+  EXPECT_NE(cache.Get(5), nullptr);
+  const StringCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 3);
+  EXPECT_EQ(stats.bytes_cached, 30);
+  EXPECT_EQ(stats.peak_bytes, 30);
+}
+
+TEST(LruCacheTest, FirstInsertOfAKeyWins) {
+  StringCache cache(100);
+  const StringCache::ValuePtr first = cache.Insert(7, Text("first"), 10);
+  const StringCache::ValuePtr second = cache.Insert(7, Text("second"), 10);
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(*cache.Get(7), "first");
+  EXPECT_EQ(cache.stats().bytes_cached, 10);
+}
+
+TEST(LruCacheTest, OversizedValueIsReturnedButNotKept) {
+  StringCache cache(30);
+  cache.Insert(1, Text("small"), 10);
+  const StringCache::ValuePtr big = cache.Insert(2, Text("big"), 31);
+  ASSERT_NE(big, nullptr);
+  EXPECT_EQ(*big, "big");
+  EXPECT_EQ(cache.Get(2), nullptr);
+  EXPECT_NE(cache.Get(1), nullptr);  // Nothing was evicted for it.
+  EXPECT_EQ(cache.stats().evictions, 0);
+  EXPECT_EQ(cache.stats().bytes_cached, 10);
+
+  // A budget of zero keeps nothing.
+  StringCache off(0);
+  EXPECT_EQ(*off.Insert(1, Text("x"), 1), "x");
+  EXPECT_EQ(off.Get(1), nullptr);
+}
+
+TEST(LruCacheTest, PinnedValuesSurviveEvictionAndClear) {
+  StringCache cache(10);
+  cache.Insert(1, Text("pinned"), 10);
+  const StringCache::ValuePtr pinned = cache.Get(1);
+  cache.Insert(2, Text("next"), 10);  // Evicts 1.
+  EXPECT_EQ(cache.Get(1), nullptr);
+  EXPECT_EQ(*pinned, "pinned");
+
+  const StringCache::ValuePtr next = cache.Get(2);
+  cache.Clear();
+  EXPECT_EQ(cache.Get(2), nullptr);
+  EXPECT_EQ(*next, "next");
+  const StringCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 2);  // Clear counts what it dropped.
+  EXPECT_EQ(stats.bytes_cached, 0);
+  EXPECT_EQ(stats.peak_bytes, 10);
+}
+
+TEST(LruCacheTest, ConcurrentReadersSeeTheirOwnValuesWithinBudget) {
+  StringCache cache(8 * 16);  // Eight of the 32 keys fit.
+  const int readers = 4;
+  const int iters = 2000;
+  std::atomic<int64_t> calls{0};
+  ParallelFor(readers, readers, [&](int r) {
+    for (int i = 0; i < iters; ++i) {
+      const int key = (r * 5 + i) % 32;
+      StringCache::ValuePtr value = cache.Get(key);
+      if (value == nullptr) {
+        value = cache.Insert(key, Text(std::to_string(key)), 16);
+      }
+      ASSERT_NE(value, nullptr);
+      EXPECT_EQ(*value, std::to_string(key));
+      calls.fetch_add(1);
+    }
+  });
+  const StringCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, calls.load());
+  EXPECT_LE(stats.peak_bytes, cache.byte_budget());
+  EXPECT_LE(stats.bytes_cached, cache.byte_budget());
 }
 
 }  // namespace

@@ -866,6 +866,31 @@ TEST(CheckpointTest, CraftedRecordsFailBeforeAllocating) {
                   "dimension table");
 }
 
+TEST(CheckpointTest, ShortNormalizationBodyAllocatesOnlyWhatTheFileHolds) {
+  // A real header, then 24 two-member dimensions (2^24 series, the table
+  // bound) and a mean vector that claims all 2^24 entries, 128 MiB, but
+  // the file ends there. Load must fail on the missing bytes without first
+  // sizing the vector from the claim: the child's cap leaves it 64 MiB.
+  testutil::SeasonalCase c = testutil::MakeSeasonalCase(107, 5, 120);
+  TrainedDeepMvi trained =
+      DeepMviImputer(testutil::TinyDeepMviConfig()).Fit(c.data, c.mask);
+  const std::string path = testutil::TempPath("short_vector.dmvi");
+  ASSERT_TRUE(trained.Save(path).ok());
+  constexpr size_t kConfigEnd = 85;
+  const uint32_t count = uint32_t{1} << 24;
+  std::string crafted = FileBytes(path).substr(0, kConfigEnd) +
+                        testutil::RawDims(testutil::UniformDims(24, 2));
+  crafted.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  WriteFileBytes(path, crafted);
+  testutil::ExpectErrorUnderAddressSpaceLimit(
+      [&] { return TrainedDeepMvi::Load(path).status(); },
+      testutil::AddressSpaceCap::kCurrentPlus64MiB);
+  const Status status = TrainedDeepMvi::Load(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("vector body missing"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(CheckpointTest, SaveRejectsATableLoadWouldReject) {
   // 65 dimensions, one past nn::kMaxDims: the model trains, but Save fails
   // instead of writing a checkpoint Load would refuse.

@@ -48,6 +48,7 @@ namespace {
 
 using testutil::ExpectMatricesBitIdentical;
 using testutil::MakeSeasonalCase;
+using testutil::ScopedProcessTracer;
 using testutil::SeasonalCase;
 using testutil::TempPath;
 using testutil::TinyDeepMviConfig;
@@ -1052,7 +1053,6 @@ TEST(ServingEndpointsTest, DebugEndpointsServeRecorderAndState) {
   service_config.recorder = &recorder;
   ServedCase served(service_config);
   net::ServingContext ctx = served.Context();
-  ctx.recorder = &recorder;
   ctx.build_commit = "cafef00d";
   net::HttpServer server;
   net::RegisterServingEndpoints(&server, ctx);
@@ -1457,27 +1457,26 @@ TEST(HttpServerTest, RequestSpanFamilyCoversTheWholeRequestPath) {
   obs::MetricsRegistry metrics;
 
   serve::ServiceConfig service_config;
-  service_config.tracer = &tracer;
   service_config.metrics = &metrics;
   ServedCase served(service_config);
   net::ServerConfig server_config;
-  server_config.tracer = &tracer;
   server_config.metrics = &metrics;
   net::HttpServer server(server_config);
-  net::ServingContext ctx = served.Context();
-  ctx.tracer = &tracer;
-  net::RegisterServingEndpoints(&server, ctx);
-  ASSERT_TRUE(server.Start().ok());
-  net::Client client("127.0.0.1", server.port());
+  net::RegisterServingEndpoints(&server, served.Context());
+  {
+    ScopedProcessTracer traced(&tracer);
+    ASSERT_TRUE(server.Start().ok());
+    net::Client client("127.0.0.1", server.port());
 
-  net::HttpMessage request;
-  request.method = "POST";
-  request.target = "/v1/impute";
-  request.body = "{\"model\": \"default\"}";
-  request.SetHeader("content-type", "application/json");
-  request.SetHeader("x-request-id", "traced-1");
-  ASSERT_EQ(client.RoundTrip(request)->status_code, 200);
-  server.Stop();
+    net::HttpMessage request;
+    request.method = "POST";
+    request.target = "/v1/impute";
+    request.body = "{\"model\": \"default\"}";
+    request.SetHeader("content-type", "application/json");
+    request.SetHeader("x-request-id", "traced-1");
+    ASSERT_EQ(client.RoundTrip(request)->status_code, 200);
+    server.Stop();
+  }
 
   // Expected family: one root http.request with read/handle/write
   // children, and the handler chain (decode, service.process with
@@ -1522,30 +1521,22 @@ TEST(HttpServerTest, RequestSpanFamilyCoversTheWholeRequestPath) {
 
 TEST(ServingEndpointsTest, TracingDoesNotChangeServedBytes) {
   // Serve the identical base-mask imputation twice — once plain, once with
-  // tracing wired through server, context, and service and metrics
-  // through server and service — and
-  // compare the response bodies byte for byte (the same bar CI enforces
-  // with cmp on the loadgen CSV).
+  // a process tracer installed and metrics wired through server and
+  // service — and compare the response bodies byte for byte (the same bar
+  // CI enforces with cmp on the loadgen CSV).
   auto fetch = [](bool traced, std::string* csv_body, std::string* json_body) {
     obs::CollectingTraceSink sink;
     obs::Tracer tracer(&sink, obs::TraceLevel::kKernel);
     obs::MetricsRegistry metrics;
 
     serve::ServiceConfig service_config;
-    if (traced) {
-      service_config.tracer = &tracer;
-      service_config.metrics = &metrics;
-    }
+    if (traced) service_config.metrics = &metrics;
     ServedCase served(service_config);
     net::ServerConfig server_config;
-    if (traced) {
-      server_config.tracer = &tracer;
-      server_config.metrics = &metrics;
-    }
+    if (traced) server_config.metrics = &metrics;
     net::HttpServer server(server_config);
-    net::ServingContext ctx = served.Context();
-    if (traced) ctx.tracer = &tracer;
-    net::RegisterServingEndpoints(&server, ctx);
+    net::RegisterServingEndpoints(&server, served.Context());
+    ScopedProcessTracer scoped(traced ? &tracer : nullptr);
     ASSERT_TRUE(server.Start().ok());
     net::Client client("127.0.0.1", server.port());
     StatusOr<net::HttpMessage> csv = client.Post(
@@ -1614,10 +1605,8 @@ TEST(ServingEndpointsTest, QualityEndpointsScoreDriftAcrossTheStack) {
   serve::ServiceConfig service_config;
   service_config.quality = &monitor;
   ServedCase served(service_config);
-  net::ServingContext ctx = served.Context();
-  ctx.quality = &monitor;
   net::HttpServer server;
-  net::RegisterServingEndpoints(&server, ctx);
+  net::RegisterServingEndpoints(&server, served.Context());
   ASSERT_TRUE(server.Start().ok());
   net::Client client("127.0.0.1", server.port());
 
@@ -1728,6 +1717,61 @@ TEST(ServingEndpointsTest, QualityEndpointsWithoutMonitor) {
   EXPECT_EQ(state_doc->at("last_registered_model").string_value(),
             "default");
   EXPECT_GE(state_doc->at("model_age_seconds").number_value(), 0.0);
+  server.Stop();
+}
+
+TEST(ServingEndpointsTest, RoutesReadRecorderAndMonitorFromTheService) {
+  // The recorder and the monitor are wired into the service alone; a
+  // context that holds nothing but the service still serves them.
+  obs::FlightRecorder recorder(/*capacity=*/8,
+                               /*slow_threshold_seconds=*/1e-9);
+  serve::QualityMonitor monitor;
+  serve::ServiceConfig service_config;
+  service_config.recorder = &recorder;
+  service_config.quality = &monitor;
+  ServedCase served(service_config);
+  net::ServingContext ctx;
+  ctx.service = &served.service;
+  net::HttpServer server;
+  net::RegisterServingEndpoints(&server, ctx);
+  ASSERT_TRUE(server.Start().ok());
+  net::Client client("127.0.0.1", server.port());
+
+  // Without a served dataset the request carries its own values.
+  net::HttpMessage impute;
+  impute.method = "POST";
+  impute.target = "/v1/impute";
+  impute.body = InlineBody(served.data_case.data.values());
+  impute.SetHeader("content-type", "application/json");
+  impute.SetHeader("x-request-id", "service-hooks-0");
+  ASSERT_EQ(client.RoundTrip(impute)->status_code, 200);
+
+  StatusOr<net::JsonValue> health_doc =
+      net::ParseJson(client.Get("/healthz")->body);
+  ASSERT_TRUE(health_doc.ok());
+  EXPECT_NE(health_doc->at("quality").string_value(), "off");
+  for (const char* path : {"/debug/requests", "/debug/slow"}) {
+    StatusOr<net::HttpMessage> response = client.Get(path);
+    ASSERT_TRUE(response.ok()) << path;
+    ASSERT_EQ(response->status_code, 200) << path << " " << response->body;
+    StatusOr<net::JsonValue> doc = net::ParseJson(response->body);
+    ASSERT_TRUE(doc.ok()) << response->body;
+    ASSERT_EQ(doc->at("records").array_items().size(), 1u) << path;
+    EXPECT_EQ(doc->at("records").array_items()[0].at("request_id")
+                  .string_value(),
+              "service-hooks-0")
+        << path;
+  }
+  StatusOr<net::HttpMessage> quality = client.Get("/debug/quality");
+  ASSERT_TRUE(quality.ok());
+  ASSERT_EQ(quality->status_code, 200) << quality->body;
+  StatusOr<net::JsonValue> quality_doc = net::ParseJson(quality->body);
+  ASSERT_TRUE(quality_doc.ok()) << quality->body;
+  ASSERT_EQ(quality_doc->at("models").array_items().size(), 1u);
+  EXPECT_EQ(quality_doc->at("models").array_items()[0]
+                .at("requests_observed")
+                .number_value(),
+            1);
   server.Stop();
 }
 

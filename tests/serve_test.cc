@@ -38,6 +38,7 @@ using testutil::ExpectMatricesBitIdentical;
 using testutil::MakeSeasonalCase;
 using testutil::McarMask;
 using testutil::RandomMatrix;
+using testutil::ScopedProcessTracer;
 using testutil::SeasonalCase;
 using testutil::TempPath;
 using testutil::TinyDeepMviConfig;
@@ -596,53 +597,61 @@ TEST(ImputationServiceTest, ArrivingRequestDoesNotCountItselfAsPressure) {
 
 // ---- Response cache ---------------------------------------------------------
 
-serve::ResponseCache::CachedResponse MakeCached(int rows, int cols,
-                                                double fill) {
-  serve::ResponseCache::CachedResponse cached;
-  cached.imputed = Matrix(rows, cols, fill);
-  cached.cells_imputed = rows;
-  cached.rows_touched = 1;
+serve::ResponseCache::ValuePtr MakeCached(int rows, int cols, double fill) {
+  auto cached = std::make_shared<serve::CachedResponse>();
+  cached->imputed = Matrix(rows, cols, fill);
+  cached->cells_imputed = rows;
+  cached->rows_touched = 1;
   return cached;
+}
+
+/// Inserts a response with the service's byte rule.
+void Put(serve::ResponseCache& cache, const serve::ResponseCacheKey& key,
+         serve::ResponseCache::ValuePtr response) {
+  const int64_t bytes =
+      static_cast<int64_t>(sizeof(serve::CachedResponse)) +
+      response->imputed.size() * static_cast<int64_t>(sizeof(double));
+  cache.Insert(key, std::move(response), bytes);
 }
 
 TEST(ResponseCacheTest, HitsMissesAndLruEvictionUnderByteBudget) {
   // Each 8x8 entry is 8*8*8 = 512 bytes + header; budget fits two.
   const int64_t entry_bytes =
       8 * 8 * static_cast<int64_t>(sizeof(double)) +
-      static_cast<int64_t>(sizeof(serve::ResponseCache::CachedResponse));
+      static_cast<int64_t>(sizeof(serve::CachedResponse));
   serve::ResponseCache cache(2 * entry_bytes + 16);
   const int model_a = 0, model_b = 0;  // Distinct addresses.
 
-  EXPECT_EQ(cache.Get(&model_a, 1, 1), nullptr);  // Miss.
-  cache.Put(&model_a, 1, 1, MakeCached(8, 8, 1.0));
-  serve::ResponseCache::ResponsePtr hit = cache.Get(&model_a, 1, 1);
+  EXPECT_EQ(cache.Get({&model_a, 1, 1}), nullptr);  // Miss.
+  Put(cache, {&model_a, 1, 1}, MakeCached(8, 8, 1.0));
+  serve::ResponseCache::ValuePtr hit = cache.Get({&model_a, 1, 1});
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->imputed(0, 0), 1.0);
 
   // Same fingerprints under another model are a different key.
-  EXPECT_EQ(cache.Get(&model_b, 1, 1), nullptr);
-  cache.Put(&model_b, 1, 1, MakeCached(8, 8, 2.0));
+  EXPECT_EQ(cache.Get({&model_b, 1, 1}), nullptr);
+  Put(cache, {&model_b, 1, 1}, MakeCached(8, 8, 2.0));
   // Different mask fingerprint is a different key too.
-  EXPECT_EQ(cache.Get(&model_a, 1, 2), nullptr);
+  EXPECT_EQ(cache.Get({&model_a, 1, 2}), nullptr);
 
   // Budget holds two entries; inserting a third evicts the LRU (model_a's,
   // since model_b's was inserted later and model_a's was touched earlier).
-  cache.Get(&model_b, 1, 1);  // model_b entry is now most recent.
-  cache.Put(&model_a, 9, 9, MakeCached(8, 8, 3.0));
+  cache.Get({&model_b, 1, 1});  // model_b entry is now most recent.
+  Put(cache, {&model_a, 9, 9}, MakeCached(8, 8, 3.0));
   serve::ResponseCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1);
   EXPECT_LE(stats.bytes_cached, cache.byte_budget());
-  EXPECT_EQ(cache.Get(&model_a, 1, 1), nullptr);      // Evicted.
-  EXPECT_NE(cache.Get(&model_b, 1, 1), nullptr);      // Survived.
-  EXPECT_NE(cache.Get(&model_a, 9, 9), nullptr);      // New entry.
+  EXPECT_EQ(cache.Get({&model_a, 1, 1}), nullptr);      // Evicted.
+  EXPECT_NE(cache.Get({&model_b, 1, 1}), nullptr);      // Survived.
+  EXPECT_NE(cache.Get({&model_a, 9, 9}), nullptr);      // New entry.
 
   // An entry larger than the whole budget is never retained, and an
   // outstanding pointer survives Clear().
-  cache.Put(&model_a, 7, 7, MakeCached(64, 64, 4.0));
-  EXPECT_EQ(cache.Get(&model_a, 7, 7), nullptr);
-  serve::ResponseCache::ResponsePtr pinned = cache.Get(&model_b, 1, 1);
+  Put(cache, {&model_a, 7, 7}, MakeCached(64, 64, 4.0));
+  EXPECT_EQ(cache.Get({&model_a, 7, 7}), nullptr);
+  serve::ResponseCache::ValuePtr pinned = cache.Get({&model_b, 1, 1});
   cache.Clear();
-  EXPECT_EQ(cache.Get(&model_b, 1, 1), nullptr);
+  EXPECT_EQ(cache.Get({&model_b, 1, 1}), nullptr);
   EXPECT_EQ(pinned->imputed(0, 0), 2.0);
   EXPECT_GT(cache.stats().peak_bytes, 0);
 }
@@ -812,23 +821,24 @@ TEST(ImputationServiceTest, TracingAndMetricsDoNotChangeResponseBytes) {
   // The observability bar: running the identical workload with tracing
   // and metrics wired in must not move a single response bit.
   TrainedCase c = MakeTrainedCase();
-  auto run = [&](serve::ServiceConfig config) {
+  auto run = [&](serve::ServiceConfig config, obs::Tracer* tracer) {
     serve::ImputationService service(config);
     // Fit is deterministic, so a re-trained copy is the identical model.
     EXPECT_TRUE(
         service.registry().Register("default", MakeTrainedCase().model).ok());
+    // Only the serving calls run under the process tracer.
+    ScopedProcessTracer scoped(tracer);
     return ImputeSixConcurrently(service, c);
   };
 
-  std::vector<Matrix> plain = run(serve::ServiceConfig());
+  std::vector<Matrix> plain = run(serve::ServiceConfig(), nullptr);
 
   obs::CollectingTraceSink sink;
   obs::Tracer tracer(&sink, obs::TraceLevel::kKernel);
   obs::MetricsRegistry metrics;
   serve::ServiceConfig traced_config;
-  traced_config.tracer = &tracer;
   traced_config.metrics = &metrics;
-  std::vector<Matrix> traced = run(traced_config);
+  std::vector<Matrix> traced = run(traced_config, &tracer);
 
   ASSERT_EQ(plain.size(), traced.size());
   for (size_t i = 0; i < plain.size(); ++i) {

@@ -331,43 +331,86 @@ TEST(ChunkCacheTest, LoaderFailureIsPropagatedAndNotCached) {
 
 TEST(WindowedReaderTest, WindowsMatchNormalizedTensorBitForBit) {
   SeasonalCase seasonal = MakeSeasonalCase(21);
+  // Signed zeros, subnormals and large magnitudes among ordinary values.
+  Matrix values = seasonal.data.values();
+  values(0, 3) = -0.0;
+  values(1, 5) = 0.0;
+  values(2, 7) = 4.9e-324;
+  values(3, 40) = -2.2e-310;
+  values(4, 100) = 1e150;
+  values(5, 199) = -3e149;
+  ASSERT_TRUE(values.AllFinite());
+  const DataTensor data(seasonal.data.dims(), values);
   const std::string dir = StoreDir("windows");
   ChunkStoreOptions options;
   options.series_per_chunk = 4;
   options.times_per_chunk = 32;
-  ASSERT_TRUE(ChunkedSeriesStore::WriteTensor(seasonal.data, dir, options).ok());
+  ASSERT_TRUE(ChunkedSeriesStore::WriteTensor(data, dir, options).ok());
   StatusOr<ChunkedSeriesStore> store = ChunkedSeriesStore::Open(dir);
   ASSERT_TRUE(store.ok());
   ChunkCache cache(1 << 18);
-  ChunkedDataSource source(&store.value(), &cache);
+  ChunkedDataSource chunked(&store.value(), &cache);
+  InMemoryDataSource in_core(&data);
 
   // Stats must match the in-core computation bit for bit.
-  auto expected_stats = seasonal.data.ComputeNormalization(seasonal.mask);
+  auto expected_stats = data.ComputeNormalization(seasonal.mask);
   StatusOr<DataTensor::NormalizationStats> stats =
-      source.ComputeNormalization(seasonal.mask);
+      chunked.ComputeNormalization(seasonal.mask);
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(stats->mean, expected_stats.mean);
   ASSERT_EQ(stats->stddev, expected_stats.stddev);
+  DataTensor::NormalizationStats identity;
+  identity.mean.assign(data.num_series(), 0.0);
+  identity.stddev.assign(data.num_series(), 1.0);
 
-  const DataTensor normalized = seasonal.data.Normalized(expected_stats);
-  StatusOr<std::unique_ptr<WindowReader>> reader = source.MakeReader(*stats);
-  ASSERT_TRUE(reader.ok());
-  // Stripes at a block boundary, mid-block, and the ragged tail.
-  for (const auto& [t0, len] : std::vector<std::pair<int, int>>{
-           {0, 32}, {17, 40}, {160, 40}, {199, 1}}) {
-    StatusOr<ValueWindow> window = (*reader)->Read(t0, len);
-    ASSERT_TRUE(window.ok()) << window.status().ToString();
-    EXPECT_EQ(window->t_begin(), t0);
-    EXPECT_EQ(window->t_end(), t0 + len);
-    for (int r = 0; r < seasonal.data.num_series(); ++r) {
-      for (int t = t0; t < t0 + len; ++t) {
-        ASSERT_EQ((*window)(r, t), normalized.values()(r, t))
-            << "(" << r << "," << t << ")";
-      }
+  const DataTensor normalized = data.Normalized(expected_stats);
+  // Columns [t0, t0 + len) of a window or a matrix, as a matrix.
+  auto stripe = [&data](const auto& source, int t0, int len) {
+    Matrix out(data.num_series(), len);
+    for (int r = 0; r < out.rows(); ++r) {
+      for (int t = 0; t < len; ++t) out(r, t) = source(r, t0 + t);
     }
+    return out;
+  };
+  for (const storage::DataSource* source :
+       {static_cast<const storage::DataSource*>(&chunked),
+        static_cast<const storage::DataSource*>(&in_core)}) {
+    const std::string name = source == &in_core ? "in-core" : "chunked";
+    StatusOr<std::unique_ptr<WindowReader>> reader = source->MakeReader(*stats);
+    ASSERT_TRUE(reader.ok()) << name;
+    StatusOr<std::unique_ptr<WindowReader>> raw_reader =
+        source->MakeReader(identity);
+    ASSERT_TRUE(raw_reader.ok()) << name;
+    // Stripes at a block boundary, mid-block, and the ragged tail.
+    for (const auto& [t0, len] : std::vector<std::pair<int, int>>{
+             {0, 32}, {17, 40}, {160, 40}, {199, 1}}) {
+      const std::string what = name + " [" + std::to_string(t0) + ", +" +
+                               std::to_string(len) + ")";
+      StatusOr<ValueWindow> window = (*reader)->Read(t0, len);
+      ASSERT_TRUE(window.ok()) << window.status().ToString();
+      if (source == &chunked) {
+        EXPECT_EQ(window->t_begin(), t0);
+        EXPECT_EQ(window->t_end(), t0 + len);
+      }
+      ExpectSameBits(stripe(*window, t0, len),
+                     stripe(normalized.values(), t0, len), what);
+      // Identity stats hand back the raw bits of every (finite) value.
+      StatusOr<ValueWindow> raw = (*raw_reader)->Read(t0, len);
+      ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+      ExpectSameBits(stripe(*raw, t0, len), stripe(values, t0, len),
+                     what + " identity");
+    }
+    EXPECT_FALSE((*reader)->Read(190, 20).ok()) << name;
+    EXPECT_FALSE((*reader)->Read(-1, 5).ok()) << name;
   }
-  EXPECT_FALSE((*reader)->Read(190, 20).ok());
-  EXPECT_FALSE((*reader)->Read(-1, 5).ok());
+  // Stats that miss a series are refused, not read past.
+  DataTensor::NormalizationStats short_stats = expected_stats;
+  short_stats.mean.pop_back();
+  short_stats.stddev.pop_back();
+  EXPECT_EQ(in_core.MakeReader(short_stats).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(chunked.MakeReader(short_stats).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---- In-core vs chunked training -------------------------------------------

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -25,6 +27,7 @@
 #include "data/imputer.h"
 #include "data/synthetic.h"
 #include "nn/serialize.h"
+#include "obs/trace.h"
 #include "scenario/scenarios.h"
 #include "tensor/data_tensor.h"
 #include "tensor/mask.h"
@@ -232,6 +235,26 @@ inline DeepMviConfig FastDeepMviConfig() {
   return config;
 }
 
+// ---- Tracing ----------------------------------------------------------------
+
+/// Installs `tracer` as the process tracer (obs::GlobalTracer), which every
+/// span reads, for this scope, and restores the previous one on exit.
+/// Traced serving tests open it before HttpServer::Start (each connection
+/// reads the tracer once) and close it after Stop.
+class ScopedProcessTracer {
+ public:
+  explicit ScopedProcessTracer(obs::Tracer* tracer)
+      : previous_(obs::GlobalTracer()) {
+    obs::SetGlobalTracer(tracer);
+  }
+  ~ScopedProcessTracer() { obs::SetGlobalTracer(previous_); }
+  ScopedProcessTracer(const ScopedProcessTracer&) = delete;
+  ScopedProcessTracer& operator=(const ScopedProcessTracer&) = delete;
+
+ private:
+  obs::Tracer* const previous_;
+};
+
 // ---- Filesystem -------------------------------------------------------------
 
 /// Path inside gtest's per-run temp directory.
@@ -268,28 +291,50 @@ inline std::string RawDims(const std::vector<Dimension>& dims) {
   return out.str();
 }
 
-/// Caps this process's address space at 1 GiB (or keeps a lower cap it
-/// already has), runs `decode` and exits 0 when it returned an error
-/// Status (1 when it succeeded). Sanitizer builds leave the cap off: their
-/// shadow memory alone exceeds it.
+/// How tightly DecodeUnderAddressSpaceLimit caps the child's address space.
+enum class AddressSpaceCap {
+  /// 1 GiB, or a lower cap the process already has: far below the
+  /// gigabytes a table sized from a crafted header asks for.
+  kOneGiB,
+  /// The child's current address space plus 64 MiB: refuses any one
+  /// allocation of 64 MiB or more.
+  kCurrentPlus64MiB,
+};
+
+/// Caps this process's address space as `cap` says, runs `decode` and
+/// exits 0 when it returned an error Status (1 when it succeeded).
+/// Sanitizer builds leave the cap off: their shadow memory alone exceeds
+/// it.
 [[noreturn]] inline void DecodeUnderAddressSpaceLimit(
-    const std::function<Status()>& decode) {
+    const std::function<Status()>& decode, AddressSpaceCap cap) {
 #if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
   rlimit limit{};
   if (getrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
-  limit.rlim_cur = std::min(limit.rlim_cur, rlim_t{1} << 30);
+  rlim_t bytes = rlim_t{1} << 30;
+  if (cap == AddressSpaceCap::kCurrentPlus64MiB) {
+    // /proc/self/statm starts with the address-space size in pages.
+    std::ifstream statm("/proc/self/statm");
+    rlim_t pages = 0;
+    if (!(statm >> pages)) std::_Exit(2);
+    bytes = pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+            (rlim_t{64} << 20);
+  }
+  limit.rlim_cur = std::min(limit.rlim_cur, bytes);
   if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+#else
+  (void)cap;
 #endif
   std::_Exit(decode().ok() ? 1 : 0);
 }
 
 /// Expects `decode`, run in a child under DecodeUnderAddressSpaceLimit's
-/// cap (far below what the corrupt files the tests craft ask for), to
+/// `cap` (below what the corrupt files the tests craft ask for), to
 /// return an error Status instead of dying of a failed allocation.
 inline void ExpectErrorUnderAddressSpaceLimit(
-    const std::function<Status()>& decode) {
+    const std::function<Status()>& decode,
+    AddressSpaceCap cap = AddressSpaceCap::kOneGiB) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_EXIT(DecodeUnderAddressSpaceLimit(decode),
+  EXPECT_EXIT(DecodeUnderAddressSpaceLimit(decode, cap),
               ::testing::ExitedWithCode(0), "");
 }
 

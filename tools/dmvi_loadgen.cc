@@ -47,11 +47,9 @@
 // latency (admission + compute: the delta of the request-latency
 // histogram's _sum over the delta of its _count) beside the client-observed
 // mean (adds HTTP encode/transport) — the gap between them is the network
-// front-end's cost. --scrape-metrics FILE is a standalone mode:
-// fetch /metrics, write it verbatim, exit (CI uses it to snapshot a
-// server mid-run from a second process). --fetch PATH [--fetch-out FILE]
-// generalizes it to any GET path — CI pulls /debug/profile?seconds=N
-// mid-run this way. --slow-ms X (with --request-id-prefix) reports every
+// front-end's cost. --fetch PATH [--fetch-out FILE] is a standalone mode:
+// GET one path, write the body verbatim, exit — CI snapshots /metrics and
+// pulls /debug/profile?seconds=N from a second process mid-run this way. --slow-ms X (with --request-id-prefix) reports every
 // request over X ms, then fetches the server's /debug/slow flight-recorder
 // ring and cross-checks it: each server-recorded slow request with our
 // prefix must be one we completed, at a client latency >= the
@@ -112,7 +110,6 @@ struct LoadgenOptions {
   double max_p95_ms = 0.0;  // 0 = no bound.
   std::string request_id_prefix;  // empty = let the server mint IDs.
   bool check_server_counters = false;
-  std::string scrape_metrics;  // non-empty = standalone scrape mode.
   std::string fetch;           // non-empty = standalone GET mode.
   std::string fetch_out;       // body destination ("" = stdout).
   double slow_ms = 0.0;        // 0 = no slow-request reporting.
@@ -341,8 +338,6 @@ int Run(int argc, char** argv) {
       }
     } else if ((value = next("--request-id-prefix"))) {
       options.request_id_prefix = value;
-    } else if ((value = next("--scrape-metrics"))) {
-      options.scrape_metrics = value;
     } else if ((value = next("--fetch"))) {
       options.fetch = value;
     } else if ((value = next("--fetch-out"))) {
@@ -392,7 +387,6 @@ int Run(int argc, char** argv) {
           "                    [--slow-ms X]\n"
           "                    [--check-quality quiet|drifted "
           "[--drift-rate R]]\n"
-          "                    [--scrape-metrics FILE]\n"
           "                    [--fetch PATH [--fetch-out FILE]]\n"
           "                    [--log-level debug|info|warning|error]\n"
           "                    [--log-format plain|kv|json]\n");
@@ -426,33 +420,12 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  // ---- Standalone scrape: snapshot /metrics and exit. ---------------------
-  // Runs before the /healthz shape probe so a second loadgen process can
-  // snapshot a server mid-run without generating any load of its own.
-  if (!options.scrape_metrics.empty()) {
-    net::Client scraper(options.host, options.port);
-    StatusOr<std::string> text = ScrapeMetrics(&scraper);
-    if (!text.ok()) {
-      std::fprintf(stderr, "metrics scrape failed: %s\n",
-                   text.status().ToString().c_str());
-      return 1;
-    }
-    std::ofstream out(options.scrape_metrics, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   options.scrape_metrics.c_str());
-      return 1;
-    }
-    out << *text;
-    std::printf("wrote metrics snapshot %s (%zu bytes)\n",
-                options.scrape_metrics.c_str(), text->size());
-    return 0;
-  }
-
   // ---- Standalone fetch: GET an arbitrary path and exit. ------------------
-  // CI uses it to pull /debug/profile?seconds=N (which blocks server-side
-  // for the whole window) and the /debug/* JSON from a second process while
-  // a loadgen run is in flight. Non-200 is a failure.
+  // CI uses it to snapshot /metrics and pull /debug/profile?seconds=N
+  // (which blocks server-side for the whole window) and the /debug/* JSON
+  // from a second process while a loadgen run is in flight. Runs before
+  // the /healthz shape probe, so that process generates no load of its
+  // own. Non-200 is a failure.
   if (!options.fetch.empty()) {
     net::Client fetcher(options.host, options.port);
     StatusOr<net::HttpMessage> fetched = fetcher.Get(options.fetch);

@@ -43,6 +43,9 @@
 // (GET /debug/quality, /healthz "quality" rung vs --drift-threshold) and
 // every --selfscore-every full predicts a few observed cells are hidden
 // on a side mask, re-imputed, and scored (MAE/RMSE at /metrics).
+// Each hook is wired once: the tracer is installed as the process tracer
+// every span reads, and the recorder and monitor go into the service's
+// config, where the HTTP routes read them too.
 // Instrumentation never changes response bytes.
 //
 // --impute-csv PATH sends the dataset's own base mask through the service
@@ -276,23 +279,22 @@ int Run(int argc, char** argv) {
   // The registry is cheap (atomics + one mutex per scrape) and /metrics
   // needs the stage histograms, so it is wired unconditionally. The tracer
   // exists only when a trace file was requested; everywhere else pays one
-  // branch.
+  // branch. It is installed once, as the process tracer: every span, from
+  // the HTTP request tree down to the matmul kernels, reads it there.
   obs::MetricsRegistry metrics;
   std::unique_ptr<obs::CollectingTraceSink> trace_sink;
   std::unique_ptr<obs::Tracer> tracer;
   if (!trace_out.empty()) {
     trace_sink = std::make_unique<obs::CollectingTraceSink>();
     tracer = std::make_unique<obs::Tracer>(trace_sink.get(), trace_level);
-    // Deep instrumentation (matmul kernels, storage loads) reaches the
-    // tracer through the process global.
     obs::SetGlobalTracer(tracer.get());
   }
   service_config.metrics = &metrics;
-  service_config.tracer = tracer.get();
 
   // Flight recorder: always on (bounded memory, one mutex-guarded slot
   // write per request), sized by --flight-records with --slow-ms as the
-  // slow-ring threshold. /debug/requests and /debug/slow read it live.
+  // slow-ring threshold. /debug/requests and /debug/slow read it live
+  // from the service's config.
   obs::FlightRecorder recorder(flight_records, slow_ms / 1e3);
   service_config.recorder = &recorder;
 
@@ -407,17 +409,13 @@ int Run(int argc, char** argv) {
     }
     server_config.num_workers = http_workers;
     server_config.metrics = &metrics;
-    server_config.tracer = tracer.get();
 
     net::HttpServer server(server_config);
     net::ServingContext context;
     context.service = &service;
     context.data = data;
     context.base_mask = mask;
-    context.tracer = tracer.get();
-    context.recorder = &recorder;
     context.trace_sink = trace_sink.get();
-    context.quality = quality.get();
     context.drift_threshold = drift_threshold;
     context.build_commit = DMVI_GIT_COMMIT;
     context.reload = [&service, model_path](const std::string& model,
