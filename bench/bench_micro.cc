@@ -109,7 +109,9 @@ BENCHMARK(BM_DeepMviFitThreads)->Arg(1)->Arg(2)->Arg(4);
 // without Fit's sampling schedule and Adam step. Arg 0 is a
 // JanataHack-shaped chunk (134 steps: 13 windows of 10, 2 dims), Arg 1 an
 // AirQ-shaped one (600 steps: 60 windows). The sample hides a 10-step
-// block of row 3 and predicts its cells.
+// block of row 3 and predicts its cells; the transformer decodes only the
+// windows that hold them (`decoded_windows`: 1 of 13, since Arg 0's chunk
+// starts at step 2 and the block falls in one window, and 2 of 60).
 void BM_TrainSample(benchmark::State& state) {
   const DataTensor data = MakeDataset(state.range(0) == 0 ? "JanataHack" : "AirQ",
                                       DatasetScale::kReduced, /*seed=*/1);
@@ -143,7 +145,11 @@ void BM_TrainSample(benchmark::State& state) {
     tape.Backward(loss);
     benchmark::DoNotOptimize(loss.scalar());
   }
+  std::vector<int> decoded;
+  for (int t : targets) decoded.push_back((t - chunk.start) / config.window);
+  decoded.erase(std::unique(decoded.begin(), decoded.end()), decoded.end());
   state.counters["windows"] = chunk.len / config.window;
+  state.counters["decoded_windows"] = static_cast<double>(decoded.size());
   state.counters["tape_nodes"] = tape.num_nodes();
 }
 BENCHMARK(BM_TrainSample)->Arg(0)->Arg(1);

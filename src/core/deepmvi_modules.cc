@@ -54,7 +54,7 @@ Var PredictPositions(Tape& tape, const DeepMviModules& model,
                      const DeepMviConfig& config, const DataTensor& data,
                      const ValueWindow& values, const MaskOverlay& avail,
                      int row, const Chunk& chunk,
-                     const std::vector<int>& target_times) {
+                     const std::vector<int>& target_times, bool every_window) {
   const int n_pos = static_cast<int>(target_times.size());
   const int window = model.transformer.window();
   const int num_windows = chunk.len / window;
@@ -73,10 +73,27 @@ Var PredictPositions(Tape& tape, const DeepMviModules& model,
         window_avail[t / window] = 0.0;
       }
     }
-    Var htt_all = model.transformer.Forward(tape, series, window_avail);
-    std::vector<int> local(n_pos);
-    for (int i = 0; i < n_pos; ++i) local[i] = target_times[i] - chunk.start;
-    features.push_back(ad::GatherRows(htt_all, local));
+    // decoded_row[j]: the first output row of window j, or -1 when window
+    // j is not decoded.
+    std::vector<int> decoded_row(num_windows, every_window ? 0 : -1);
+    for (int t : target_times) {
+      DMVI_CHECK(t >= chunk.start && t < chunk.start + chunk.len)
+          << "target " << t << " outside the chunk";
+      decoded_row[(t - chunk.start) / window] = 0;
+    }
+    std::vector<int> windows;
+    for (int j = 0; j < num_windows; ++j) {
+      if (decoded_row[j] < 0) continue;
+      decoded_row[j] = static_cast<int>(windows.size()) * window;
+      windows.push_back(j);
+    }
+    Var htt = model.transformer.Forward(tape, series, window_avail, windows);
+    std::vector<int> rows(n_pos);
+    for (int i = 0; i < n_pos; ++i) {
+      const int local = target_times[i] - chunk.start;
+      rows[i] = decoded_row[local / window] + local % window;
+    }
+    features.push_back(ad::GatherRows(htt, rows));
   } else {
     features.push_back(tape.Constant(Matrix(n_pos, config.filters)));
   }

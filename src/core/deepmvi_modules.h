@@ -64,11 +64,22 @@ Matrix FineGrainedSignal(const ValueWindow& values, const MaskOverlay& avail,
 /// availability view the forward pass may read. `data` supplies index
 /// metadata only (dims, siblings) and may be values-free (LayoutOnly):
 /// every data read goes through `values`.
+///
+/// The transformer decodes only the windows that hold a target
+/// (TemporalTransformer::Forward's `windows`), which leaves the
+/// predictions and every parameter gradient of a loss on them unchanged
+/// bit for bit. `every_window` decodes every window of the chunk instead:
+/// PredictCells passes it so that its decoding matches perfbench's traced
+/// replica of this walk, which calls the every-window Forward and checks
+/// its module times against Predict's (ROADMAP item 2). Once perfbench
+/// reads Predict's own spans, the argument and the every-window Forward
+/// overload go.
 ad::Var PredictPositions(ad::Tape& tape, const DeepMviModules& model,
                          const DeepMviConfig& config, const DataTensor& data,
                          const ValueWindow& values, const MaskOverlay& avail,
                          int row, const Chunk& chunk,
-                         const std::vector<int>& target_times);
+                         const std::vector<int>& target_times,
+                         bool every_window = false);
 
 }  // namespace internal
 }  // namespace deepmvi

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 namespace deepmvi {
@@ -37,11 +38,28 @@ TemporalTransformer::TemporalTransformer(nn::ParameterStore* store,
 Var TemporalTransformer::Forward(
     Tape& tape, const Matrix& series,
     const std::vector<double>& window_fully_available) const {
+  std::vector<int> every(series.cols() / window_);
+  std::iota(every.begin(), every.end(), 0);
+  return Forward(tape, series, window_fully_available, every);
+}
+
+Var TemporalTransformer::Forward(
+    Tape& tape, const Matrix& series,
+    const std::vector<double>& window_fully_available,
+    const std::vector<int>& windows) const {
   DMVI_CHECK_EQ(series.rows(), 1);
   DMVI_CHECK_EQ(series.cols() % window_, 0);
   const int num_windows = series.cols() / window_;
   DMVI_CHECK_EQ(static_cast<int>(window_fully_available.size()), num_windows);
   DMVI_CHECK_GE(num_windows, 2) << "series too short for the transformer";
+  DMVI_CHECK(!windows.empty());
+  for (size_t i = 0; i < windows.size(); ++i) {
+    DMVI_CHECK_GE(windows[i], i == 0 ? 0 : windows[i - 1] + 1)
+        << "windows must be ascending and distinct";
+    DMVI_CHECK_LT(windows[i], num_windows);
+  }
+  const int num_decoded = static_cast<int>(windows.size());
+  const bool every_window = num_decoded == num_windows;
 
   // ---- Window features (Eq. 7). -----------------------------------------
   Var x = tape.Constant(series);
@@ -66,12 +84,12 @@ Var TemporalTransformer::Forward(
 
   // ---- Attention availability: keys must be fully-available windows and
   // self-attention to the own window is excluded (its key would leak the
-  // values being imputed during training).
-  // One constant node that every head's softmax reads.
-  Matrix avail(num_windows, num_windows);
-  for (int q = 0; q < num_windows; ++q) {
+  // values being imputed during training). Row i belongs to the query of
+  // window windows[i]; one constant node that every head's softmax reads.
+  Matrix avail(num_decoded, num_windows);
+  for (int q = 0; q < num_decoded; ++q) {
     for (int k = 0; k < num_windows; ++k) {
-      avail(q, k) = (k != q) ? window_fully_available[k] : 0.0;
+      avail(q, k) = (k != windows[q]) ? window_fully_available[k] : 0.0;
     }
   }
   Var avail_node = tape.Constant(std::move(avail));
@@ -80,21 +98,26 @@ Var TemporalTransformer::Forward(
   std::vector<Var> heads;
   heads.reserve(num_heads_);
   for (int h = 0; h < num_heads_; ++h) {
-    Var q = query_[h].Forward(tape, context);
+    // Each head gathers its own query rows, so each head's query gradient
+    // joins the context gradient right after its key gradient, as it does
+    // when every window is decoded (see the header).
+    Var q = query_[h].Forward(
+        tape, every_window ? context : ad::GatherRows(context, windows));
     Var k = key_[h].Forward(tape, context);
     Var v = value_[h].Forward(tape, y);
     Var scores = ad::Scale(ad::MatMulTranspose(q, k), inv_sqrt);
     Var weights = ad::MaskedSoftmaxRows(scores, avail_node);
-    heads.push_back(ad::MatMul(weights, v));  // num_windows x p
+    heads.push_back(ad::MatMul(weights, v));  // num_decoded x p
   }
-  Var h = ad::ConcatCols(heads);  // num_windows x (p * num_heads)
+  Var h = ad::ConcatCols(heads);  // num_decoded x (p * num_heads)
 
   // ---- Decoder (Eq. 13-14). ----------------------------------------------
   Var hff = ad::Relu(
       decoder_fc2_.Forward(tape, ad::Relu(decoder_fc1_.Forward(tape, ad::Relu(h)))));
   Var decoded = ad::Relu(decoder_out_.Forward(tape, hff));  // n x (w * p)
-  // Row-major reshape: window j's w positions become w consecutive rows.
-  return ad::Reshape(decoded, num_windows * window_, filters_);
+  // Row-major reshape: decoded window i's w positions become w
+  // consecutive rows.
+  return ad::Reshape(decoded, num_decoded * window_, filters_);
 }
 
 }  // namespace deepmvi

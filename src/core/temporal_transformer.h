@@ -27,14 +27,43 @@ class TemporalTransformer {
   TemporalTransformer(nn::ParameterStore* store, const DeepMviConfig& config,
                       Rng& rng);
 
-  /// Runs the transformer over one series chunk.
+  /// Runs the transformer over one series chunk and decodes every window.
   ///
   /// `series` is a 1 x T row (T divisible by the window size) with
   /// unavailable values zeroed; `window_fully_available[j]` is 1.0 when
   /// every value of window j is available. Returns a T x p matrix of
-  /// per-position output vectors htt (Eq. 14).
+  /// per-position output vectors htt (Eq. 14). The same body as the
+  /// overload below with every window listed, which adds no gather node.
   ad::Var Forward(ad::Tape& tape, const Matrix& series,
                   const std::vector<double>& window_fully_available) const;
+
+  /// Decodes only the listed windows: `windows` is non-empty, ascending
+  /// and distinct, each in [0, T / w). Window windows[i] comes back at
+  /// rows [i*w, i*w + w) of the (|windows| * w) x p result. Conv, the
+  /// neighbour context, K and V still run on every window, since any
+  /// window can be a key; Q, the attention rows (the availability rows of
+  /// the listed windows), the decoder and the reshape run only for the
+  /// listed windows.
+  ///
+  /// Each returned row, and every parameter gradient of a loss that reads
+  /// only these rows, equals the every-window call's bit for bit. Each
+  /// GEMM output element is one ascending-k chain that starts at +0.0, so
+  /// it is never -0.0, and an undecoded row only ever added a ±0 product
+  /// (a zero gradient times an activation) to such a chain. Each head
+  /// gathers its own query rows right before its Q projection, so its
+  /// query gradient still joins the context gradient right after its key
+  /// gradient. One gather shared by the heads would sum their query
+  /// gradients first, which changes the conv gradients whenever a decoded
+  /// window is also an available key.
+  ///
+  /// The one semantic edge: a NaN or Inf activation in an undecoded window
+  /// no longer reaches the weight gradients, where its product with a zero
+  /// gradient used to make them NaN. This is the class of case that
+  /// matmul_kernel.h's "no `a == 0.0` skip" note keeps visible; here the
+  /// product is not formed at all.
+  ad::Var Forward(ad::Tape& tape, const Matrix& series,
+                  const std::vector<double>& window_fully_available,
+                  const std::vector<int>& windows) const;
 
   int window() const { return window_; }
   int filters() const { return filters_; }

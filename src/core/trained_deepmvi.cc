@@ -258,9 +258,13 @@ StatusOr<std::vector<double>> TrainedDeepMvi::PredictCells(
       StatusOr<ValueWindow> window = reader.Read(chunk.start, chunk.len);
       if (!window.ok()) return window.status();
       tape.Reset();
+      // Every window: perfbench's traced replica of this walk decodes
+      // every window and must time the same work (ROADMAP item 2). Once it
+      // reads Predict's own spans, the argument and the every-window
+      // Forward overload go.
       ad::Var pred = internal::PredictPositions(tape, modules_, config_, layout,
                                                 *window, mask, row, chunk,
-                                                targets);
+                                                targets, /*every_window=*/true);
       for (size_t i = 0; i < targets.size(); ++i) {
         // Same denormalization expression as DataTensor::Denormalize.
         out[target_outputs[i]] =

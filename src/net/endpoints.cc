@@ -63,8 +63,18 @@ HttpMessage HandleImpute(const ServingContext& ctx,
           "no dataset is being served; send inline 'values'"));
     }
     impute.data = ctx.data;
-    impute.mask = api.has_query ? serve::ApplyQuery(ctx.base_mask, api.query)
-                                : ctx.base_mask;
+    if (api.has_query) {
+      // ApplyQuery would skip a row outside the mask and clip the block,
+      // answering with the base imputation as if nothing were hidden.
+      if (Status range = serve::CheckQueryInRange(
+              api.query, ctx.data->num_series(), ctx.data->num_times());
+          !range.ok()) {
+        return ErrorResponse(range);
+      }
+      impute.mask = serve::ApplyQuery(ctx.base_mask, api.query);
+    } else {
+      impute.mask = ctx.base_mask;
+    }
   }
 
   // Imputed right here on the HTTP worker: service.process nests under

@@ -1,6 +1,7 @@
 #include "serve/workload.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -8,7 +9,31 @@
 namespace deepmvi {
 namespace serve {
 
-StatusOr<std::vector<WorkloadQuery>> ReadWorkload(const std::string& path) {
+Status CheckQueryInRange(const WorkloadQuery& query, int num_series,
+                         int num_times) {
+  if (query.row < 0 || query.row >= num_series) {
+    return Status::InvalidArgument(
+        "query.row " + std::to_string(query.row) + " outside [0, " +
+        std::to_string(num_series) + ")");
+  }
+  if (query.t_start < 0 || query.t_start >= num_times) {
+    return Status::InvalidArgument(
+        "query.t_start " + std::to_string(query.t_start) + " outside [0, " +
+        std::to_string(num_times) + ")");
+  }
+  const int64_t end = int64_t{query.t_start} + query.block_len;
+  if (query.block_len < 1 || end > num_times) {
+    return Status::InvalidArgument(
+        "query.block_len " + std::to_string(query.block_len) + ": block [" +
+        std::to_string(query.t_start) + ", " + std::to_string(end) +
+        ") not inside [0, " + std::to_string(num_times) + ")");
+  }
+  return Status::OK();
+}
+
+StatusOr<std::vector<WorkloadQuery>> ReadWorkload(const std::string& path,
+                                                  int num_series,
+                                                  int num_times) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open " + path + " for reading");
   std::vector<WorkloadQuery> queries;
@@ -31,9 +56,10 @@ StatusOr<std::vector<WorkloadQuery>> ReadWorkload(const std::string& path) {
           path + ":" + std::to_string(line_number) +
           ": expected `row,t_start,block_len`, got: " + line);
     }
-    if (query.row < 0 || query.t_start < 0 || query.block_len <= 0) {
+    if (Status range = CheckQueryInRange(query, num_series, num_times);
+        !range.ok()) {
       return Status::InvalidArgument(path + ":" + std::to_string(line_number) +
-                                     ": negative field in: " + line);
+                                     ": " + range.message() + " in: " + line);
     }
     queries.push_back(query);
   }

@@ -22,9 +22,21 @@ struct WorkloadQuery {
   int block_len = 1;
 };
 
+/// OK when `query` hides cells of a num_series x num_times dataset only:
+/// 0 <= row < num_series, block_len >= 1 and [t_start, t_start +
+/// block_len) inside [0, num_times), the end computed in 64 bits. Else
+/// InvalidArgument naming the field (query.row, query.t_start or
+/// query.block_len). Served queries and workload lines both pass it.
+Status CheckQueryInRange(const WorkloadQuery& query, int num_series,
+                         int num_times);
+
 /// Workload file format: one `row,t_start,block_len` triple per line;
-/// blank lines and lines starting with '#' are skipped.
-StatusOr<std::vector<WorkloadQuery>> ReadWorkload(const std::string& path);
+/// blank lines and lines starting with '#' are skipped. Each query must
+/// pass CheckQueryInRange against `num_series` x `num_times` (the served
+/// dataset's shape), else InvalidArgument naming the line.
+StatusOr<std::vector<WorkloadQuery>> ReadWorkload(const std::string& path,
+                                                  int num_series,
+                                                  int num_times);
 Status WriteWorkload(const std::vector<WorkloadQuery>& queries,
                      const std::string& path);
 

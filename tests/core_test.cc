@@ -12,8 +12,10 @@
 #include "core/deepmvi.h"
 #include "core/quality_profile.h"
 #include "core/trained_deepmvi.h"
+#include "core/deepmvi_modules.h"
 #include "core/kernel_regression.h"
 #include "core/temporal_transformer.h"
+#include "data/presets.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 #include "scenario/scenarios.h"
@@ -125,6 +127,193 @@ TEST(TemporalTransformerTest, CachedEncodingMatchesComputedEncoding) {
       testutil::ExpectMatricesBitIdentical(
           outputs[i], outputs[0],
           "table " + std::to_string(i) + (context_window ? "" : " (no ctx)"));
+    }
+  }
+}
+
+/// Every parameter gradient `tape` holds, in store order.
+std::vector<Matrix> ParameterGrads(const nn::ParameterStore& store,
+                                   const ad::Tape& tape) {
+  std::vector<Matrix> grads;
+  for (const auto& p : store.params()) {
+    grads.push_back(p->on_tape(tape) ? p->grad_on(tape) : Matrix());
+  }
+  return grads;
+}
+
+TEST(TemporalTransformerTest, DecodedWindowsMatchEveryWindowBitForBit) {
+  // Forward(series, avail, windows) must equal the matching rows of the
+  // every-window Forward, in its output and in every parameter gradient of
+  // a loss that reads only those rows. Windows 3 and 7 are not available
+  // as keys.
+  constexpr int kWindow = 5, kWindows = 10;
+  const std::vector<std::vector<int>> window_sets = {
+      {0, kWindows - 1},  // The first and the last window.
+      {4, 5},             // Two adjacent windows.
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},  // Every window.
+      {3},                // A window whose own key is masked.
+      {6},                // A decoded window that is also an available key.
+      {2, 6, 7},          // Both kinds at once.
+  };
+  for (const bool context_window : {true, false}) {
+    nn::ParameterStore store;
+    Rng rng(21);
+    DeepMviConfig config;
+    config.window = kWindow;
+    config.filters = 8;
+    config.num_heads = 3;
+    config.use_context_window = context_window;
+    TemporalTransformer tt(&store, config, rng);
+    const Matrix series = Matrix::RandomGaussian(1, kWindow * kWindows, rng);
+    std::vector<double> avail(kWindows, 1.0);
+    avail[3] = avail[7] = 0.0;
+    // Leaves stale, larger node buffers on `reused` before its first
+    // decode-set graph.
+    ad::Tape reused;
+    {
+      const Matrix longer = Matrix::RandomGaussian(1, 2 * kWindow * kWindows, rng);
+      ad::Var out = tt.Forward(reused, longer, std::vector<double>(2 * kWindows, 1.0));
+      reused.Backward(ad::Sum(ad::Square(out)));
+      reused.Reset();
+    }
+    for (size_t s = 0; s < window_sets.size(); ++s) {
+      const std::vector<int>& windows = window_sets[s];
+      const std::string what = "set " + std::to_string(s) +
+                               (context_window ? "" : " (no ctx)");
+      const int rows = static_cast<int>(windows.size()) * kWindow;
+      std::vector<int> every_rows, own_rows;
+      for (size_t i = 0; i < windows.size(); ++i) {
+        for (int p = 0; p < kWindow; ++p) {
+          every_rows.push_back(windows[i] * kWindow + p);
+          own_rows.push_back(static_cast<int>(i) * kWindow + p);
+        }
+      }
+      Rng target_rng(100 + s);
+      const Matrix target = Matrix::RandomGaussian(rows, config.filters, target_rng);
+      const Matrix weight(rows, config.filters, 1.0);
+
+      ad::Tape every;
+      ad::Var every_out =
+          ad::GatherRows(tt.Forward(every, series, avail), every_rows);
+      ad::Var every_loss = ad::WeightedMseLoss(every_out, target, weight);
+      every.Backward(every_loss);
+
+      reused.Reset();
+      ad::Var own_out =
+          ad::GatherRows(tt.Forward(reused, series, avail, windows), own_rows);
+      ad::Var own_loss = ad::WeightedMseLoss(own_out, target, weight);
+      reused.Backward(own_loss);
+
+      testutil::ExpectSameBits(own_out.value(), every_out.value(),
+                               what + " output");
+      testutil::ExpectSameBits(own_loss.value(), every_loss.value(),
+                               what + " loss");
+      const std::vector<Matrix> every_grads = ParameterGrads(store, every);
+      const std::vector<Matrix> own_grads = ParameterGrads(store, reused);
+      int nonzero = 0;
+      for (size_t p = 0; p < every_grads.size(); ++p) {
+        testutil::ExpectSameBits(own_grads[p], every_grads[p],
+                                 what + " gradient of " + store.params()[p]->name());
+        if (every_grads[p].size() > 0 && every_grads[p].MaxAbs() > 0.0) ++nonzero;
+      }
+      EXPECT_GT(nonzero, static_cast<int>(every_grads.size()) / 2) << what;
+    }
+  }
+}
+
+TEST(DeepMviTest, TargetWindowTrainingMatchesEveryWindowBitForBit) {
+  // Fit's sample loss, run through PredictPositions once decoding only the
+  // target windows and once decoding every window: the loss and every
+  // parameter gradient must carry the same bits. Samples vary the row, the
+  // block length and the blackout rows; JanataHack's 13-window chunks
+  // clamp to the series start or end, and so do the short-context AirQ
+  // chunks.
+  struct Case {
+    std::string dataset;
+    int max_context;
+  };
+  for (const Case& c : {Case{"JanataHack", 1024}, Case{"AirQ", 1024},
+                        Case{"AirQ", 200}}) {
+    const DataTensor data = MakeDataset(c.dataset, DatasetScale::kReduced, 1);
+    ScenarioConfig scenario;
+    scenario.kind = ScenarioKind::kMcar;
+    scenario.percent_incomplete = 1.0;
+    scenario.seed = 7;
+    const Mask mask =
+        GenerateScenario(scenario, data.num_series(), data.num_times());
+    DeepMviConfig config;
+    config.window = 10;
+    config.max_context = c.max_context;
+    Rng init_rng(config.seed);
+    nn::ParameterStore store;
+    const internal::DeepMviModules model =
+        internal::BuildDeepMviModules(&store, config, data.dims(), init_rng);
+    const int t_len = data.num_times();
+    Rng rng(31);
+    ad::Tape targets_tape, every_tape;
+    int samples = 0, at_start = 0, at_end = 0, compared = 0, mismatched = 0;
+    while (samples < 40) {
+      const int row = rng.UniformInt(data.num_series());
+      const int len = 1 + rng.UniformInt(30);
+      // A quarter of the blocks sit at the series start or end.
+      const int where = rng.UniformInt(8);
+      const int start = where == 0   ? 0
+                        : where == 1 ? t_len - len
+                                     : rng.UniformInt(t_len - len + 1);
+      std::vector<uint8_t> block_rows(data.num_series(), 0);
+      block_rows[row] = 1;
+      for (int r = 0; r < data.num_series(); ++r) {
+        if (rng.Bernoulli(0.3)) block_rows[r] = 1;
+      }
+      const internal::Chunk chunk = internal::MakeChunk(
+          t_len, config.window, config.max_context, start + len / 2);
+      std::vector<int> targets;
+      for (int t = std::max(start, chunk.start);
+           t < std::min(start + len, chunk.start + chunk.len); ++t) {
+        if (mask.available(row, t)) targets.push_back(t);
+      }
+      if (targets.empty()) continue;
+      ++samples;
+      at_start += chunk.start == 0;
+      at_end += chunk.start + chunk.len == t_len;
+      const MaskOverlay synthetic(mask, start, start + len, block_rows);
+      Matrix truth(static_cast<int>(targets.size()), 1);
+      for (size_t i = 0; i < targets.size(); ++i) {
+        truth(static_cast<int>(i), 0) = data.values()(row, targets[i]);
+      }
+      const Matrix weight(static_cast<int>(targets.size()), 1, 1.0);
+      std::vector<Matrix> losses, grads[2];
+      int side = 0;
+      for (ad::Tape* tape : {&targets_tape, &every_tape}) {
+        tape->Reset();
+        ad::Var pred = internal::PredictPositions(
+            *tape, model, config, data, data.values(), synthetic, row, chunk,
+            targets, /*every_window=*/tape == &every_tape);
+        ad::Var loss = ad::WeightedMseLoss(pred, truth, weight);
+        tape->Backward(loss);
+        losses.push_back(loss.value());
+        grads[side++] = ParameterGrads(store, *tape);
+      }
+      const std::string what = c.dataset + "/" + std::to_string(c.max_context) +
+                               " sample " + std::to_string(samples);
+      testutil::ExpectSameBits(losses[0], losses[1], what + " loss");
+      ASSERT_EQ(grads[0].size(), grads[1].size());
+      for (size_t p = 0; p < grads[0].size(); ++p) {
+        ++compared;
+        if (grads[0][p].rows() != grads[1][p].rows() ||
+            grads[0][p].cols() != grads[1][p].cols() ||
+            std::memcmp(grads[0][p].data(), grads[1][p].data(),
+                        sizeof(double) * grads[0][p].size()) != 0) {
+          ++mismatched;
+          ADD_FAILURE() << what << ": gradient of "
+                        << store.params()[p]->name() << " differs";
+        }
+      }
+    }
+    EXPECT_EQ(mismatched, 0) << "of " << compared << " gradients";
+    if (c.dataset == "JanataHack" || c.max_context < t_len) {
+      EXPECT_GT(at_start, 0) << c.dataset << " has no chunk at the start";
+      EXPECT_GT(at_end, 0) << c.dataset << " has no chunk at the end";
     }
   }
 }

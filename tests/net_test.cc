@@ -1233,6 +1233,79 @@ TEST(ServingEndpointsTest, MalformedImputeBodyIs400WithStatusMessage) {
   server.Stop();
 }
 
+TEST(ServingEndpointsTest, OutOfRangeQueryIs400NamingTheField) {
+  // The served dataset is 5 x 120. Each out-of-range query used to be
+  // answered 200 "ok" with the base mask's cells, as if nothing were
+  // hidden; now each is a 400 naming its field.
+  ServedCase served;
+  net::HttpServer server;
+  net::RegisterServingEndpoints(&server, served.Context());
+  ASSERT_TRUE(server.Start().ok());
+  net::Client client("127.0.0.1", server.port());
+  const int num_series = served.data_case.data.num_series();
+  const int num_times = served.data_case.data.num_times();
+  ASSERT_EQ(num_series, 5);
+  ASSERT_EQ(num_times, 120);
+  auto body = [](const serve::WorkloadQuery& q, const char* extra = "") {
+    return "{\"query\": {\"row\": " + std::to_string(q.row) +
+           ", \"t_start\": " + std::to_string(q.t_start) +
+           ", \"block_len\": " + std::to_string(q.block_len) + "}" + extra +
+           "}";
+  };
+  struct Case {
+    serve::WorkloadQuery query;
+    const char* field;
+  };
+  for (const Case& c : {Case{{99, 5, 4}, "query.row"},
+                        Case{{num_series, 5, 4}, "query.row"},
+                        Case{{1, 100000, 4}, "query.t_start"},
+                        Case{{1, num_times, 1}, "query.t_start"},
+                        Case{{1, num_times - 3, 4}, "query.block_len"},
+                        Case{{1, 10, INT32_MAX}, "query.block_len"}}) {
+    StatusOr<net::HttpMessage> response =
+        client.Post("/v1/impute", body(c.query), "application/json");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status_code, 400) << body(c.query);
+    EXPECT_NE(response->body.find(c.field), std::string::npos)
+        << body(c.query) << " -> " << response->body;
+  }
+
+  // In-range queries at the last row and the series end keep their bytes:
+  // the cells equal the in-process answer's encoding, and the CSV equals
+  // WriteDataTensor's.
+  const serve::WorkloadQuery edge{num_series - 1, num_times - 4, 4};
+  serve::ImputationResponse direct = served.service.Impute(
+      serve::MakeQueryRequest("default", served.shared_data,
+                              served.data_case.mask, edge));
+  ASSERT_TRUE(direct.status.ok()) << direct.status.ToString();
+  const std::string expected = net::EncodeImputedJson(
+      direct, serve::ApplyQuery(served.data_case.mask, edge));
+  StatusOr<net::HttpMessage> json =
+      client.Post("/v1/impute", body(edge), "application/json");
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  ASSERT_EQ(json->status_code, 200) << json->body;
+  const size_t cells_at = expected.find("\"cells\": [");
+  ASSERT_NE(cells_at, std::string::npos);
+  ASSERT_NE(json->body.find("\"cells\": ["), std::string::npos);
+  EXPECT_EQ(json->body.substr(json->body.find("\"cells\": [")),
+            expected.substr(cells_at));
+  const std::string path = TempPath("net_edge_query.csv");
+  ASSERT_TRUE(WriteDataTensor(DataTensor(served.shared_data->dims(),
+                                         direct.imputed),
+                              path)
+                  .ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string reference((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  StatusOr<net::HttpMessage> csv = client.Post(
+      "/v1/impute", body(edge, R"(, "format": "csv")"), "application/json");
+  ASSERT_TRUE(csv.ok()) << csv.status().ToString();
+  ASSERT_EQ(csv->status_code, 200) << csv->body;
+  EXPECT_EQ(csv->body, reference);
+  server.Stop();
+}
+
 TEST(ServingEndpointsTest, CacheOnAndOffServeIdenticalBytesOverLoopback) {
   // Two services over two servers: one cached, one not. Replies must be
   // byte-identical (the cache may change latency, never bytes), and the

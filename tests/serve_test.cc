@@ -1165,7 +1165,7 @@ TEST(WorkloadTest, FileRoundTripAndErrors) {
   const std::string path = TempPath("workload.csv");
   ASSERT_TRUE(serve::WriteWorkload(queries, path).ok());
   StatusOr<std::vector<serve::WorkloadQuery>> back =
-      serve::ReadWorkload(path);
+      serve::ReadWorkload(path, 4, 50);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ASSERT_EQ(back->size(), 2u);
   EXPECT_EQ((*back)[0].row, 0);
@@ -1176,9 +1176,51 @@ TEST(WorkloadTest, FileRoundTripAndErrors) {
 
   const std::string bad_path = TempPath("workload_bad.csv");
   std::ofstream(bad_path) << "# comment\n1,2\n";
-  EXPECT_FALSE(serve::ReadWorkload(bad_path).ok());
+  EXPECT_FALSE(serve::ReadWorkload(bad_path, 4, 50).ok());
   std::remove(bad_path.c_str());
-  EXPECT_FALSE(serve::ReadWorkload("/nonexistent/workload.csv").ok());
+  EXPECT_FALSE(serve::ReadWorkload("/nonexistent/workload.csv", 4, 50).ok());
+}
+
+TEST(WorkloadTest, QueriesOutsideTheDatasetAreRejectedNamingTheField) {
+  // A 4 x 50 dataset: the check names the field and computes the block
+  // end in 64 bits.
+  struct Case {
+    serve::WorkloadQuery query;
+    const char* field;  // nullptr: in range.
+  };
+  for (const Case& c : {Case{{3, 42, 8}, nullptr}, Case{{0, 0, 50}, nullptr},
+                        Case{{4, 0, 1}, "query.row"},
+                        Case{{-1, 0, 1}, "query.row"},
+                        Case{{0, 50, 1}, "query.t_start"},
+                        Case{{0, -1, 1}, "query.t_start"},
+                        Case{{0, 43, 8}, "query.block_len"},
+                        Case{{0, 1, 0}, "query.block_len"},
+                        Case{{0, 49, INT32_MAX}, "query.block_len"}}) {
+    const Status status = serve::CheckQueryInRange(c.query, 4, 50);
+    const std::string what = std::to_string(c.query.row) + "," +
+                             std::to_string(c.query.t_start) + "," +
+                             std::to_string(c.query.block_len);
+    if (c.field == nullptr) {
+      EXPECT_TRUE(status.ok()) << what << ": " << status.ToString();
+      continue;
+    }
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_NE(status.message().find(c.field), std::string::npos)
+        << what << ": " << status.ToString();
+  }
+
+  // A workload file read against the dataset's shape names the line.
+  const std::string path = TempPath("workload_range.csv");
+  std::ofstream(path) << "# row,t_start,block_len\n1,2,3\n\n9,2,3\n";
+  ASSERT_TRUE(serve::ReadWorkload(path, 10, 50).ok());
+  StatusOr<std::vector<serve::WorkloadQuery>> bounded =
+      serve::ReadWorkload(path, 4, 50);
+  ASSERT_FALSE(bounded.ok());
+  EXPECT_EQ(bounded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bounded.status().message().find(path + ":4: query.row 9"),
+            std::string::npos)
+      << bounded.status().ToString();
+  std::remove(path.c_str());
 }
 
 TEST(WorkloadTest, SynthesizedQueriesAreDeterministicAndInBounds) {

@@ -10,7 +10,9 @@
 //
 // Queries are the same `row,t_start,block_len` block-hiding units
 // dmvi_serve replays in-process (the dataset shape is discovered via GET
-// /healthz, so synthesized workloads match the served dataset). C client
+// /healthz, so synthesized workloads match the served dataset and a
+// --workload line outside it exits 1 naming the line, as in dmvi_serve,
+// before any query is sent). C client
 // connections issue them concurrently over keep-alive; --rps > 0 paces
 // dispatch open-loop against a fixed schedule (requests are sent when
 // *scheduled*, late or not, so server slowdowns show up as latency rather
@@ -505,7 +507,7 @@ int Run(int argc, char** argv) {
   std::vector<serve::WorkloadQuery> queries;
   if (!options.workload_path.empty()) {
     StatusOr<std::vector<serve::WorkloadQuery>> read =
-        serve::ReadWorkload(options.workload_path);
+        serve::ReadWorkload(options.workload_path, num_series, num_times);
     if (!read.ok()) {
       std::fprintf(stderr, "%s\n", read.status().ToString().c_str());
       return 1;

@@ -350,8 +350,8 @@ int Run(int argc, char** argv) {
   // ---- Workload replay through ImputeBatch. --------------------------------
   std::vector<serve::WorkloadQuery> queries;
   if (!workload_path.empty()) {
-    StatusOr<std::vector<serve::WorkloadQuery>> read =
-        serve::ReadWorkload(workload_path);
+    StatusOr<std::vector<serve::WorkloadQuery>> read = serve::ReadWorkload(
+        workload_path, data->num_series(), data->num_times());
     if (!read.ok()) {
       std::fprintf(stderr, "%s\n", read.status().ToString().c_str());
       return 1;
