@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the substrates: dense matmul,
 // Jacobi SVD, centroid decomposition, autodiff attention forward/backward,
-// kernel regression features, one DeepMVI training step, one training
-// sample's forward and backward pass, concurrent Predict calls, and one
-// pass of the offline Predict + per-store PredictCells call pattern.
+// kernel regression features, one training sample's forward and backward
+// pass, concurrent Predict calls, and one pass of the offline Predict +
+// per-store PredictCells call pattern.
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
@@ -16,7 +16,6 @@
 #include "core/kernel_regression.h"
 #include "core/temporal_transformer.h"
 #include "data/presets.h"
-#include "data/synthetic.h"
 #include "linalg/centroid.h"
 #include "linalg/svd.h"
 #include "nn/layers.h"
@@ -78,35 +77,9 @@ void BM_MatMulTranspose(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTranspose)->Arg(64)->Arg(128)->Arg(256);
 
-// One full DeepMVI training step fanned over worker threads; Arg is the
-// thread count. Results are bit-identical across Args — only time moves.
-void BM_DeepMviFitThreads(benchmark::State& state) {
-  SyntheticConfig data_config;
-  data_config.num_series = 8;
-  data_config.length = 240;
-  data_config.seed = 21;
-  Matrix x = GenerateSeriesMatrix(data_config);
-  DataTensor data = DataTensor::FromMatrix(x);
-  Mask mask(8, 240);
-  for (int r = 0; r < 8; ++r) mask.SetMissingRange(r, 30 * r, 30 * r + 12);
-  DeepMviConfig config;
-  config.max_epochs = 2;
-  config.samples_per_epoch = 32;
-  config.batch_size = 8;
-  config.patience = 1;
-  config.filters = 16;
-  config.num_heads = 2;
-  config.num_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    DeepMviImputer imputer(config);
-    benchmark::DoNotOptimize(imputer.Fit(data, mask));
-  }
-}
-BENCHMARK(BM_DeepMviFitThreads)->Arg(1)->Arg(2)->Arg(4);
-
 // One training sample's forward and backward pass on a reused tape, as
-// Fit's slot tapes run it (PredictPositions, WeightedMseLoss, Backward),
-// without Fit's sampling schedule and Adam step. Arg 0 is a
+// Fit runs it (PredictPositions, WeightedMseLoss, Backward), without
+// Fit's sampling schedule and Adam step. Arg 0 is a
 // JanataHack-shaped chunk (134 steps: 13 windows of 10, 2 dims), Arg 1 an
 // AirQ-shaped one (600 steps: 60 windows). The sample hides a 10-step
 // block of row 3 and predicts its cells; the transformer decodes only the
@@ -228,7 +201,6 @@ OfflineFixture MakeOfflineFixture() {
   DeepMviConfig config;
   config.max_epochs = 2;
   config.samples_per_epoch = 32;
-  config.num_threads = 1;
   DeepMviImputer imputer(config);
   fixture.model = imputer.Fit(fixture.data, fixture.mask);
   const int stores = fixture.data.num_series() / kStoreSeries;

@@ -66,7 +66,7 @@ class Tape {
   /// parameter shared between submodules materializes once per tape so its
   /// gradient accumulates correctly; the registry lives on the tape rather
   /// than on the parameter so that several tapes can hold the same
-  /// parameter concurrently (one tape per training worker slot).
+  /// parameter concurrently (one tape per concurrent Predict call).
   ///
   /// The leaf reads `value` in place instead of copying it: `value` must
   /// outlive the tape (or its next Reset) and must not change before the

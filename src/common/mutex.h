@@ -30,8 +30,6 @@ class DMVI_CAPABILITY("mutex") Mutex {
 
   void Lock() DMVI_ACQUIRE() { raw_.lock(); }
   void Unlock() DMVI_RELEASE() { raw_.unlock(); }
-  /// Acquires the lock iff it returns true.
-  bool TryLock() DMVI_TRY_ACQUIRE(true) { return raw_.try_lock(); }
 
  private:
   friend class CondVar;

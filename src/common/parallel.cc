@@ -1,5 +1,6 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <thread>
@@ -11,27 +12,25 @@
 namespace deepmvi {
 namespace {
 
-/// Shared bookkeeping of one ParallelForWithSlot invocation, used by both
-/// the pooled and the spawn-per-call execution paths.
+/// Shared bookkeeping of one ParallelFor invocation's worker threads.
 struct Job {
   int n = 0;
-  int num_slots = 0;
-  const std::function<void(int, int)>* f = nullptr;
+  const std::function<void(int)>* f = nullptr;
   std::atomic<int> next{0};
   std::atomic<bool> failed{false};
   Mutex error_mutex;
   std::exception_ptr first_error DMVI_GUARDED_BY(error_mutex);
 
-  /// Claims and runs iterations on worker slot `slot` until the range is
-  /// exhausted or a failure is observed. Failure handling: the first
-  /// exception (in completion order) is parked, remaining iterations are
-  /// abandoned, and the caller rethrows after every worker is done.
-  void RunSlot(int slot) {
+  /// Claims and runs iterations until the range is exhausted or a failure
+  /// is observed. Failure handling: the first exception (in completion
+  /// order) is parked, remaining iterations are abandoned, and the caller
+  /// rethrows after every worker is joined.
+  void RunWorker() {
     while (!failed.load(std::memory_order_relaxed)) {
       const int i = next.fetch_add(1);
       if (i >= n) return;
       try {
-        (*f)(i, slot);
+        (*f)(i);
       } catch (...) {
         MutexLock lock(&error_mutex);
         if (!first_error) first_error = std::current_exception();
@@ -40,133 +39,16 @@ struct Job {
     }
   }
 
-  /// The parked exception, if any. Called after every worker is joined /
-  /// acknowledged, but takes the lock anyway — cheap, and it keeps the
-  /// field's GUARDED_BY contract unconditional.
+  /// The parked exception, if any. Called after every worker is joined,
+  /// but takes the lock anyway — cheap, and it keeps the field's
+  /// GUARDED_BY contract unconditional.
   std::exception_ptr TakeError() {
     MutexLock lock(&error_mutex);
     return first_error;
   }
 };
 
-/// Marks threads that belong to the worker pool (or to a spawn-per-call
-/// fan-out), so nested ParallelFor calls never wait on the pool they are
-/// running inside of.
-thread_local bool t_inside_parallel_worker = false;
-
-/// Pool worker threads created so far (see ParallelPoolThreadsCreated).
-std::atomic<int64_t> g_pool_threads_created{0};
-
-/// Historical execution path: spawn threads for this call, join, done.
-/// Kept for nested calls and for when the pool is busy with another
-/// caller's job — the worst case is exactly the old behavior.
-void RunWithSpawnedThreads(Job& job) {
-  std::vector<std::thread> threads;
-  threads.reserve(job.num_slots);
-  for (int slot = 0; slot < job.num_slots; ++slot) {
-    threads.emplace_back([&job, slot] {
-      t_inside_parallel_worker = true;
-      job.RunSlot(slot);
-    });
-  }
-  for (auto& t : threads) t.join();
-}
-
-/// Persistent worker pool: threads are created on first parallel use (and
-/// grown when a call wants more slots) and then reused across calls, so
-/// per-mini-batch training fan-out stops paying a spawn/join per batch.
-/// One job runs at a time; concurrent callers fall back to spawned
-/// threads rather than queueing, preserving the old concurrency behavior.
-///
-/// The schedule stays dynamic (workers claim iterations from a shared
-/// counter) — callers own determinism by construction, as before: the
-/// training loop reduces in sample order, the eval suite writes to
-/// per-cell slots.
-class WorkerPool {
- public:
-  static WorkerPool& Instance() {
-    static WorkerPool* pool = new WorkerPool();  // Leaked: see ~WorkerPool.
-    return *pool;
-  }
-
-  /// Tries to run `job` on the pool. Returns false when the pool is
-  /// occupied by another caller (caller should spawn its own threads).
-  bool TryRun(Job& job) DMVI_EXCLUDES(caller_mutex_, mutex_) {
-    if (!caller_mutex_.TryLock()) return false;
-
-    {
-      MutexLock lock(&mutex_);
-      EnsureThreadsLocked(job.num_slots);
-      job_ = &job;
-      active_workers_ = job.num_slots;
-      ++generation_;
-    }
-    work_ready_.SignalAll();
-
-    {
-      MutexLock lock(&mutex_);
-      while (active_workers_ != 0) work_done_.Wait(&mutex_);
-      job_ = nullptr;
-    }
-    caller_mutex_.Unlock();
-    return true;
-  }
-
- private:
-  WorkerPool() = default;
-  // The singleton is intentionally leaked: worker threads may still be
-  // parked in Wait() during static destruction, and tearing down the
-  // condition variables under them is undefined. Leaking a process-wide
-  // pool at exit is benign (the OS reclaims the threads).
-  ~WorkerPool() = delete;
-
-  void EnsureThreadsLocked(int wanted) DMVI_REQUIRES(mutex_) {
-    while (static_cast<int>(threads_.size()) < wanted) {
-      const int slot = static_cast<int>(threads_.size());
-      threads_.emplace_back([this, slot] { WorkerLoop(slot); });
-      g_pool_threads_created.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  void WorkerLoop(int slot) DMVI_EXCLUDES(mutex_) {
-    t_inside_parallel_worker = true;
-    uint64_t seen_generation = 0;
-    while (true) {
-      Job* job = nullptr;
-      {
-        MutexLock lock(&mutex_);
-        while (generation_ == seen_generation) work_ready_.Wait(&mutex_);
-        seen_generation = generation_;
-        // Threads beyond the job's slot count sit this round out but must
-        // still acknowledge it so active_workers_ reaches zero.
-        if (job_ != nullptr && slot < job_->num_slots) job = job_;
-      }
-      if (job != nullptr) job->RunSlot(slot);
-      {
-        MutexLock lock(&mutex_);
-        if (job != nullptr && --active_workers_ == 0) work_done_.SignalAll();
-      }
-    }
-  }
-
-  /// Serializes callers: at most one job occupies the pool. Always taken
-  /// before mutex_ (TryRun is the only acquirer of both).
-  Mutex caller_mutex_ DMVI_ACQUIRED_BEFORE(mutex_);
-
-  Mutex mutex_;
-  CondVar work_ready_;
-  CondVar work_done_;
-  std::vector<std::thread> threads_ DMVI_GUARDED_BY(mutex_);
-  Job* job_ DMVI_GUARDED_BY(mutex_) = nullptr;
-  int active_workers_ DMVI_GUARDED_BY(mutex_) = 0;
-  uint64_t generation_ DMVI_GUARDED_BY(mutex_) = 0;
-};
-
 }  // namespace
-
-int64_t ParallelPoolThreadsCreated() {
-  return g_pool_threads_created.load(std::memory_order_relaxed);
-}
 
 int EffectiveThreads(int n, int num_threads) {
   if (n <= 0) return 0;
@@ -177,34 +59,29 @@ int EffectiveThreads(int n, int num_threads) {
   return std::min(num_threads, n);
 }
 
-void ParallelForWithSlot(int n, int num_threads,
-                         const std::function<void(int, int)>& f) {
+void ParallelFor(int n, int num_threads, const std::function<void(int)>& f) {
   if (n <= 0) return;
   num_threads = EffectiveThreads(n, num_threads);
-  if (num_threads == 1 || n == 1) {
-    for (int i = 0; i < n; ++i) f(i, 0);
+  if (num_threads == 1) {
+    for (int i = 0; i < n; ++i) f(i);
     return;
   }
 
+  // Workers claim iterations from a shared counter (a dynamic schedule):
+  // callers own determinism by construction, e.g. the eval suite writes
+  // each cell to its own slot.
   Job job;
   job.n = n;
-  job.num_slots = num_threads;
   job.f = &f;
-
-  // Nested calls (f itself fanning out) must not wait on the pool they
-  // may be running inside of; they spawn their own threads, exactly as
-  // every call did before the pool existed.
-  if (t_inside_parallel_worker || !WorkerPool::Instance().TryRun(job)) {
-    RunWithSpawnedThreads(job);
+  std::vector<std::thread> threads;
+  threads.reserve(num_threads);
+  for (int t = 0; t < num_threads; ++t) {
+    threads.emplace_back([&job] { job.RunWorker(); });
   }
+  for (auto& t : threads) t.join();
   if (std::exception_ptr error = job.TakeError()) {
     std::rethrow_exception(error);
   }
-}
-
-void ParallelFor(int n, int num_threads, const std::function<void(int)>& f) {
-  if (n <= 0) return;
-  ParallelForWithSlot(n, num_threads, [&f](int i, int /*slot*/) { f(i); });
 }
 
 }  // namespace deepmvi

@@ -6,10 +6,12 @@
 namespace deepmvi {
 
 /// Runs f(0), ..., f(n-1) across up to `num_threads` worker threads
-/// (hardware concurrency when num_threads <= 0). Blocks until all calls
-/// complete. Tasks must be independent; the benchmark harness uses this to
-/// run (dataset, scenario, imputer) experiments concurrently — every
-/// experiment seeds its own RNGs, so results are identical to a serial run.
+/// (hardware concurrency when num_threads <= 0), spawned for this call and
+/// joined before it returns; with one thread the calls run in order on the
+/// calling thread. Tasks must be independent; the benchmark harness uses
+/// this to run (dataset, scenario, imputer) experiments concurrently —
+/// every experiment seeds its own RNGs, so results are identical to a
+/// serial run.
 ///
 /// Exceptions: when an f(i) throws, the first exception (in completion
 /// order) is captured, every worker is joined, and the exception is
@@ -17,26 +19,10 @@ namespace deepmvi {
 /// failure is observed are skipped.
 void ParallelFor(int n, int num_threads, const std::function<void(int)>& f);
 
-/// Like ParallelFor, but each call also receives the index of the worker
-/// slot it runs on, in [0, EffectiveThreads(n, num_threads)). At most one
-/// call runs per slot at a time, so f can own per-slot scratch state (the
-/// training loop keeps one autodiff tape per slot). Same exception
-/// contract as ParallelFor.
-void ParallelForWithSlot(int n, int num_threads,
-                         const std::function<void(int i, int slot)>& f);
-
 /// Number of worker threads ParallelFor(n, num_threads, ...) actually
 /// uses: hardware concurrency (fallback 4) when num_threads <= 0, clamped
 /// to n. For reporting/telemetry alongside a ParallelFor call.
 int EffectiveThreads(int n, int num_threads);
-
-/// Observability for the persistent worker pool behind ParallelFor /
-/// ParallelForWithSlot: total pool worker threads created since process
-/// start. Repeated parallel regions at the same width reuse the pool's
-/// threads, so this stays flat across mini-batches — the property the
-/// pool exists for (and what the common_test regression test asserts).
-/// Nested calls run on freshly spawned threads, which are not counted.
-int64_t ParallelPoolThreadsCreated();
 
 }  // namespace deepmvi
 

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "core/deepmvi_modules.h"
 #include "core/quality_profile.h"
 #include "nn/adam.h"
@@ -217,13 +216,25 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
     if (!s.target_times.empty()) val_samples.push_back(std::move(s));
   }
 
-  // Forward + loss for one sample on the given tape. Reads go through a
-  // value window covering the sample's chunk and an availability overlay
+  // ---- Training loop with early stopping. ----------------------------------
+  //
+  // Samples run one at a time on one tape. A tape carries no values from
+  // one sample to the next, only storage: Tape::Reset keeps the dropped
+  // graph's node buffers for the next sample's nodes, so Fit allocates node
+  // storage once. Samples are drawn from the single `rng` stream, each
+  // training sample's parameter gradients fold into per-parameter sums in
+  // sample order, and the Adam step sees one already-reduced gradient per
+  // parameter.
+  Tape tape;
+
+  // Resets the tape and runs forward + loss for one sample on it; an
+  // invalid Var when no target falls inside the sample's chunk. Reads go
+  // through a value window covering the chunk and an availability overlay
   // that applies the synthetic block without copying the mask (the
   // historical per-sample full-mask copy was O(num_series x num_times)
-  // bytes). Window I/O errors land in *io_status.
-  auto sample_loss = [&](Tape& tape, const TrainSample& sample,
-                         Status* io_status) {
+  // bytes).
+  auto sample_loss = [&](const TrainSample& sample) -> StatusOr<Var> {
+    tape.Reset();
     Chunk chunk = MakeChunk(t_len, config.window, config.max_context,
                             sample.block_start + sample.block_len / 2);
     // Keep only targets inside the chunk.
@@ -233,10 +244,7 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
     }
     if (targets.empty()) return Var();
     StatusOr<ValueWindow> window = reader.Read(chunk.start, chunk.len);
-    if (!window.ok()) {
-      *io_status = window.status();
-      return Var();
-    }
+    if (!window.ok()) return window.status();
     std::vector<uint8_t> block_rows(num_series, 0);
     block_rows[sample.row] = 1;
     for (int r : sample.blackout_rows) block_rows[r] = 1;
@@ -252,72 +260,19 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
     return ad::WeightedMseLoss(pred, truth, weight);
   };
 
-  // ---- Training loop with early stopping. ----------------------------------
-  //
-  // Batch-level data parallelism: each mini-batch is evaluated in rounds of
-  // up to num_slots samples, sample j of a round on slot tape j, and the
-  // forward/backward passes of a round run concurrently. A tape carries no
-  // values from one sample to the next, only storage: Tape::Reset keeps
-  // the dropped graph's node buffers for the next sample's nodes, so a
-  // slot allocates node storage once per Fit. One tape per slot bounds how
-  // many graphs are alive at once (a tape holds one graph's buffers) and
-  // keeps every tape on one thread at a time.
-  // Everything order-sensitive stays sequential on the calling thread:
-  // sample generation draws from the single `rng` stream before workers
-  // start, after each round every tape's parameter gradients fold into
-  // per-parameter sums in sample order, and the Adam step sees one
-  // already-reduced gradient per parameter. The result is therefore
-  // bit-identical for every config.num_threads value, 1 included (one
-  // slot, rounds of one sample).
-  const auto& params = store.params();
-  const size_t num_params = params.size();
-  const int max_concurrent =
-      std::max({1, config.batch_size, static_cast<int>(val_samples.size())});
-  const int num_slots =
-      std::max(1, EffectiveThreads(max_concurrent, config.num_threads));
-  std::vector<std::unique_ptr<Tape>> slot_tapes;
-  for (int s = 0; s < num_slots; ++s) {
-    slot_tapes.push_back(std::make_unique<Tape>());
-  }
-
-  // One sample's loss value. `status` carries window read failures out of
-  // the worker. A training sample's gradients stay on its tape until the
-  // round is folded.
-  struct SampleEval {
-    bool valid = false;
-    double loss = 0.0;
-    Status status;
-  };
-  auto evaluate_sample = [&](Tape& tape, const TrainSample& sample,
-                             bool with_grads, SampleEval* out) {
-    *out = SampleEval();
-    tape.Reset();
-    Var loss = sample_loss(tape, sample, &out->status);
-    if (!loss.valid()) return;
-    out->valid = true;
-    out->loss = loss.scalar();
-    if (with_grads) tape.Backward(loss);
-  };
-  // First window-read failure among `evals`, in sample order so the
-  // surfaced error is deterministic.
-  auto first_error = [](const std::vector<SampleEval>& evals, size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      if (!evals[i].status.ok()) return evals[i].status;
-    }
-    return Status::OK();
-  };
-
   // Per-parameter gradient sums of the current batch, allocated once.
   // grad_ptrs[pi] is null until a sample contributes to parameter pi: the
   // first contribution is copied and later ones are added, in sample
   // order. A parameter no sample reached stays null, and Adam skips it.
+  const auto& params = store.params();
+  const size_t num_params = params.size();
   std::vector<Matrix> grad_sums;
   grad_sums.reserve(num_params);
   for (const auto& p : params) {
     grad_sums.emplace_back(p->value().rows(), p->value().cols());
   }
   std::vector<const Matrix*> grad_ptrs(num_params, nullptr);
-  auto fold_gradients = [&](const Tape& tape) {
+  auto fold_gradients = [&]() {
     for (size_t pi = 0; pi < num_params; ++pi) {
       const int leaf = tape.LeafIndexFor(params[pi].get());
       if (leaf < 0) continue;
@@ -350,7 +305,6 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
   };
   snapshot();
 
-  std::vector<SampleEval> round_evals(num_slots);
   for (int epoch = 0; epoch < config.max_epochs; ++epoch) {
     obs::Span epoch_span = obs::GlobalSpan("train.epoch");
     if (epoch_span.active()) epoch_span.AddArg("epoch", std::to_string(epoch));
@@ -359,8 +313,6 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
     int made = 0;
     while (made < total_samples) {
       obs::Span batch_span = obs::GlobalSpan("train.batch");
-      // Sample generation consumes the shared rng stream sequentially, so
-      // it happens before the workers start.
       std::vector<TrainSample> batch;
       for (int b = 0; b < config.batch_size && made < total_samples; ++b, ++made) {
         TrainSample sample = make_sample(rng);
@@ -372,24 +324,16 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
         batch_span.AddArg("batch_size", std::to_string(batch.size()));
       }
 
-      // Losses and gradients sum in sample order regardless of which
-      // worker evaluated which sample.
       double batch_loss = 0.0;
       int batch_count = 0;
-      const int batch_len = static_cast<int>(batch.size());
-      for (int base = 0; base < batch_len; base += num_slots) {
-        const int round_len = std::min(num_slots, batch_len - base);
-        ParallelFor(round_len, config.num_threads, [&](int j) {
-          evaluate_sample(*slot_tapes[j], batch[base + j], /*with_grads=*/true,
-                          &round_evals[j]);
-        });
-        DMVI_RETURN_IF_ERROR(first_error(round_evals, round_len));
-        for (int j = 0; j < round_len; ++j) {
-          if (!round_evals[j].valid) continue;
-          ++batch_count;
-          batch_loss += round_evals[j].loss;
-          fold_gradients(*slot_tapes[j]);
-        }
+      for (const TrainSample& sample : batch) {
+        StatusOr<Var> loss = sample_loss(sample);
+        if (!loss.ok()) return loss.status();
+        if (!loss->valid()) continue;
+        ++batch_count;
+        batch_loss += loss->scalar();
+        tape.Backward(*loss);
+        fold_gradients();
       }
       if (batch_count == 0) continue;
       const double inv_count = 1.0 / static_cast<double>(batch_count);
@@ -405,24 +349,16 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
     train_stats_.final_train_loss =
         train_batches > 0 ? train_loss / train_batches : 0.0;
 
-    // Validation: forward-only, fanned out the same way; the loss sum runs
-    // in sample order.
+    // Validation: forward-only on the same tape.
     obs::Span val_span = obs::GlobalSpan("train.validate");
-    std::vector<SampleEval> val_evals(val_samples.size());
-    ParallelForWithSlot(
-        static_cast<int>(val_samples.size()), config.num_threads,
-        [&](int i, int slot) {
-          evaluate_sample(*slot_tapes[slot], val_samples[i],
-                          /*with_grads=*/false, &val_evals[i]);
-        });
-    DMVI_RETURN_IF_ERROR(first_error(val_evals, val_evals.size()));
     double val_loss = 0.0;
     int val_batches = 0;
-    for (const SampleEval& eval : val_evals) {
-      if (eval.valid) {
-        val_loss += eval.loss;
-        ++val_batches;
-      }
+    for (const TrainSample& sample : val_samples) {
+      StatusOr<Var> loss = sample_loss(sample);
+      if (!loss.ok()) return loss.status();
+      if (!loss->valid()) continue;
+      val_loss += loss->scalar();
+      ++val_batches;
     }
     val_loss = val_batches > 0 ? val_loss / val_batches : 0.0;
     val_span.End();
@@ -439,10 +375,10 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
   }
   restore();
 
-  // Reference profile for serving-time drift detection. Single-threaded
-  // streaming pass in fixed stripes over the same source, so the record —
-  // and therefore the checkpoint bytes — is identical across thread
-  // counts and between in-core and chunked training.
+  // Reference profile for serving-time drift detection. A streaming pass
+  // in fixed stripes over the same source, so the record — and therefore
+  // the checkpoint bytes — is identical between in-core and chunked
+  // training.
   {
     obs::Span profile_span = obs::GlobalSpan("train.quality_profile");
     StatusOr<QualityProfile> profile = ComputeQualityProfile(source, mask);

@@ -42,10 +42,9 @@ class DeepMviImputer : public Imputer {
 
   /// Trains a model on `data`/`mask` (Sec 3 simulated-missing protocol,
   /// Adam, validation early stopping) without running final inference.
-  /// Deterministic in config().seed; mini-batches evaluate data-parallel
-  /// over config().num_threads workers with bit-identical results for
-  /// every thread count (samples are generated from one RNG stream and
-  /// gradients reduce in sample order).
+  /// Deterministic in config().seed: training runs on the calling thread,
+  /// samples are generated from one RNG stream and gradients reduce in
+  /// sample order. DeepMviConfig::num_threads is not read.
   TrainedDeepMvi Fit(const DataTensor& data, const Mask& mask);
 
   /// Out-of-core variant: trains from any storage::DataSource — typically
@@ -54,7 +53,7 @@ class DeepMviImputer : public Imputer {
   /// by the chunk-cache budget instead of the dense tensor. The in-core
   /// Fit above routes through this same code path (wrapped in an
   /// InMemoryDataSource), and the two produce byte-identical checkpoints:
-  /// same RNG sample schedule, same reduction order, any num_threads.
+  /// same RNG sample schedule, same reduction order.
   /// I/O failures (corrupt or truncated chunks) surface as Status errors,
   /// as does a config() that fails DeepMviConfig::Validate, checked before
   /// anything is allocated (InvalidArgument; the in-core Fit aborts with

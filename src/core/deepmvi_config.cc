@@ -1,6 +1,8 @@
 #include "core/deepmvi_config.h"
 
 #include <climits>
+#include <cmath>
+#include <sstream>
 #include <string>
 
 #include "core/temporal_transformer.h"
@@ -25,8 +27,7 @@ Status DeepMviConfig::Validate() const {
            Bound{"samples_per_epoch", samples_per_epoch, 0, INT_MAX},
            Bound{"batch_size", batch_size, 1, INT_MAX},
            Bound{"max_context", max_context, 1,
-                 TemporalTransformer::kMaxTableContext},
-           Bound{"num_threads", num_threads, 0, INT_MAX}}) {
+                 TemporalTransformer::kMaxTableContext}}) {
     if (bound.value < bound.min || bound.value > bound.max) {
       return Status::InvalidArgument(
           std::string("DeepMviConfig::") + bound.name + " " +
@@ -35,6 +36,30 @@ Status DeepMviConfig::Validate() const {
                ? " must be >= " + std::to_string(bound.min)
                : " outside [" + std::to_string(bound.min) + ", " +
                      std::to_string(bound.max) + "]"));
+    }
+  }
+  // Written so that NaN, which fails every comparison, fails each check.
+  struct RealBound {
+    const char* name;
+    double value;
+    bool ok;
+    const char* range;
+  };
+  for (const RealBound& bound : {
+           RealBound{"kernel_gamma", kernel_gamma,
+                     std::isfinite(kernel_gamma) && kernel_gamma > 0.0,
+                     "must be finite and > 0"},
+           RealBound{"learning_rate", learning_rate,
+                     std::isfinite(learning_rate) && learning_rate > 0.0,
+                     "must be finite and > 0"},
+           RealBound{"validation_fraction", validation_fraction,
+                     validation_fraction >= 0.0 && validation_fraction <= 1.0,
+                     "outside [0, 1]"}}) {
+    if (!bound.ok) {
+      std::ostringstream message;
+      message << "DeepMviConfig::" << bound.name << " " << bound.value << " "
+              << bound.range;
+      return Status::InvalidArgument(message.str());
     }
   }
   return Status::OK();

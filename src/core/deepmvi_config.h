@@ -30,13 +30,14 @@ struct DeepMviConfig {
   /// Embedding size d_i of each dimension's members (kernel regression),
   /// in [1, 256].
   int embedding_dim = 10;
-  /// RBF kernel sharpness gamma (Eq. 17).
+  /// RBF kernel sharpness gamma (Eq. 17), finite and > 0.
   double kernel_gamma = 1.0;
   /// Pre-selection size L for large dimensions (Sec 4.2), in [1, 2^24]
   /// (nn::kMaxTableSeries, the most members a dimension can have).
   int top_siblings = 20;
 
   // ---- Training ----------------------------------------------------------
+  /// Adam step size, finite and > 0.
   double learning_rate = 1e-3;
   /// At least 0.
   int max_epochs = 30;
@@ -47,7 +48,7 @@ struct DeepMviConfig {
   int batch_size = 4;
   /// Early-stopping patience in epochs without validation improvement.
   int patience = 4;
-  /// Fraction of sampled anchors held out for validation.
+  /// Fraction of sampled anchors held out for validation, in [0, 1].
   double validation_fraction = 0.2;
   /// Longest context (in time steps) processed at once; longer series are
   /// windowed around the imputation target. Keeps attention quadratic cost
@@ -56,13 +57,9 @@ struct DeepMviConfig {
   /// TemporalTransformer::kMaxTableContext).
   int max_context = 1024;
   uint64_t seed = 123;
-  /// Worker threads for batch-level data parallelism inside Fit (forward/
-  /// backward of a mini-batch's samples run concurrently, one autodiff
-  /// tape per worker slot; gradients reduce in sample order before each
-  /// optimizer step), at least 0; 0 means hardware concurrency. Results are
-  /// bit-identical for every value — the thread count only changes
-  /// wall-clock time. Default 1 keeps nested parallelism out of callers
-  /// that already fan out (eval suite, serving).
+  /// Not read: Fit trains on the calling thread. The field stays only
+  /// because the repository benchmark's sources still assign it; it goes
+  /// when they stop.
   int num_threads = 1;
 
   // ---- Ablation switches (Sec 5.5) -----------------------------------------

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/json_escape.h"
-#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "net/codec.h"
 #include "obs/flight_recorder.h"
@@ -403,10 +402,6 @@ void RegisterServingEndpoints(HttpServer* server, ServingContext ctx) {
         server != nullptr
             ? static_cast<double>(server->accept_queue_high_water())
             : 0.0);
-    obs::AppendPrometheusCounter(
-        os, "dmvi_pool_threads_created_total",
-        "Worker threads the shared parallel pool has created.",
-        ParallelPoolThreadsCreated());
     if (ctx.trace_sink != nullptr) {
       obs::AppendPrometheusCounter(
           os, "dmvi_trace_dropped_spans_total",

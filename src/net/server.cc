@@ -149,10 +149,9 @@ Status HttpServer::Start() {
   running_ = true;
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   // The whole worker pool is one ParallelFor region: iteration i *is*
-  // worker i's service loop, so connection handling runs on the same
-  // persistent pool substrate as training fan-out. Per-connection errors
-  // are caught inside WorkerLoop; anything escaping here is a bug and
-  // ParallelFor's rethrow turns it into a loud failure.
+  // worker i's service loop. Per-connection errors are caught inside
+  // WorkerLoop; anything escaping here is a bug and ParallelFor's rethrow
+  // turns it into a loud failure.
   const int workers = std::max(1, config_.num_workers);
   pool_thread_ = std::thread([this, workers] {
     ParallelFor(workers, workers, [this](int) { WorkerLoop(); });

@@ -53,8 +53,7 @@ struct ServerConfig {
 /// Dependency-free HTTP/1.1 server on POSIX sockets: a listener + accept
 /// thread feeding a bounded queue of connections, drained by a fixed pool
 /// of connection workers that runs as one ParallelFor region over
-/// src/common/parallel — the same worker-pool substrate the training and
-/// batch-inference paths ride. Each worker owns one connection at a time:
+/// src/common/parallel. Each worker owns one connection at a time:
 /// incremental request parsing (HttpParser), exact-match routing, response
 /// writing, keep-alive until the peer closes, an error, idle timeout, or
 /// server shutdown.

@@ -33,9 +33,9 @@ class Adam {
   /// Applies one update from explicit gradients, aligned with
   /// store->params() order; a nullptr entry means the parameter did not
   /// participate in this step and is skipped (exactly like an off-tape
-  /// parameter in Step). The data-parallel training loop reduces per-sample
-  /// gradients into such a list before stepping, so the optimizer update
-  /// itself stays sequential and deterministic.
+  /// parameter in Step). DeepMVI's training loop sums a batch's
+  /// per-sample gradients into such a list, in sample order, before
+  /// stepping.
   double StepWithGrads(const std::vector<const Matrix*>& grads);
 
   int64_t num_steps() const { return step_; }

@@ -32,8 +32,8 @@ class Parameter {
   /// calls on the same tape return the same Var, so that a parameter shared
   /// between submodules accumulates gradient correctly. The binding lives
   /// on the tape (keyed by this parameter's address), keeping Parameter
-  /// itself immutable here — several worker tapes may materialize the same
-  /// parameter concurrently during data-parallel training. The leaf reads
+  /// itself immutable here — the tapes of concurrent Predict calls
+  /// materialize the same parameter at once. The leaf reads
   /// value() in place (Tape::LeafFor), so value() must not change before
   /// the tape's last Backward.
   ad::Var OnTape(ad::Tape& tape) const { return tape.LeafFor(this, value_); }

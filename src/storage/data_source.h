@@ -14,9 +14,10 @@
 namespace deepmvi {
 namespace storage {
 
-/// Supplies normalized value windows for training. Read() must be
-/// thread-safe: worker slots call it concurrently, one window per
-/// in-flight sample.
+/// Supplies normalized value windows for training and inference. Read()
+/// must be thread-safe: the readers of one chunked source share its
+/// ChunkCache, and concurrent PredictCells callers read through them at
+/// once.
 class WindowReader {
  public:
   virtual ~WindowReader() = default;

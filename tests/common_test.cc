@@ -1,14 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -221,49 +219,6 @@ TEST(ParallelForTest, ExceptionSkipsRemainingIterations) {
     EXPECT_STREQ(e.what(), "early");
   }
   EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(ParallelForWithSlotTest, SlotsAreWithinBoundsAndExclusive) {
-  const int threads = 4;
-  const int n = 128;
-  const int slots = EffectiveThreads(n, threads);
-  std::vector<std::atomic<int>> in_use(slots);
-  for (auto& s : in_use) s = 0;
-  std::atomic<bool> overlap{false};
-  ParallelForWithSlot(n, threads, [&](int /*i*/, int slot) {
-    ASSERT_GE(slot, 0);
-    ASSERT_LT(slot, slots);
-    // At most one task may occupy a slot at a time: that is what lets the
-    // training loop keep per-slot scratch tapes without locking.
-    if (in_use[slot].fetch_add(1) != 0) overlap = true;
-    in_use[slot].fetch_sub(1);
-  });
-  EXPECT_FALSE(overlap.load());
-}
-
-TEST(ParallelForWithSlotTest, PersistentPoolReusesWorkerThreads) {
-  // The pool keeps its worker threads across calls: after a warm-up
-  // region at a given width, further regions at that width must not
-  // create any new pool threads (the historical implementation spawned
-  // and joined a fresh set per call). Work long enough that every slot
-  // participates.
-  auto busy_region = [] {
-    ParallelForWithSlot(16, 4, [](int /*i*/, int /*slot*/) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    });
-  };
-  busy_region();  // Warm the pool to >= 4 threads.
-  const int64_t after_warm = ParallelPoolThreadsCreated();
-  EXPECT_GE(after_warm, 4);
-  for (int round = 0; round < 5; ++round) busy_region();
-  EXPECT_EQ(ParallelPoolThreadsCreated(), after_warm);
-
-  // Nested fan-out from inside a worker: every inner index still runs.
-  std::atomic<int> inner_runs{0};
-  ParallelForWithSlot(4, 2, [&](int /*i*/, int /*slot*/) {
-    ParallelFor(8, 2, [&](int /*j*/) { ++inner_runs; });
-  });
-  EXPECT_EQ(inner_runs.load(), 4 * 8);
 }
 
 TEST(StatusTest, OkStatus) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -642,11 +643,7 @@ TEST(DeepMviTest, WindowAutoSelection) {
 TEST(DeepMviTest, ImputationIsBitIdenticalForSameSeed) {
   // Determinism regression guard: training and inference draw every random
   // number from the config seed, so two fresh imputers with the same
-  // config must produce bit-identical matrices. The parallel training
-  // schedule keeps this by construction (sample generation on one RNG
-  // stream, per-sample tapes, sample-order gradient reduction); the
-  // companion test below locks in the stronger cross-thread-count
-  // guarantee.
+  // config must produce bit-identical matrices.
   testutil::SeasonalCase c = testutil::MakeSeasonalCase(17, 5, 120);
   DeepMviConfig config = testutil::TinyDeepMviConfig();
   config.seed = 99;
@@ -669,42 +666,6 @@ std::string FileBytes(const std::string& path) {
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << bytes;
-}
-
-TEST(DeepMviTest, TrainingIsBitIdenticalAcrossThreadCounts) {
-  // The data-parallel Fit schedule must be a pure wall-clock optimization:
-  // for any num_threads the trained model — weights and Adam moments, so
-  // the checkpoint bytes, and therefore its predictions — is
-  // bit-identical to the serial run. Gradients fold in sample order and
-  // the optimizer runs on the calling thread, so this holds by
-  // construction; this test is the contract. A batch of 8 runs as four
-  // rounds of 2 on 2 threads, rounds of 3, 3 and 2 on 3 (a short last
-  // round) and one round of 8 on 8.
-  testutil::SeasonalCase c = testutil::MakeSeasonalCase(23, 5, 120);
-  DeepMviConfig config = testutil::TinyDeepMviConfig();
-  config.seed = 7;
-  config.batch_size = 8;  // Give workers real batches to race over.
-
-  config.num_threads = 1;
-  TrainedDeepMvi serial_model = DeepMviImputer(config).Fit(c.data, c.mask);
-  const std::string serial_path = testutil::TempPath("threads_1.dmvi");
-  ASSERT_TRUE(serial_model.Save(serial_path).ok());
-  const std::string serial_bytes = FileBytes(serial_path);
-  ASSERT_FALSE(serial_bytes.empty());
-  Matrix serial = serial_model.Predict(c.data, c.mask);
-
-  for (int threads : {2, 3, 8}) {
-    config.num_threads = threads;
-    TrainedDeepMvi model = DeepMviImputer(config).Fit(c.data, c.mask);
-    const std::string path =
-        testutil::TempPath("threads_" + std::to_string(threads) + ".dmvi");
-    ASSERT_TRUE(model.Save(path).ok());
-    EXPECT_TRUE(FileBytes(path) == serial_bytes)
-        << "checkpoint bytes differ at threads=" << threads;
-    Matrix parallel = model.Predict(c.data, c.mask);
-    testutil::ExpectMatricesBitIdentical(
-        parallel, serial, "threads=" + std::to_string(threads));
-  }
 }
 
 TEST(DeepMviTest, BatchSizeBelowOneIsAnError) {
@@ -970,8 +931,7 @@ TEST(CheckpointTest, FitAndLoadShareEveryConfigBound) {
       {"samples_per_epoch", &DeepMviConfig::samples_per_epoch, 0, -1, 48},
       {"batch_size", &DeepMviConfig::batch_size, 1, 0, 52},
       {"max_context", &DeepMviConfig::max_context, 1, 0, 68},
-      {"max_context", &DeepMviConfig::max_context, 8192, 8193, 68},
-      {"num_threads", &DeepMviConfig::num_threads, 0, -1, -1}};
+      {"max_context", &DeepMviConfig::max_context, 8192, 8193, 68}};
   const std::string path = testutil::TempPath("bounds.dmvi");
   for (const Bound& bound : bounds) {
     const std::string where =
@@ -1008,6 +968,61 @@ TEST(CheckpointTest, FitAndLoadShareEveryConfigBound) {
   EXPECT_EQ(load.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(load.message().find("window"), std::string::npos)
       << load.ToString();
+
+  // The double fields, NaN and the infinities included: an accepted value
+  // trains and its header loads; a rejected one fails Fit and Load alike,
+  // naming the field. (A NaN kernel_gamma used to load and serve NaN.)
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct RealBound {
+    const char* name;
+    double DeepMviConfig::*field;
+    double value;
+    bool accepted;
+    int offset;  // Of the double in the checkpoint header.
+  };
+  const RealBound real_bounds[] = {
+      {"kernel_gamma", &DeepMviConfig::kernel_gamma, nan, false, 24},
+      {"kernel_gamma", &DeepMviConfig::kernel_gamma, inf, false, 24},
+      {"kernel_gamma", &DeepMviConfig::kernel_gamma, -inf, false, 24},
+      {"kernel_gamma", &DeepMviConfig::kernel_gamma, 0.0, false, 24},
+      {"kernel_gamma", &DeepMviConfig::kernel_gamma, -5.0, false, 24},
+      {"learning_rate", &DeepMviConfig::learning_rate, nan, false, 36},
+      {"learning_rate", &DeepMviConfig::learning_rate, inf, false, 36},
+      {"learning_rate", &DeepMviConfig::learning_rate, -inf, false, 36},
+      {"learning_rate", &DeepMviConfig::learning_rate, 0.0, false, 36},
+      {"learning_rate", &DeepMviConfig::learning_rate, -1e-3, false, 36},
+      {"validation_fraction", &DeepMviConfig::validation_fraction, nan, false,
+       60},
+      {"validation_fraction", &DeepMviConfig::validation_fraction, -0.1, false,
+       60},
+      {"validation_fraction", &DeepMviConfig::validation_fraction, 1.5, false,
+       60},
+      {"validation_fraction", &DeepMviConfig::validation_fraction, 0.0, true,
+       60},
+      {"validation_fraction", &DeepMviConfig::validation_fraction, 1.0, true,
+       60}};
+  for (const RealBound& bound : real_bounds) {
+    const std::string where =
+        std::string(bound.name) + " = " + std::to_string(bound.value);
+    DeepMviConfig config = testutil::TinyDeepMviConfig();
+    config.max_epochs = 1;
+    config.*bound.field = bound.value;
+    const Status fit = DeepMviImputer(config).Fit(source, c.mask).status();
+    std::string mutated = base;
+    std::memcpy(&mutated[bound.offset], &bound.value, sizeof(double));
+    WriteFileBytes(path, mutated);
+    const Status load = TrainedDeepMvi::Load(path).status();
+    for (const Status& status : {fit, load}) {
+      if (bound.accepted) {
+        EXPECT_TRUE(status.ok()) << where << ": " << status.ToString();
+        continue;
+      }
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << where;
+      EXPECT_NE(status.message().find(bound.name), std::string::npos)
+          << where << ": " << status.ToString();
+    }
+  }
 }
 
 TEST(CheckpointTest, CraftedRecordsFailBeforeAllocating) {

@@ -1160,7 +1160,7 @@ TEST(ServingEndpointsTest, DebugProfileAnswersCollapsedStacksOrBusy) {
   server.Stop();
 }
 
-TEST(ServingEndpointsTest, MetricsExportProcessPoolAndTraceGauges) {
+TEST(ServingEndpointsTest, MetricsExportProcessAndTraceGauges) {
   obs::CollectingTraceSink sink;
   ServedCase served;
   net::ServingContext ctx = served.Context();
@@ -1176,7 +1176,6 @@ TEST(ServingEndpointsTest, MetricsExportProcessPoolAndTraceGauges) {
   const std::string& text = scraped->body;
   for (const char* metric :
        {"# TYPE dmvi_accept_queue_high_water gauge",
-        "# TYPE dmvi_pool_threads_created_total counter",
         "# TYPE dmvi_trace_dropped_spans_total counter",
         "# TYPE dmvi_process_resident_bytes gauge",
         "# TYPE dmvi_process_cpu_seconds gauge",

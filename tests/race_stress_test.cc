@@ -233,14 +233,14 @@ TEST(RaceStressTest, TraceSinkSpanStormWithConcurrentReaders) {
   EXPECT_LE(sink.records().size(), 128u);
 }
 
-// ---- Worker pool: nested regions and error teardown -------------------------
+// ---- ParallelFor: nested regions and error teardown -------------------------
 
 TEST(RaceStressTest, NestedParallelForAndExceptionTeardown) {
   const int rounds = 6 * StressScale();
   for (int round = 0; round < rounds; ++round) {
     std::atomic<int64_t> sum{0};
-    // Width varies across rounds so the persistent pool keeps growing /
-    // reusing threads; the inner region always runs on fresh threads.
+    // Width varies across rounds; every region, inner ones included, runs
+    // on threads spawned for it.
     const int outer = 2 + (round % 3);
     ParallelFor(outer * 2, outer, [&](int i) {
       ParallelFor(4, 2, [&](int j) { sum.fetch_add(i * 4 + j); });
@@ -248,8 +248,8 @@ TEST(RaceStressTest, NestedParallelForAndExceptionTeardown) {
     const int n = outer * 2 * 4;
     EXPECT_EQ(sum.load(), static_cast<int64_t>(n) * (n - 1) / 2);
 
-    // Error path: one iteration throws; the rethrow must not corrupt the
-    // pool for the next round (workers drained, job cleared).
+    // Error path: one iteration throws; the rethrow must leave nothing
+    // behind that breaks the next round (every worker joined).
     EXPECT_THROW(
         ParallelFor(8, 2,
                     [&](int i) {
@@ -257,7 +257,7 @@ TEST(RaceStressTest, NestedParallelForAndExceptionTeardown) {
                     }),
         std::runtime_error);
   }
-  // Pool still serves clean work after repeated teardowns.
+  // Clean work still runs after repeated teardowns.
   std::atomic<int> after{0};
   ParallelFor(8, 4, [&](int) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 8);

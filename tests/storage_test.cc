@@ -451,14 +451,13 @@ TEST(ChunkedTrainingTest, CheckpointMatchesInCoreTraining) {
                                 "plain");
 }
 
-TEST(ChunkedTrainingTest, CheckpointMatchesWithThreadsAndTinyCache) {
-  // A cache that holds barely two chunks forces constant eviction while
-  // four worker slots read concurrently; results must not change.
+TEST(ChunkedTrainingTest, CheckpointMatchesWithTinyCache) {
+  // A cache that holds barely two chunks forces constant eviction; results
+  // must not change.
   SeasonalCase seasonal = MakeSeasonalCase(32);
-  DeepMviConfig config = TinyDeepMviConfig();
-  config.num_threads = 4;
-  ExpectFitCheckpointsIdentical(seasonal.data, seasonal.mask, config,
-                                /*cache_bytes=*/2 * 3 * 64 * 8, "threaded");
+  ExpectFitCheckpointsIdentical(seasonal.data, seasonal.mask,
+                                TinyDeepMviConfig(),
+                                /*cache_bytes=*/2 * 3 * 64 * 8, "tiny_cache");
 }
 
 TEST(ChunkedTrainingTest, CheckpointMatchesForMultiDimData) {

@@ -16,11 +16,10 @@
 // CI `cmp` that enforces that identity.
 //
 // Model knobs: --seed, --max-epochs, --samples, --window, --filters,
-// --heads, --threads (training data-parallelism; results are bit-identical
-// for any value). Before anything trains, a numeric flag whose value is
-// not a whole integer exits 2 and names the flag, and so does a model knob
-// outside its field's range in DeepMviConfig::Validate, the check Fit and
-// Load run too. With --impute-csv PATH the freshly trained model also
+// --heads. Training runs on one thread. Before anything trains, a numeric
+// flag whose value is not a whole integer exits 2 and names the flag, and
+// so does a model knob outside its field's range in
+// DeepMviConfig::Validate, the check Fit and Load run too. With --impute-csv PATH the freshly trained model also
 // imputes the training dataset in-process and writes the result — CI
 // compares it byte-for-byte against dmvi_serve's output for the same
 // checkpoint to prove the save/load path is exact.
@@ -73,8 +72,7 @@ int Run(int argc, char** argv) {
       {"--samples", &config.samples_per_epoch},
       {"--window", &config.window},
       {"--filters", &config.filters},
-      {"--heads", &config.num_heads},
-      {"--threads", &config.num_threads}};
+      {"--heads", &config.num_heads}};
   for (int i = 1; i < argc; ++i) {
     if (tools::ParseDatasetFlag(argc, argv, &i, &dataset_spec,
                                 &missing_value, &bad_value)) {
@@ -154,7 +152,6 @@ int Run(int argc, char** argv) {
           "                  [--output model.dmvi] [--impute-csv out.csv]\n"
           "                  [--seed N] [--max-epochs N] [--samples N]\n"
           "                  [--window W] [--filters P] [--heads H]\n"
-          "                  [--threads N]\n"
           "                  [--profile-out stacks.txt [--profile-hz N]]\n"
           "                  [--trace-out trace.json\n"
           "                   [--trace-level request|kernel]]\n"
