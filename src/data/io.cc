@@ -59,10 +59,10 @@ Status WriteDataTensor(const DataTensor& data, const std::string& path,
 }
 
 StatusOr<CsvSeriesReader> CsvSeriesReader::Open(const std::string& path) {
-  CsvSeriesReader reader;
-  reader.path_ = path;
-  reader.in_ = std::make_unique<std::ifstream>(path);
-  if (!*reader.in_) return Status::IoError("cannot open " + path);
+  auto file = std::make_unique<std::ifstream>(path);
+  if (!*file) return Status::IoError("cannot open " + path);
+  CsvSeriesReader reader(file.get(), path);
+  reader.file_ = std::move(file);
   return reader;
 }
 
@@ -130,28 +130,33 @@ StatusOr<bool> CsvSeriesReader::NextRow(std::vector<double>* values,
 }
 
 StatusOr<DataTensor> ReadDataTensor(const std::string& path, Mask* mask_out) {
+  std::ifstream in(path);
+  if (!in) return Status::IoError("cannot open " + path);
+  return ReadDataTensor(in, path, mask_out);
+}
+
+StatusOr<DataTensor> ReadDataTensor(std::istream& in, const std::string& name,
+                                    Mask* mask_out) {
   // Materializing wrapper over the streaming reader: both paths parse the
   // bytes identically, so a CSV sharded row-by-row (dmvi_shard) and one
   // slurped in-core produce the same values cell for cell.
-  StatusOr<CsvSeriesReader> reader = CsvSeriesReader::Open(path);
-  if (!reader.ok()) return reader.status();
-
+  CsvSeriesReader reader(&in, name);
   std::vector<std::vector<double>> rows;
   std::vector<std::vector<uint8_t>> row_missing;
   std::vector<double> row_values;
   std::vector<uint8_t> row_miss;
   while (true) {
-    StatusOr<bool> more = reader->NextRow(&row_values, &row_miss);
+    StatusOr<bool> more = reader.NextRow(&row_values, &row_miss);
     if (!more.ok()) return more.status();
     if (!*more) break;
     // NextRow clears its outputs, so moving the buffers out is safe.
     rows.push_back(std::move(row_values));
     row_missing.push_back(std::move(row_miss));
   }
-  if (rows.empty()) return Status::InvalidArgument("no data rows in " + path);
+  if (rows.empty()) return Status::InvalidArgument("no data rows in " + name);
 
   const int n = static_cast<int>(rows.size());
-  const int t_len = reader->num_cols();
+  const int t_len = reader.num_cols();
   Matrix values(n, t_len);
   Mask mask(n, t_len);
   for (int r = 0; r < n; ++r) {
@@ -162,7 +167,7 @@ StatusOr<DataTensor> ReadDataTensor(const std::string& path, Mask* mask_out) {
   }
   if (mask_out != nullptr) *mask_out = mask;
 
-  const std::vector<Dimension>& dims = reader->dims();
+  const std::vector<Dimension>& dims = reader.dims();
   if (dims.empty()) {
     return DataTensor::FromMatrix(std::move(values));
   }

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <fstream>
+#include <istream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -43,6 +45,11 @@ void WriteDataTensorToStream(const DataTensor& data, std::ostream& out,
 StatusOr<DataTensor> ReadDataTensor(const std::string& path,
                                     Mask* mask_out = nullptr);
 
+/// The same parse over any stream (an HTTP body, say); `name` stands for
+/// the path in error messages.
+StatusOr<DataTensor> ReadDataTensor(std::istream& in, const std::string& name,
+                                    Mask* mask_out = nullptr);
+
 /// Writes / reads an availability mask as 0/1 CSV.
 Status WriteMask(const Mask& mask, const std::string& path);
 StatusOr<Mask> ReadMask(const std::string& path);
@@ -56,6 +63,11 @@ StatusOr<Mask> ReadMask(const std::string& path);
 class CsvSeriesReader {
  public:
   static StatusOr<CsvSeriesReader> Open(const std::string& path);
+
+  /// Reads `in`, which must outlive the reader; `name` stands for the
+  /// path in error messages.
+  CsvSeriesReader(std::istream* in, std::string name)
+      : path_(std::move(name)), in_(in) {}
 
   /// Empty (unopened) reader; StatusOr needs this. Use Open().
   CsvSeriesReader() = default;
@@ -80,8 +92,10 @@ class CsvSeriesReader {
 
  private:
   std::string path_;
-  // Move-only: copies would share (and race on) one stream position.
-  std::unique_ptr<std::ifstream> in_;
+  // The file Open() owns (null for a caller's stream). Move-only: copies
+  // would share (and race on) one stream position.
+  std::unique_ptr<std::ifstream> file_;
+  std::istream* in_ = nullptr;  // file_, or the caller's stream.
   std::vector<Dimension> dims_;
   int num_cols_ = -1;
   int rows_read_ = 0;

@@ -331,6 +331,17 @@ Status DecodeInlineValues(const JsonValue& rows, ImputeApiRequest* out) {
 
 }  // namespace
 
+Status CheckModelField(const JsonValue& body) {
+  const JsonValue& model = body.at("model");
+  if (model.is_null()) return Status::OK();
+  if (!model.is_string()) {
+    return Status::InvalidArgument("field 'model' must be a string");
+  }
+  if (model.string_value() == serve::kServedModelName) return Status::OK();
+  return Status::NotFound("no model registered under '" +
+                          model.string_value() + "'");
+}
+
 StatusOr<ImputeApiRequest> DecodeImputeRequest(const HttpMessage& request) {
   ImputeApiRequest out;
   const std::string& accept = request.Header("accept");
@@ -345,13 +356,7 @@ StatusOr<ImputeApiRequest> DecodeImputeRequest(const HttpMessage& request) {
     return Status::InvalidArgument("request body must be a JSON object");
   }
 
-  const JsonValue& model = doc.at("model");
-  if (!model.is_null()) {
-    if (!model.is_string()) {
-      return Status::InvalidArgument("field 'model' must be a string");
-    }
-    out.model = model.string_value();
-  }
+  DMVI_RETURN_IF_ERROR(CheckModelField(doc));
 
   const JsonValue& query = doc.at("query");
   const JsonValue& values = doc.at("values");

@@ -78,12 +78,11 @@ StatusOr<JsonValue> ParseJson(const std::string& text);
 ///  - inline mode: `{"values": [[...]]}` rows of numbers with `null`
 ///    marking the cells to impute — self-contained requests that need no
 ///    server-side dataset.
-/// `model` defaults to "default". The response format follows the Accept
-/// header: text/csv streams the full completed matrix in the exact
-/// WriteDataTensor format; anything else gets JSON with only the imputed
-/// cells.
+/// A "model" field must pass CheckModelField. The response format follows
+/// the Accept header: text/csv streams the full completed matrix in the
+/// exact WriteDataTensor format; anything else gets JSON with only the
+/// imputed cells.
 struct ImputeApiRequest {
-  std::string model = "default";
   bool has_query = false;
   serve::WorkloadQuery query;
   bool has_inline_data = false;
@@ -92,9 +91,16 @@ struct ImputeApiRequest {
   bool csv_response = false;
 };
 
+/// The one-model rule of the bodies of POST /v1/impute and POST
+/// /admin/reload: a "model" field that is absent or "default"
+/// (serve::kServedModelName) names the served model; another string is
+/// NotFound (404) and any other JSON value InvalidArgument (400).
+Status CheckModelField(const JsonValue& body);
+
 /// Decodes the body of a POST /v1/impute. Malformed JSON or an invalid
 /// combination of fields is InvalidArgument (answered as 400 with the
-/// Status message in the body).
+/// Status message in the body); a model name other than the served one
+/// is NotFound (CheckModelField).
 StatusOr<ImputeApiRequest> DecodeImputeRequest(const HttpMessage& request);
 
 // ---- Response encoding ------------------------------------------------------

@@ -29,16 +29,10 @@ HttpMessage ErrorResponse(const Status& status) {
 }
 
 HttpMessage HandleImpute(const ServingContext& ctx,
+                         obs::Histogram* stage_decode,
+                         obs::Histogram* stage_encode,
                          const HttpMessage& request) {
   const std::string& request_id = request.Header("x-request-id");
-  obs::MetricsRegistry& metrics = ctx.service->metrics();
-  obs::Histogram* stage_decode = metrics.HistogramNamed(
-      "dmvi_stage_decode_seconds",
-      "Impute request body decode time per request.");
-  obs::Histogram* stage_encode = metrics.HistogramNamed(
-      "dmvi_stage_encode_seconds",
-      "Impute response body encode time per request.");
-
   Stopwatch decode_watch;
   StatusOr<ImputeApiRequest> decoded = [&] {
     obs::Span decode_span = obs::GlobalSpan("impute.decode");
@@ -50,7 +44,6 @@ HttpMessage HandleImpute(const ServingContext& ctx,
   const ImputeApiRequest& api = *decoded;
 
   serve::ImputationRequest impute;
-  impute.model = api.model;
   impute.request_id = request_id;
   if (api.has_inline_data) {
     impute.data = std::make_shared<const DataTensor>(
@@ -105,9 +98,9 @@ HttpMessage HandleImpute(const ServingContext& ctx,
 }
 
 /// Overall quality rung for /healthz and /debug/quality: "off" without a
-/// monitor, "no-reference" when no observed model carries a training
-/// profile (legacy checkpoints), else "ok"/"drifting" against the
-/// context's PSI threshold.
+/// monitor, "no-reference" when nothing was observed yet or the model
+/// carries no training profile (legacy checkpoints), else "ok"/"drifting"
+/// against the context's PSI threshold.
 const char* QualityStatus(const serve::QualitySnapshot& snapshot,
                           double drift_threshold, bool have_monitor) {
   if (!have_monitor) return "off";
@@ -138,7 +131,7 @@ HttpMessage HandleDebugQuality(const ServingContext& ctx) {
                              : (model.drift_score >= ctx.drift_threshold
                                     ? "drifting"
                                     : "ok");
-    os << "    {\"model\": \"" << EscapeJson(model.model) << "\",\n";
+    os << "    {\"model\": \"" << serve::kServedModelName << "\",\n";
     os << "     \"status\": \"" << status << "\",\n";
     os << "     \"has_reference\": "
        << (model.has_reference ? "true" : "false") << ",\n";
@@ -206,10 +199,8 @@ HttpMessage HandleHealthz(const ServingContext& ctx,
 
   std::ostringstream os;
   os << "{\n  \"status\": \"ok\",\n  \"models\": [";
-  bool first = true;
-  for (const std::string& name : ctx.service->registry().Names()) {
-    os << (first ? "" : ", ") << "\"" << EscapeJson(name) << "\"";
-    first = false;
+  if (ctx.service->served().model != nullptr) {
+    os << "\"" << serve::kServedModelName << "\"";
   }
   os << "],\n";
   os << "  \"num_series\": " << (ctx.data ? ctx.data->num_series() : 0)
@@ -329,11 +320,12 @@ HttpMessage HandleDebugState(const ServingContext& ctx) {
   os << "  \"rss_bytes\": " << stats.rss_bytes << ",\n";
   os << "  \"cpu_seconds\": " << stats.cpu_seconds << ",\n";
   os << "  \"open_fds\": " << stats.open_fds << ",\n";
-  const serve::ModelRegistry::ReloadInfo reloads =
-      ctx.service->registry().reload_info();
+  const serve::ImputationService::ReloadInfo reloads =
+      ctx.service->reload_info();
   os << "  \"model_registrations\": " << reloads.registrations << ",\n";
   os << "  \"model_reloads\": " << reloads.reloads << ",\n";
-  os << "  \"last_registered_model\": \"" << EscapeJson(reloads.last_model)
+  os << "  \"last_registered_model\": \""
+     << (reloads.registrations > 0 ? serve::kServedModelName : "")
      << "\",\n";
   os << "  \"model_age_seconds\": " << reloads.model_age_seconds << "\n";
   os << "}\n";
@@ -342,11 +334,6 @@ HttpMessage HandleDebugState(const ServingContext& ctx) {
 
 HttpMessage HandleReload(const ServingContext& ctx,
                          const HttpMessage& request) {
-  if (!ctx.reload) {
-    return ErrorResponse(
-        Status::FailedPrecondition("reload is not configured"));
-  }
-  std::string model = "default";
   std::string path;
   if (!request.body.empty()) {
     StatusOr<JsonValue> parsed = ParseJson(request.body);
@@ -355,28 +342,42 @@ HttpMessage HandleReload(const ServingContext& ctx,
       return ErrorResponse(
           Status::InvalidArgument("reload body must be a JSON object"));
     }
-    if (parsed->at("model").is_string()) {
-      model = parsed->at("model").string_value();
+    if (Status model = CheckModelField(*parsed); !model.ok()) {
+      return ErrorResponse(model);
     }
     if (parsed->at("path").is_string()) {
       path = parsed->at("path").string_value();
     }
   }
-  Status reloaded = ctx.reload(model, path);
+  // Requests already running finish on the old weights; the response
+  // cache keys on the load generation, so it never serves them again.
+  Status reloaded = ctx.service->Load(path.empty() ? ctx.model_path : path);
   if (!reloaded.ok()) return ErrorResponse(reloaded);
-  return MakeResponse(200,
-                      "{\n  \"status\": \"ok\",\n  \"reloaded\": \"" +
-                          EscapeJson(model) + "\"\n}\n",
-                      "application/json");
+  return MakeResponse(
+      200,
+      std::string("{\n  \"status\": \"ok\",\n  \"reloaded\": \"") +
+          serve::kServedModelName + "\"\n}\n",
+      "application/json");
 }
 
 }  // namespace
 
 void RegisterServingEndpoints(HttpServer* server, ServingContext ctx) {
   DMVI_CHECK(ctx.service != nullptr) << "ServingContext without a service";
-  server->Handle("POST", "/v1/impute", [ctx](const HttpMessage& request) {
-    return HandleImpute(ctx, request);
-  });
+  // Resolved once, so both stages are exported from the start and a
+  // request takes no registry lock to find them.
+  obs::MetricsRegistry& metrics = ctx.service->metrics();
+  obs::Histogram* stage_decode = metrics.HistogramNamed(
+      "dmvi_stage_decode_seconds",
+      "Impute request body decode time per request.");
+  obs::Histogram* stage_encode = metrics.HistogramNamed(
+      "dmvi_stage_encode_seconds",
+      "Impute response body encode time per request.");
+  server->Handle("POST", "/v1/impute",
+                 [ctx, stage_decode, stage_encode](const HttpMessage& request) {
+                   return HandleImpute(ctx, stage_decode, stage_encode,
+                                       request);
+                 });
   server->Handle("GET", "/healthz", [ctx, server](const HttpMessage&) {
     return HandleHealthz(ctx, server);
   });
@@ -409,16 +410,15 @@ void RegisterServingEndpoints(HttpServer* server, ServingContext ctx) {
           ctx.trace_sink->dropped());
     }
     // Model deployment accounting: how often checkpoints were swapped in
-    // and how stale the newest one is.
-    const serve::ModelRegistry::ReloadInfo reloads =
-        ctx.service->registry().reload_info();
+    // and how stale the served one is.
+    const serve::ImputationService::ReloadInfo reloads =
+        ctx.service->reload_info();
     obs::AppendPrometheusCounter(
         os, "dmvi_model_reloads_total",
-        "Registry re-registrations that swapped a live model.",
-        reloads.reloads);
+        "Model loads that replaced the served model.", reloads.reloads);
     obs::AppendPrometheusGauge(
         os, "dmvi_model_age_seconds",
-        "Seconds since the most recent model (re)registration.",
+        "Seconds since the served model was loaded.",
         reloads.model_age_seconds);
     // Model-quality gauges refresh at scrape time like the process
     // gauges below. The drift gauge is registered only once a reference

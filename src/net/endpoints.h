@@ -1,7 +1,6 @@
 #ifndef DEEPMVI_NET_ENDPOINTS_H_
 #define DEEPMVI_NET_ENDPOINTS_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -32,12 +31,9 @@ struct ServingContext {
   serve::ImputationService* service = nullptr;
   std::shared_ptr<const DataTensor> data;
   Mask base_mask;
-  /// Reloads the checkpoint behind `model` from `path` (empty = the path
-  /// the model was originally loaded from) and swaps it into the registry
-  /// atomically. Wired by dmvi_serve; POST /admin/reload and SIGHUP both
-  /// call it.
-  std::function<Status(const std::string& model, const std::string& path)>
-      reload;
+  /// The checkpoint POST /admin/reload loads (ImputationService::Load)
+  /// when its body names no "path" or an empty one: dmvi_serve's --model.
+  std::string model_path;
   /// Optional collecting sink behind the process tracer, so /metrics can
   /// export the dropped-span count (borrowed; null skips the metric).
   obs::CollectingTraceSink* trace_sink = nullptr;
@@ -71,7 +67,8 @@ struct ServingContext {
 ///                      service->metrics() (the dmvi_*_total serving
 ///                      counters, the request-latency histogram, stage
 ///                      histograms, HTTP counters)
-///   POST /admin/reload warm checkpoint swap via ctx.reload
+///   POST /admin/reload warm checkpoint swap: service->Load of the body's
+///                      "path", else ctx.model_path
 ///   GET  /debug/profile?seconds=N&hz=H   on-demand CPU profiling window:
 ///                      blocks for N seconds (default 2, max 30) sampling
 ///                      at H Hz (default 99), then answers with collapsed
@@ -83,9 +80,9 @@ struct ServingContext {
 ///   GET  /debug/state  build hash, uptime, pid, and /proc/self gauges
 ///                      (RSS, CPU seconds, open fds) — the same numbers
 ///                      exported as dmvi_process_* via /metrics — plus
-///                      model reload accounting (count, age, last name)
-///   GET  /debug/quality  model-quality view: per-model per-series
-///                      PSI/KS drift breakdown against the checkpoint's
+///                      model reload accounting (count, age, name)
+///   GET  /debug/quality  model-quality view: per-series PSI/KS drift
+///                      breakdown against the checkpoint's
 ///                      training reference profile, live input missing
 ///                      rates, and the masked self-scoring history; 503
 ///                      without a monitor

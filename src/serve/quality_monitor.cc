@@ -22,20 +22,18 @@ QualityMonitor::QualityMonitor(QualityMonitorOptions options)
   }
 }
 
-QualityMonitor::ModelState& QualityMonitor::StateLocked(
-    const std::string& name, const TrainedDeepMvi* model) {
-  ModelState& state = states_[name];
-  if (state.model == model) return state;
+QualityMonitor::ModelState* QualityMonitor::StateLocked(
+    const TrainedDeepMvi& model, int64_t generation) {
+  if (generation < state_.generation) return nullptr;
+  ModelState& state = state_;
+  if (generation == state.generation) return &state;
 
-  // First sighting or a registry reload: rebuild the live state against
-  // the (possibly new) reference profile. Registry model pointers stay
-  // valid for the registry's lifetime, so holding the raw pointer as the
-  // generation key is safe.
+  // First sighting or a reload: rebuild the live state against the new
+  // model's reference profile.
   state = ModelState();
-  state.model = model;
-  const QualityProfile* profile =
-      model != nullptr ? model->quality_profile() : nullptr;
-  const int num_series = model != nullptr ? model->num_series() : 0;
+  state.generation = generation;
+  const QualityProfile* profile = model.quality_profile();
+  const int num_series = model.num_series();
   state.series.resize(static_cast<size_t>(std::max(0, num_series)));
   if (profile != nullptr && profile->num_series() == num_series) {
     state.has_reference = true;
@@ -75,18 +73,20 @@ QualityMonitor::ModelState& QualityMonitor::StateLocked(
       }
     }
   }
-  return state;
+  return &state;
 }
 
-void QualityMonitor::ObserveInput(const std::string& name,
-                                  const TrainedDeepMvi* model,
-                                  const DataTensor& data, const Mask& mask) {
+void QualityMonitor::ObserveInput(const TrainedDeepMvi& model,
+                                  int64_t generation, const DataTensor& data,
+                                  const Mask& mask) {
   const Matrix& values = data.values();
   const int num_series = values.rows();
   const int num_times = values.cols();
 
   MutexLock lock(&mutex_);
-  ModelState& state = StateLocked(name, model);
+  ModelState* live = StateLocked(model, generation);
+  if (live == nullptr) return;
+  ModelState& state = *live;
   ++state.requests;
   const int rows =
       std::min(num_series, static_cast<int>(state.series.size()));
@@ -113,20 +113,18 @@ void QualityMonitor::ObserveInput(const std::string& name,
   }
 }
 
-bool QualityMonitor::SelfScoreDue(const std::string& name) {
+bool QualityMonitor::SelfScoreDue() {
   if (options_.selfscore_every <= 0) return false;
   MutexLock lock(&mutex_);
-  ModelState& state = states_[name];
-  ++state.predicts;
-  return state.predicts % options_.selfscore_every == 0;
+  ++state_.predicts;
+  return state_.predicts % options_.selfscore_every == 0;
 }
 
-void QualityMonitor::SelfScore(const std::string& name,
-                               const TrainedDeepMvi* model,
+void QualityMonitor::SelfScore(const TrainedDeepMvi& model, int64_t generation,
                                const std::shared_ptr<const DataTensor>& data,
                                const Mask& mask, uint64_t seed,
                                const std::string& request_id) {
-  if (model == nullptr || data == nullptr) return;
+  if (data == nullptr) return;
   const Matrix& values = data->values();
   const int num_series = values.rows();
   const int num_times = values.cols();
@@ -155,7 +153,7 @@ void QualityMonitor::SelfScore(const std::string& name,
 
   // Confine candidates to ~two windows around a random anchor so the
   // side prediction touches one or two chunks, not the whole series.
-  const int window = std::max(1, model->config().window);
+  const int window = std::max(1, model.config().window);
   const int span = std::min(num_times, 2 * window);
   const int anchor_index =
       rng.UniformInt(static_cast<int>(observed_times.size()));
@@ -187,7 +185,7 @@ void QualityMonitor::SelfScore(const std::string& name,
 
   storage::InMemoryDataSource source(data.get());
   StatusOr<std::vector<double>> preds =
-      model->PredictCells(source, side, cells);
+      model.PredictCells(source, side, cells);
   double mae = 0.0;
   double rmse = 0.0;
   bool ok = preds.ok() && preds.value().size() == cells.size();
@@ -210,7 +208,9 @@ void QualityMonitor::SelfScore(const std::string& name,
 
   {
     MutexLock lock(&mutex_);
-    ModelState& state = StateLocked(name, model);
+    ModelState* live = StateLocked(model, generation);
+    if (live == nullptr) return;
+    ModelState& state = *live;
     if (!ok) {
       ++state.selfscore_failures;
       return;
@@ -238,9 +238,9 @@ void QualityMonitor::SelfScore(const std::string& name,
 QualitySnapshot QualityMonitor::Snapshot() const {
   QualitySnapshot out;
   MutexLock lock(&mutex_);
-  for (const auto& [name, state] : states_) {
+  const ModelState& state = state_;
+  if (state.generation > 0) {
     ModelQualitySnapshot model;
-    model.model = name;
     model.has_reference = state.has_reference;
     model.requests_observed = state.requests;
     model.cells_observed = state.cells;
@@ -285,9 +285,7 @@ QualitySnapshot QualityMonitor::Snapshot() const {
     }
     model.selfscore_history.assign(state.history.begin(),
                                    state.history.end());
-    if (model.has_reference) {
-      out.max_drift_score = std::max(out.max_drift_score, model.drift_score);
-    }
+    if (model.has_reference) out.max_drift_score = model.drift_score;
     out.models.push_back(std::move(model));
   }
   return out;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,7 +22,7 @@ namespace serve {
 /// cheap enough to leave on in production (< 5% p95, BENCH AirQ-quality).
 struct QualityMonitorOptions {
   /// Run masked self-scoring on every Nth successful full-model predict
-  /// per model (0 disables self-scoring entirely).
+  /// of a model generation (0 disables self-scoring entirely).
   int selfscore_every = 32;
   /// Fraction of a request's *observed* cells hidden for self-scoring,
   /// before the cap below.
@@ -35,7 +34,7 @@ struct QualityMonitorOptions {
   /// A series participates in the drift score only after this many live
   /// observations (PSI on a handful of samples is noise).
   int64_t min_live_count = 50;
-  /// Self-score records kept per model for /debug/quality.
+  /// Self-score records kept for /debug/quality.
   int selfscore_history = 64;
   /// Optional metrics registry for the selfscore MAE/RMSE histograms;
   /// borrowed, may be null.
@@ -65,9 +64,8 @@ struct SelfScoreRecord {
   double at_seconds = 0.0;
 };
 
-/// Point-in-time quality view of one model.
+/// Point-in-time quality view of the served model.
 struct ModelQualitySnapshot {
-  std::string model;
   bool has_reference = false;
   int64_t requests_observed = 0;
   int64_t cells_observed = 0;   // Available cells folded into live bins.
@@ -87,39 +85,43 @@ struct ModelQualitySnapshot {
 };
 
 struct QualitySnapshot {
-  std::vector<ModelQualitySnapshot> models;  // Sorted by name.
-  /// Max drift_score over models with a reference; -1 when none has one.
+  /// Empty until a request is observed, then the served model's view.
+  std::vector<ModelQualitySnapshot> models;
+  /// The model's drift_score when it has a reference; else -1.
   double max_drift_score = -1.0;
 };
 
 /// Model-quality monitor for the serving path: folds every validated
-/// request input into per-model live distributions, scores them against
-/// the checkpoint's training reference profile (PSI / KS per series),
-/// and periodically runs masked self-scoring — deterministically hide a
-/// few observed cells on a side mask, impute them, record MAE/RMSE
+/// request input into the served model's live distributions, scores them
+/// against the checkpoint's training reference profile (PSI / KS per
+/// series), and periodically runs masked self-scoring — deterministically
+/// hide a few observed cells on a side mask, impute them, record MAE/RMSE
 /// against the hidden truth — giving a live accuracy signal with no
 /// ground-truth dependency.
 ///
 /// The monitor is strictly read-only with respect to serving: it never
 /// touches request or response state, so served bytes are cmp-identical
 /// with the monitor on or off (serve_test locks this in). Thread-safe;
-/// per-model state lives under one mutex, and the self-score prediction
-/// itself runs outside the lock.
+/// the live state lives under one mutex, and the self-score prediction
+/// itself runs outside the lock. The state belongs to one load generation
+/// of the served model (ImputationService::served()): a newer generation
+/// (a reload) restarts it against the new reference, and calls that carry
+/// an older one (requests that took their model before the reload) are
+/// dropped.
 class QualityMonitor {
  public:
   explicit QualityMonitor(QualityMonitorOptions options = {});
 
-  /// Folds one validated request input into the model's live state.
-  /// `model` carries the reference profile (absent for legacy
-  /// checkpoints: live moments and missing rates still accumulate, drift
-  /// stays unscored). A changed model pointer for the same name — a
-  /// registry reload — resets the live state against the new reference.
-  void ObserveInput(const std::string& name, const TrainedDeepMvi* model,
+  /// Folds one validated request input into the live state of `model`,
+  /// load generation `generation`. `model` carries the reference profile
+  /// (absent for legacy checkpoints: live moments and missing rates still
+  /// accumulate, drift stays unscored).
+  void ObserveInput(const TrainedDeepMvi& model, int64_t generation,
                     const DataTensor& data, const Mask& mask);
 
-  /// Counts one successful full-model predict for `name` and returns
-  /// true when this one should be self-scored (every Nth).
-  bool SelfScoreDue(const std::string& name);
+  /// Counts one successful full-model predict and returns true when this
+  /// one should be self-scored (every Nth).
+  bool SelfScoreDue();
 
   /// Runs one masked self-scoring round: seeded by `seed` (the service
   /// derives it from the request's data/mask fingerprints, so replays
@@ -127,7 +129,7 @@ class QualityMonitor {
   /// cells of one series on a copy of `mask`, predicts them with
   /// `model`, and records MAE/RMSE. Failures are counted and dropped —
   /// self-scoring must never surface to the caller.
-  void SelfScore(const std::string& name, const TrainedDeepMvi* model,
+  void SelfScore(const TrainedDeepMvi& model, int64_t generation,
                  const std::shared_ptr<const DataTensor>& data,
                  const Mask& mask, uint64_t seed,
                  const std::string& request_id);
@@ -149,7 +151,7 @@ class QualityMonitor {
     double ref_mean = 0.0;
   };
   struct ModelState {
-    const TrainedDeepMvi* model = nullptr;
+    int64_t generation = 0;  // 0 until the first observed call.
     bool has_reference = false;
     double reference_missing_rate = 0.0;
     std::vector<SeriesState> series;
@@ -165,10 +167,9 @@ class QualityMonitor {
     std::deque<SelfScoreRecord> history;
   };
 
-  /// Finds-or-creates the state for `name`, rebuilding it against the
-  /// model's reference profile when the pointer changed (reload).
-  ModelState& StateLocked(const std::string& name,
-                          const TrainedDeepMvi* model)
+  /// The live state for `generation`, rebuilt against `model`'s reference
+  /// profile when the generation is newer; null when it is older.
+  ModelState* StateLocked(const TrainedDeepMvi& model, int64_t generation)
       DMVI_REQUIRES(mutex_);
 
   const QualityMonitorOptions options_;
@@ -176,7 +177,7 @@ class QualityMonitor {
   obs::Histogram* mae_hist_ = nullptr;   // Null without a registry.
   obs::Histogram* rmse_hist_ = nullptr;
   mutable Mutex mutex_;
-  std::map<std::string, ModelState> states_ DMVI_GUARDED_BY(mutex_);
+  ModelState state_ DMVI_GUARDED_BY(mutex_);
 };
 
 }  // namespace serve

@@ -11,20 +11,19 @@
 namespace deepmvi {
 namespace serve {
 
-/// A response-cache key: (model identity, data fingerprint, mask
+/// A response-cache key: (model load generation, data fingerprint, mask
 /// fingerprint).
-///  - model identity is the registry's TrainedDeepMvi pointer — models are
-///    retired, never destroyed, on re-register, so the pointer uniquely
-///    names one set of weights for the process lifetime. A warm reload
-///    swaps the pointer and therefore *cannot* serve stale cached results;
-///    old entries simply age out of the LRU.
+///  - the generation (ImputationService::served()) names one set of
+///    weights for the service's lifetime: a reload bumps it, so a reload
+///    *cannot* serve the old weights' results; old entries simply age out
+///    of the LRU.
 ///  - data/mask fingerprints are FingerprintData / FingerprintMask below.
 struct ResponseCacheKey {
-  const void* model;
+  int64_t generation;
   uint64_t data_fp;
   uint64_t mask_fp;
   bool operator==(const ResponseCacheKey& other) const {
-    return model == other.model && data_fp == other.data_fp &&
+    return generation == other.generation && data_fp == other.data_fp &&
            mask_fp == other.mask_fp;
   }
 };
@@ -32,7 +31,7 @@ struct ResponseCacheKey {
 struct ResponseCacheKeyHash {
   size_t operator()(const ResponseCacheKey& key) const {
     // Splitmix-style fold of the three words.
-    uint64_t h = reinterpret_cast<uintptr_t>(key.model);
+    uint64_t h = static_cast<uint64_t>(key.generation);
     h = (h ^ (key.data_fp >> 30)) * 0xbf58476d1ce4e5b9ULL;
     h = (h ^ key.data_fp) * 0x94d049bb133111ebULL;
     h = (h ^ (key.mask_fp >> 27)) * 0xbf58476d1ce4e5b9ULL;

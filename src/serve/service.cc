@@ -83,6 +83,41 @@ ImputationService::ImputationService(ServiceConfig config)
       "Degraded-mode fallback imputer time per request.");
 }
 
+ImputationService::ServedModel ImputationService::served() const {
+  MutexLock lock(&model_mutex_);
+  return {model_, generation_};
+}
+
+Status ImputationService::Swap(TrainedDeepMvi model) {
+  if (!model.trained()) {
+    return Status::FailedPrecondition("cannot serve an untrained model");
+  }
+  auto holder = std::make_shared<const TrainedDeepMvi>(std::move(model));
+  MutexLock lock(&model_mutex_);
+  // The replaced model is freed here, or by the last request holding it.
+  model_ = std::move(holder);
+  ++generation_;
+  loaded_at_ = clock_.ElapsedSeconds();
+  return Status::OK();
+}
+
+Status ImputationService::Load(const std::string& path) {
+  StatusOr<TrainedDeepMvi> model = TrainedDeepMvi::Load(path);
+  if (!model.ok()) return model.status();
+  return Swap(std::move(model).value());
+}
+
+ImputationService::ReloadInfo ImputationService::reload_info() const {
+  MutexLock lock(&model_mutex_);
+  ReloadInfo info;
+  info.registrations = generation_;
+  if (generation_ > 0) {
+    info.reloads = generation_ - 1;
+    info.model_age_seconds = clock_.ElapsedSeconds() - loaded_at_;
+  }
+  return info;
+}
+
 ImputationResponse ImputationService::Process(const ImputationRequest& request,
                                               bool degrade) {
   obs::ProfileLabelScope profile_label("service.process");
@@ -92,24 +127,26 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
   }
   ImputationResponse response;
   try {
-    const TrainedDeepMvi* model = registry_.Get(request.model);
-    if (model == nullptr) {
-      response.status = Status::NotFound("no model registered under '" +
-                                         request.model + "'");
+    // Held until this request returns: a concurrent Swap cannot free the
+    // weights it predicts with.
+    const ServedModel served = this->served();
+    if (served.model == nullptr) {
+      response.status = Status::FailedPrecondition("no model is loaded");
       return response;
     }
+    const TrainedDeepMvi& model = *served.model;
     if (request.data == nullptr) {
       response.status = Status::InvalidArgument("request carries no dataset");
       return response;
     }
-    response.status = model->ValidateInput(*request.data, request.mask);
+    response.status = model.ValidateInput(*request.data, request.mask);
     if (!response.status.ok()) return response;
 
-    // Quality monitoring folds the validated input into per-model live
+    // Quality monitoring folds the validated input into the model's live
     // distributions. Strictly observational: nothing below reads monitor
     // state, so responses are byte-identical with the monitor off.
     if (config_.quality != nullptr) {
-      config_.quality->ObserveInput(request.model, model, *request.data,
+      config_.quality->ObserveInput(model, served.generation, *request.data,
                                     request.mask);
     }
 
@@ -125,27 +162,20 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
           fallback_span.set_request_id(request.request_id);
         }
         Stopwatch fallback_watch;
-        if (config_.degrade_method == "Mean") {
-          MeanImputer fallback;
-          response.imputed = fallback.Impute(*request.data, request.mask);
-        } else {
-          LinearInterpolationImputer fallback;
-          response.imputed = fallback.Impute(*request.data, request.mask);
-        }
+        response.imputed =
+            LinearInterpolationImputer().Impute(*request.data, request.mask);
         stage_fallback_->Observe(fallback_watch.ElapsedSeconds());
       }
       response.degraded = true;
-      response.degrade_method =
-          config_.degrade_method == "Mean" ? "Mean" : "LinearInterp";
+      response.degrade_method = "LinearInterp";
       response.cells_imputed = request.mask.CountMissing();
       response.rows_touched = CountRowsTouched(request.mask);
       degraded_->Increment();
       return response;
     }
 
-    // Cache probe: the model pointer names one immutable set of weights
-    // (registry retirements keep it unique for the process lifetime), so
-    // a hit is bit-identical to recomputing.
+    // Cache probe: the load generation names one immutable set of
+    // weights, so a hit is bit-identical to recomputing.
     uint64_t data_fp = 0, mask_fp = 0;
     if (cache_ != nullptr) {
       obs::Span probe_span = obs::GlobalSpan("cache.probe");
@@ -154,7 +184,7 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
       data_fp = MemoizedDataFingerprint(request.data);
       mask_fp = FingerprintMask(request.mask);
       const ResponseCache::ValuePtr hit =
-          cache_->Get({model, data_fp, mask_fp});
+          cache_->Get({served.generation, data_fp, mask_fp});
       stage_cache_probe_->Observe(probe_watch.ElapsedSeconds());
       if (probe_span.active()) {
         probe_span.AddArg("hit", hit != nullptr ? "true" : "false");
@@ -174,7 +204,7 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
       obs::Span predict_span = obs::GlobalSpan("model.predict");
       if (predict_span.active()) predict_span.set_request_id(request.request_id);
       Stopwatch predict_watch;
-      response.imputed = model->Predict(*request.data, request.mask);
+      response.imputed = model.Predict(*request.data, request.mask);
       response.predict_seconds = predict_watch.ElapsedSeconds();
       stage_predict_->Observe(response.predict_seconds);
     }
@@ -184,7 +214,7 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
       const int64_t bytes = static_cast<int64_t>(sizeof(CachedResponse)) +
                             response.imputed.size() *
                                 static_cast<int64_t>(sizeof(double));
-      cache_->Insert({model, data_fp, mask_fp},
+      cache_->Insert({served.generation, data_fp, mask_fp},
                      std::make_shared<const CachedResponse>(CachedResponse{
                          response.imputed, response.cells_imputed,
                          response.rows_touched}),
@@ -194,14 +224,13 @@ ImputationResponse ImputationService::Process(const ImputationRequest& request,
     // (cache hits, degraded answers, and errors returned above). Seeded
     // from the request fingerprints so a replayed request hides the same
     // cells; the response is already complete and is never touched.
-    if (config_.quality != nullptr &&
-        config_.quality->SelfScoreDue(request.model)) {
+    if (config_.quality != nullptr && config_.quality->SelfScoreDue()) {
       obs::Span score_span = obs::GlobalSpan("quality.selfscore");
       if (score_span.active()) score_span.set_request_id(request.request_id);
       const uint64_t seed =
           MemoizedDataFingerprint(request.data) ^
           (FingerprintMask(request.mask) * 0x9E3779B97F4A7C15ULL);
-      config_.quality->SelfScore(request.model, model, request.data,
+      config_.quality->SelfScore(model, served.generation, request.data,
                                  request.mask, seed, request.request_id);
     }
   } catch (const std::exception& e) {
@@ -232,7 +261,7 @@ void ImputationService::RecordFlight(const ImputationRequest& request,
   if (config_.recorder == nullptr) return;
   obs::RequestRecord record;
   record.request_id = request.request_id;
-  record.model = request.model;
+  record.model = kServedModelName;
   record.status = response.status.ToString();
   record.ok = response.status.ok();
   record.latency_seconds = response.latency_seconds;

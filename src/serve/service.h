@@ -9,11 +9,12 @@
 
 #include "common/mutex.h"
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "common/thread_annotations.h"
+#include "core/trained_deepmvi.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "serve/quality_monitor.h"
-#include "serve/registry.h"
 #include "serve/response_cache.h"
 #include "tensor/data_tensor.h"
 #include "tensor/mask.h"
@@ -21,12 +22,16 @@
 namespace deepmvi {
 namespace serve {
 
+/// The name the served model answers to on the wire (/healthz "models",
+/// a request's "model", flight records). A trained DeepMVI answers only
+/// the series universe it was fit on, so a service serves one model.
+inline constexpr char kServedModelName[] = "default";
+
 /// One imputation query: a dataset slice plus the availability mask whose
-/// missing cells the named model should fill. The dataset is shared, not
+/// missing cells the served model should fill. The dataset is shared, not
 /// copied — a replayed workload of N queries against one dataset must
 /// hold O(dataset) memory, not N dense copies.
 struct ImputationRequest {
-  std::string model;  // Registry key.
   std::shared_ptr<const DataTensor> data;
   Mask mask;
   /// Correlation id stamped on every span this request produces (the HTTP
@@ -35,8 +40,8 @@ struct ImputationRequest {
   std::string request_id;
 };
 
-/// The answer to one request. `status` is non-OK for unknown models,
-/// shape mismatches, or internal failures; `imputed` is then empty.
+/// The answer to one request. `status` is non-OK when no model is loaded,
+/// on shape mismatches, or on internal failures; `imputed` is then empty.
 struct ImputationResponse {
   Status status;
   Matrix imputed;
@@ -47,8 +52,8 @@ struct ImputationResponse {
   /// True when the degradation ladder answered with the cheap fallback
   /// imputer instead of the full model (overload admission control).
   bool degraded = false;
-  /// The fallback that answered ("LinearInterp" / "Mean"); empty when
-  /// the full model ran.
+  /// The fallback that answered ("LinearInterp"); empty when the full
+  /// model ran.
   std::string degrade_method;
   /// True when the response cache answered (bit-identical to recomputing;
   /// only the latency differs).
@@ -61,24 +66,22 @@ struct ImputationResponse {
 struct ServiceConfig {
   /// Worker threads ImputeBatch fans over (<= 0: hardware concurrency).
   int threads = 0;
-  /// Response cache budget in MB, keyed on (model, data fingerprint, mask
-  /// fingerprint). 0 disables caching — the default, so the determinism
-  /// suites exercise the compute path and results never depend on cache
-  /// state. Hits are bit-identical to recomputing (Predict is
+  /// Response cache budget in MB, keyed on (model load generation, data
+  /// fingerprint, mask fingerprint). 0 disables caching — the default, so
+  /// the determinism suites exercise the compute path and results never
+  /// depend on cache state. Hits are bit-identical to recomputing (Predict is
   /// deterministic); they only change latency.
   double cache_mb = 0.0;
   /// Degradation ladder (0 disables a rung). The pressure an arriving
   /// request sees is the number of requests already in flight (not
   /// counting itself) plus whatever the pressure probe reports (dmvi_serve
   /// wires the HTTP accept queue in). At or above `degrade_watermark`, new
-  /// requests are answered by the cheap `degrade_method` imputer instead of
-  /// the model — accuracy traded for latency instead of stalling. At or
-  /// above `shed_watermark`, new requests are rejected immediately with
+  /// requests are answered by LinearInterp instead of the model —
+  /// accuracy traded for latency instead of stalling. At or above
+  /// `shed_watermark`, new requests are rejected immediately with
   /// FailedPrecondition (the HTTP layer maps it to 503).
   int degrade_watermark = 0;
   int shed_watermark = 0;
-  /// Fallback imputer: "LinearInterp" (default) or "Mean".
-  std::string degrade_method = "LinearInterp";
   /// Optional metrics registry, borrowed (must outlive the service). It
   /// receives the serving counters (dmvi_*_total), the request-latency
   /// histogram, and the per-stage latency histograms (predict, cache
@@ -111,10 +114,10 @@ enum class LadderRung { kOff, kFull, kDegrade, kShed };
 /// beats the full model. Admission control and /healthz both read it.
 LadderRung PickLadderRung(const ServiceConfig& config, int pressure);
 
-/// Long-lived imputation service: owns loaded models (via the registry)
-/// and answers each request on the calling thread. Requests share no
-/// compute, so there is nothing to queue: the HTTP front-end calls Impute
-/// on its worker, and ImputeBatch fans Impute over ParallelFor with
+/// Long-lived imputation service: owns the one served model and answers
+/// each request on the calling thread. Requests share no compute, so
+/// there is nothing to queue: the HTTP front-end calls Impute on its
+/// worker, and ImputeBatch fans Impute over ParallelFor with
 /// deterministic per-slot aggregation mirroring RunSuite
 /// (src/eval/suite.cc) — results are bit-identical for any thread count
 /// (Predict itself consumes no randomness). The service starts no thread.
@@ -128,8 +131,35 @@ class ImputationService {
   ImputationService(const ImputationService&) = delete;
   ImputationService& operator=(const ImputationService&) = delete;
 
-  ModelRegistry& registry() { return registry_; }
   const ServiceConfig& config() const { return config_; }
+
+  /// The served model and the load generation it belongs to (1 for the
+  /// first load, +1 per reload; 0 and a null model before any load).
+  struct ServedModel {
+    std::shared_ptr<const TrainedDeepMvi> model;
+    int64_t generation = 0;
+  };
+  ServedModel served() const;
+
+  /// Replaces the served model (a deployment update). A request holds the
+  /// model it started with until it returns, so requests already running
+  /// finish on the old weights, and the old model is freed when the last
+  /// of them ends. Untrained models are FailedPrecondition.
+  Status Swap(TrainedDeepMvi model);
+
+  /// Loads a checkpoint (TrainedDeepMvi::Load) and swaps it in. A bad
+  /// checkpoint returns its error and the current model keeps serving.
+  Status Load(const std::string& path);
+
+  /// Load accounting for /metrics and /debug/state.
+  struct ReloadInfo {
+    int64_t registrations = 0;  // Successful Swap/Load calls.
+    int64_t reloads = 0;        // Those that replaced a served model.
+    /// Seconds since the latest registration; -1 when none happened
+    /// (0 would falsely read as "just loaded").
+    double model_age_seconds = -1.0;
+  };
+  ReloadInfo reload_info() const;
 
   /// Answers one request on the calling thread. Admission control picks
   /// the ladder rung first: a shed request is answered FailedPrecondition
@@ -167,12 +197,11 @@ class ImputationService {
   /// What the pressure probe reports (0 without one).
   int ProbeDepth() const;
 
-  /// Answers one admitted request (no request counters): registry lookup,
-  /// validation, cache probe, Predict. With `degrade`, the model
-  /// is still looked up and the input validated, but the configured
-  /// fallback imputer produces the answer (cache bypassed — fallback
-  /// results must never alias model results). Exceptions become kInternal
-  /// responses.
+  /// Answers one admitted request (no request counters): takes the served
+  /// model, validates, probes the cache, runs Predict. With `degrade`, the
+  /// input is still validated against the model, but LinearInterp produces
+  /// the answer (cache bypassed — fallback results must never alias model
+  /// results). Exceptions become kInternal responses.
   ImputationResponse Process(const ImputationRequest& request, bool degrade);
 
   /// FingerprintData with a one-entry memo: the serving pattern shares one
@@ -191,7 +220,11 @@ class ImputationService {
                     const ImputationResponse& response, bool shed);
 
   const ServiceConfig config_;
-  ModelRegistry registry_;
+  const Stopwatch clock_;
+  mutable Mutex model_mutex_;
+  std::shared_ptr<const TrainedDeepMvi> model_ DMVI_GUARDED_BY(model_mutex_);
+  int64_t generation_ DMVI_GUARDED_BY(model_mutex_) = 0;
+  double loaded_at_ DMVI_GUARDED_BY(model_mutex_) = 0.0;
   // Null when config_.metrics is wired in.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;

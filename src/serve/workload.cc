@@ -106,12 +106,10 @@ Mask ApplyQuery(const Mask& base, const WorkloadQuery& query) {
   return out;
 }
 
-ImputationRequest MakeQueryRequest(const std::string& model,
-                                   std::shared_ptr<const DataTensor> data,
+ImputationRequest MakeQueryRequest(std::shared_ptr<const DataTensor> data,
                                    const Mask& base,
                                    const WorkloadQuery& query) {
   ImputationRequest request;
-  request.model = model;
   request.data = std::move(data);
   request.mask = ApplyQuery(base, query);
   return request;

@@ -52,8 +52,7 @@ Mask ApplyQuery(const Mask& base, const WorkloadQuery& query);
 
 /// Builds the service request for one query: the shared dataset, base
 /// mask plus the query block.
-ImputationRequest MakeQueryRequest(const std::string& model,
-                                   std::shared_ptr<const DataTensor> data,
+ImputationRequest MakeQueryRequest(std::shared_ptr<const DataTensor> data,
                                    const Mask& base,
                                    const WorkloadQuery& query);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
 
 #include "data/io.h"
 #include "data/presets.h"
@@ -147,6 +148,36 @@ TEST(IoTest, PresetSurvivesRoundTripWithScenario) {
   }
 }
 
+
+TEST(IoTest, ReadsAnyStreamLikeAFile) {
+  // An in-memory body (a served text/csv response, say) parses exactly
+  // as the file WriteDataTensor would have written.
+  Dimension stores{"store", {"a", "b"}};
+  DataTensor data({stores}, Matrix{{1.5, -2.25}, {0.1, 4.5}});
+  Mask mask(2, 2);
+  mask.set_missing(1, 0);
+  std::ostringstream text;
+  WriteDataTensorToStream(data, text, &mask);
+  const std::string path = TempPath("stream_twin.csv");
+  ASSERT_TRUE(WriteDataTensor(data, path, &mask).ok());
+
+  std::istringstream body(text.str());
+  Mask body_mask, file_mask;
+  StatusOr<DataTensor> from_body = ReadDataTensor(body, "body", &body_mask);
+  StatusOr<DataTensor> from_file = ReadDataTensor(path, &file_mask);
+  ASSERT_TRUE(from_body.ok()) << from_body.status().ToString();
+  ASSERT_TRUE(from_file.ok());
+  EXPECT_EQ(from_body->dim(0).members, stores.members);
+  EXPECT_TRUE(from_body->values().ApproxEquals(from_file->values(), 0.0));
+  EXPECT_TRUE(body_mask.missing(1, 0));
+  EXPECT_EQ(body_mask.CountMissing(), file_mask.CountMissing());
+
+  // Errors name the stream where a file read names the path.
+  std::istringstream empty("");
+  StatusOr<DataTensor> none = ReadDataTensor(empty, "body");
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().message(), "no data rows in body");
+}
 
 TEST(CsvSeriesReaderTest, StreamsRowsIdenticalToReadDataTensor) {
   Dimension stores{"store", {"a", "b"}};

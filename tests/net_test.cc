@@ -311,7 +311,7 @@ TEST(JsonTest, SeededMutationsNeverCrashTheCodec) {
   // decoder: the only acceptable failure is InvalidArgument. Seeded for
   // exact replay under ASan/UBSan.
   const std::string base =
-      R"({"model": "m", "values": [[1.5, null, 3e2], [4, 5, 6]],)"
+      R"({"model": "default", "values": [[1.5, null, 3e2], [4, 5, 6]],)"
       R"( "query": {"row": 1, "t_start": 2, "block_len": 3}, "format": "json"})";
   Rng rng(41507);
   for (int iter = 0; iter < 800; ++iter) {
@@ -337,7 +337,13 @@ TEST(JsonTest, SeededMutationsNeverCrashTheCodec) {
     request.body = text;
     StatusOr<net::ImputeApiRequest> decoded = net::DecodeImputeRequest(request);
     if (!decoded.ok()) {
-      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+      // A mutation that renames the model is NotFound (CheckModelField);
+      // every other failure is InvalidArgument.
+      const bool renamed = doc.ok() && doc->at("model").is_string() &&
+                           doc->at("model").string_value() != "default";
+      EXPECT_EQ(decoded.status().code(), renamed
+                                             ? StatusCode::kNotFound
+                                             : StatusCode::kInvalidArgument)
           << "iter " << iter;
     }
   }
@@ -416,9 +422,9 @@ net::HttpMessage PostBody(std::string body, const std::string& accept = "") {
 
 TEST(CodecTest, DecodesQueryBaseAndInlineModes) {
   StatusOr<net::ImputeApiRequest> query = net::DecodeImputeRequest(PostBody(
-      R"({"model": "m", "query": {"row": 2, "t_start": 5, "block_len": 3}})"));
+      R"({"model": "default",
+          "query": {"row": 2, "t_start": 5, "block_len": 3}})"));
   ASSERT_TRUE(query.ok()) << query.status().ToString();
-  EXPECT_EQ(query->model, "m");
   ASSERT_TRUE(query->has_query);
   EXPECT_EQ(query->query.row, 2);
   EXPECT_EQ(query->query.t_start, 5);
@@ -428,7 +434,6 @@ TEST(CodecTest, DecodesQueryBaseAndInlineModes) {
   StatusOr<net::ImputeApiRequest> base =
       net::DecodeImputeRequest(PostBody("", "text/csv"));
   ASSERT_TRUE(base.ok());
-  EXPECT_EQ(base->model, "default");
   EXPECT_FALSE(base->has_query);
   EXPECT_FALSE(base->has_inline_data);
   EXPECT_TRUE(base->csv_response);
@@ -470,6 +475,12 @@ TEST(CodecTest, RejectsBadImputeBodies) {
     EXPECT_FALSE(decoded.ok()) << "accepted: " << body;
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << body;
   }
+  // A service serves one model: any other name is NotFound.
+  StatusOr<net::ImputeApiRequest> ghost =
+      net::DecodeImputeRequest(PostBody(R"({"model": "ghost"})"));
+  ASSERT_FALSE(ghost.ok());
+  EXPECT_EQ(ghost.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(ghost.status().message(), "no model registered under 'ghost'");
 }
 
 // ---- Server + client round trips --------------------------------------------
@@ -487,7 +498,7 @@ struct ServedCase {
     model_config.seed = 79;
     DeepMviImputer imputer(model_config);
     TrainedDeepMvi model = imputer.Fit(data_case.data, data_case.mask);
-    DMVI_CHECK(service.registry().Register("default", std::move(model)).ok());
+    DMVI_CHECK(service.Swap(std::move(model)).ok());
     shared_data = std::make_shared<const DataTensor>(data_case.data);
   }
 
@@ -795,8 +806,8 @@ TEST(ServingEndpointsTest, LoopbackImputationBitMatchesDirectServiceCalls) {
   for (const serve::WorkloadQuery& query : queries) {
     // Direct in-process answer.
     serve::ImputationResponse direct = served.service.Impute(
-        serve::MakeQueryRequest("default", served.shared_data,
-                                served.data_case.mask, query));
+        serve::MakeQueryRequest(served.shared_data, served.data_case.mask,
+                                query));
     ASSERT_TRUE(direct.status.ok()) << direct.status.ToString();
 
     // Same query over the wire, JSON cells.
@@ -837,7 +848,6 @@ TEST(ServingEndpointsTest, CsvResponseIsByteIdenticalToWriteDataTensor) {
   // Reference: the in-process base-mask imputation, written by the same
   // WriteDataTensor path dmvi_train/dmvi_serve --impute-csv use.
   serve::ImputationRequest request;
-  request.model = "default";
   request.data = served.shared_data;
   request.mask = served.data_case.mask;
   serve::ImputationResponse direct = served.service.Impute(request);
@@ -913,32 +923,37 @@ TEST(ServingEndpointsTest, InlineValuesModeImputesWithoutServedDataset) {
 
 TEST(ServingEndpointsTest, AdminEndpointsHealthMetricsReload) {
   ServedCase served;
+  // /admin/reload runs the product's path: ImputationService::Load of the
+  // body's "path", else of the context's model path.
+  const std::string model_path = TempPath("admin_reload_model.dmvi");
+  ASSERT_TRUE(served.service.served().model->Save(model_path).ok());
   net::ServingContext ctx = served.Context();
-  int reloads = 0;
-  std::string last_model, last_path;
-  ctx.reload = [&](const std::string& model, const std::string& path) {
-    ++reloads;
-    last_model = model;
-    last_path = path;
-    return model == "default" ? Status::OK()
-                              : Status::NotFound("unknown model " + model);
-  };
+  ctx.model_path = model_path;
   net::HttpServer server;
   net::RegisterServingEndpoints(&server, ctx);
   ASSERT_TRUE(server.Start().ok());
   net::Client client("127.0.0.1", server.port());
 
+  auto served_models = [&client] {
+    StatusOr<net::HttpMessage> health = client.Get("/healthz");
+    EXPECT_TRUE(health.ok());
+    EXPECT_EQ(health->status_code, 200);
+    StatusOr<net::JsonValue> doc = net::ParseJson(health->body);
+    EXPECT_TRUE(doc.ok());
+    std::vector<std::string> names;
+    for (const net::JsonValue& name : doc->at("models").array_items()) {
+      names.push_back(name.string_value());
+    }
+    return names;
+  };
   StatusOr<net::HttpMessage> health = client.Get("/healthz");
   ASSERT_TRUE(health.ok());
-  ASSERT_EQ(health->status_code, 200);
   StatusOr<net::JsonValue> health_doc = net::ParseJson(health->body);
   ASSERT_TRUE(health_doc.ok());
   EXPECT_EQ(health_doc->at("status").string_value(), "ok");
   EXPECT_EQ(health_doc->at("num_series").number_value(),
             served.data_case.data.num_series());
-  ASSERT_EQ(health_doc->at("models").array_items().size(), 1u);
-  EXPECT_EQ(health_doc->at("models").array_items()[0].string_value(),
-            "default");
+  EXPECT_EQ(served_models(), std::vector<std::string>{"default"});
 
   // /metrics is the one exposition. The context and the service carry no
   // registry here, so everything comes from the service's own.
@@ -952,35 +967,66 @@ TEST(ServingEndpointsTest, AdminEndpointsHealthMetricsReload) {
   EXPECT_NE(metrics->body.find("dmvi_request_latency_seconds_bucket"),
             std::string::npos);
   EXPECT_NE(metrics->body.find("dmvi_in_flight_requests"), std::string::npos);
+  // The /v1/impute stage histograms are registered with the route, so
+  // they are exported before the first request.
+  EXPECT_NE(metrics->body.find("\ndmvi_stage_decode_seconds_count 0\n"),
+            std::string::npos);
+  EXPECT_NE(metrics->body.find("\ndmvi_stage_encode_seconds_count 0\n"),
+            std::string::npos);
   ExpectServingFamiliesOnce(metrics->body);
   EXPECT_EQ(obs::PrometheusValue(metrics->body, "dmvi_requests_total"),
             0.0);
   // The JSON twin of /metrics is gone.
   EXPECT_EQ(client.Get("/metrics.json")->status_code, 404);
 
-  // Reload: default model, explicit path, unknown model, malformed body.
+  // Reload: the configured path, the default model by name with an empty
+  // path (the configured one again), an explicit path. Each loads a fresh
+  // copy and bumps the load generation.
+  std::weak_ptr<const TrainedDeepMvi> first = served.service.served().model;
   EXPECT_EQ(client.Post("/admin/reload", "", "application/json")
                 ->status_code,
             200);
-  EXPECT_EQ(reloads, 1);
-  EXPECT_EQ(last_model, "default");
-  EXPECT_EQ(last_path, "");
+  EXPECT_EQ(served.service.served().generation, 2);
+  EXPECT_TRUE(first.expired()) << "a reload kept the replaced model";
   EXPECT_EQ(client
-                .Post("/admin/reload",
-                      R"({"model": "default", "path": "/tmp/other.dmvi"})",
+                .Post("/admin/reload", R"({"model": "default", "path": ""})",
                       "application/json")
                 ->status_code,
             200);
-  EXPECT_EQ(last_path, "/tmp/other.dmvi");
   EXPECT_EQ(client
-                .Post("/admin/reload", R"({"model": "ghost"})",
+                .Post("/admin/reload",
+                      R"({"model": "default", "path": ")" + model_path +
+                          R"("})",
                       "application/json")
                 ->status_code,
-            404);
+            200);
+  EXPECT_EQ(served.service.reload_info().reloads, 3);
+  // A missing checkpoint fails and keeps serving.
+  EXPECT_NE(client
+                .Post("/admin/reload", R"({"path": "/nonexistent.dmvi"})",
+                      "application/json")
+                ->status_code,
+            200);
+  // Any other model name is 404 and registers nothing; a non-string model
+  // and a malformed body are 400.
+  StatusOr<net::HttpMessage> ghost = client.Post(
+      "/admin/reload", R"({"model": "ghost"})", "application/json");
+  ASSERT_TRUE(ghost.ok());
+  EXPECT_EQ(ghost->status_code, 404);
+  EXPECT_NE(ghost->body.find("no model registered under 'ghost'"),
+            std::string::npos)
+      << ghost->body;
+  EXPECT_EQ(client
+                .Post("/admin/reload", R"({"model": 7})", "application/json")
+                ->status_code,
+            400);
   EXPECT_EQ(client.Post("/admin/reload", "{not json", "application/json")
                 ->status_code,
             400);
+  EXPECT_EQ(served.service.reload_info().reloads, 3);
+  EXPECT_EQ(served_models(), std::vector<std::string>{"default"});
   server.Stop();
+  std::remove(model_path.c_str());
 }
 
 TEST(ServingEndpointsTest, ReloadOfOversizedHeaderIs400AndKeepsBytes) {
@@ -990,7 +1036,7 @@ TEST(ServingEndpointsTest, ReloadOfOversizedHeaderIs400AndKeepsBytes) {
   // weights keep serving the same bytes.
   ServedCase served;
   const std::string good_path = TempPath("reload_header_good.dmvi");
-  ASSERT_TRUE(served.service.registry().Get("default")->Save(good_path).ok());
+  ASSERT_TRUE(served.service.served().model->Save(good_path).ok());
   std::string good_bytes;
   {
     std::ifstream in(good_path, std::ios::binary);
@@ -998,12 +1044,8 @@ TEST(ServingEndpointsTest, ReloadOfOversizedHeaderIs400AndKeepsBytes) {
     buffer << in.rdbuf();
     good_bytes = buffer.str();
   }
-  net::ServingContext ctx = served.Context();
-  ctx.reload = [&served](const std::string& model, const std::string& path) {
-    return served.service.registry().LoadFromFile(model, path);
-  };
   net::HttpServer server;
-  net::RegisterServingEndpoints(&server, ctx);
+  net::RegisterServingEndpoints(&server, served.Context());
   ASSERT_TRUE(server.Start().ok());
   net::Client client("127.0.0.1", server.port());
   const std::string csv_request = R"({"format": "csv"})";
@@ -1041,7 +1083,7 @@ TEST(ServingEndpointsTest, ReloadOfOversizedHeaderIs400AndKeepsBytes) {
     EXPECT_EQ(after->body, before->body) << "header offset " << offset;
     std::remove(bad_path.c_str());
   }
-  EXPECT_EQ(served.service.registry().reload_info().reloads, 0);
+  EXPECT_EQ(served.service.reload_info().reloads, 0);
   server.Stop();
   std::remove(good_path.c_str());
 }
@@ -1274,8 +1316,8 @@ TEST(ServingEndpointsTest, OutOfRangeQueryIs400NamingTheField) {
   // WriteDataTensor's.
   const serve::WorkloadQuery edge{num_series - 1, num_times - 4, 4};
   serve::ImputationResponse direct = served.service.Impute(
-      serve::MakeQueryRequest("default", served.shared_data,
-                              served.data_case.mask, edge));
+      serve::MakeQueryRequest(served.shared_data, served.data_case.mask,
+                              edge));
   ASSERT_TRUE(direct.status.ok()) << direct.status.ToString();
   const std::string expected = net::EncodeImputedJson(
       direct, serve::ApplyQuery(served.data_case.mask, edge));

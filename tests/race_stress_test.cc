@@ -24,7 +24,6 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "serve/quality_monitor.h"
-#include "serve/registry.h"
 #include "serve/service.h"
 #include "storage/chunk_cache.h"
 #include "testing/test_util.h"
@@ -55,7 +54,7 @@ int StressScale() {
 }
 
 /// One tiny trained model, fit once and parked as a checkpoint so tests
-/// can reload it cheaply (registry reloads deserialize instead of
+/// can reload it cheaply (service reloads deserialize instead of
 /// retraining).
 struct SharedModel {
   SeasonalCase data_case;
@@ -92,19 +91,20 @@ std::vector<Mask> DistinctMasks(int count) {
   return masks;
 }
 
-// ---- Service: Impute vs. registry reload vs. cache eviction -----------------
+// ---- Service: Impute vs. model reload vs. cache eviction --------------------
 
 // The flagship scenario: request traffic, warm model reloads, and response
 // cache eviction all running at once — the production shape of a
-// deployment update under load. Every request must still be answered OK.
-TEST(RaceStressTest, ImputeDuringRegistryReloadAndCacheThrash) {
+// deployment update under load. Each reload frees the model it replaced
+// once the requests holding it end, so models are freed while requests
+// run. Every request must still be answered OK.
+TEST(RaceStressTest, ImputeDuringModelReloadAndCacheThrash) {
   const SharedModel& shared = GetSharedModel();
   ServiceConfig config;
   // Budget of a couple of responses: probes constantly evict.
   config.cache_mb = 12.0 * 1024.0 / (1024.0 * 1024.0);
   ImputationService service(config);
-  ASSERT_TRUE(
-      service.registry().LoadFromFile("m", shared.checkpoint_path).ok());
+  ASSERT_TRUE(service.Load(shared.checkpoint_path).ok());
 
   const std::vector<Mask> masks = DistinctMasks(6);
   const int requests_per_thread = 25 * StressScale();
@@ -119,7 +119,6 @@ TEST(RaceStressTest, ImputeDuringRegistryReloadAndCacheThrash) {
     callers[t] = std::thread([&, t] {
       for (int i = 0; i < requests_per_thread; ++i) {
         ImputationRequest request;
-        request.model = "m";
         request.data = shared.data;
         request.mask = masks[(t * requests_per_thread + i) % masks.size()];
         ImputationResponse response = service.Impute(request);
@@ -129,11 +128,10 @@ TEST(RaceStressTest, ImputeDuringRegistryReloadAndCacheThrash) {
     });
   }
   // Warm reloads: each swaps in a freshly deserialized model while
-  // requests are in flight (old weights stay valid via retirement).
+  // requests are in flight (a request holds the model it started with).
   std::thread reloader([&] {
     for (int i = 0; i < reloads; ++i) {
-      ASSERT_TRUE(
-          service.registry().LoadFromFile("m", shared.checkpoint_path).ok());
+      ASSERT_TRUE(service.Load(shared.checkpoint_path).ok());
     }
   });
   // Observability scrape riding the same instruments as the hot path.
@@ -282,8 +280,7 @@ TEST(RaceStressTest, ProfilerWindowsDuringScrapeAndRequestStorm) {
   config.recorder = &recorder;
   config.metrics = &registry;
   ImputationService service(config);
-  ASSERT_TRUE(
-      service.registry().LoadFromFile("m", shared.checkpoint_path).ok());
+  ASSERT_TRUE(service.Load(shared.checkpoint_path).ok());
 
   const std::vector<Mask> masks = DistinctMasks(6);
   const int requests_per_thread = 20 * StressScale();
@@ -320,7 +317,6 @@ TEST(RaceStressTest, ProfilerWindowsDuringScrapeAndRequestStorm) {
       for (int i = 0; i < requests_per_thread; ++i) {
         obs::ProfileLabelScope label("race_stress.impute");
         ImputationRequest request;
-        request.model = "m";
         request.request_id =
             "rs-" + std::to_string(t) + "-" + std::to_string(i);
         request.data = shared.data;
@@ -380,14 +376,14 @@ TEST(RaceStressTest, ChunkCacheLoadClearThrash) {
 
 // Quality monitoring rides every request, so its lock discipline gets the
 // same treatment as the hot path: two threads folding inputs and running
-// masked self-scoring, a registry reloader swapping the model pointer
-// (which resets live state mid-stream), and a snapshot scraper reading
-// everything concurrently. Invariants: snapshots are internally
+// masked self-scoring, a reloader swapping the served model (whose newer
+// generation resets live state mid-stream), and a snapshot scraper
+// reading everything concurrently. Invariants: snapshots are internally
 // consistent at every instant, and nothing tears or deadlocks.
 TEST(RaceStressTest, QualityMonitorObserveSelfScoreSnapshotStorm) {
   const SharedModel& shared = GetSharedModel();
-  serve::ModelRegistry registry;
-  ASSERT_TRUE(registry.LoadFromFile("m", shared.checkpoint_path).ok());
+  ImputationService service;
+  ASSERT_TRUE(service.Load(shared.checkpoint_path).ok());
 
   serve::QualityMonitorOptions qopts;
   qopts.selfscore_every = 3;  // Fire often so rounds overlap observes.
@@ -403,16 +399,18 @@ TEST(RaceStressTest, QualityMonitorObserveSelfScoreSnapshotStorm) {
   for (int t = 0; t < 2; ++t) {
     observers[t] = std::thread([&, t] {
       for (int i = 0; i < observes_per_thread; ++i) {
-        // Re-fetch per iteration: the reloader swaps the registered
-        // model underneath us, and a changed pointer must reset the
-        // monitor's live state rather than corrupt it.
-        const TrainedDeepMvi* model = registry.Get("m");
-        ASSERT_NE(model, nullptr);
+        // Re-fetch per iteration: the reloader swaps the served model
+        // underneath us, and a newer generation must reset the monitor's
+        // live state rather than corrupt it.
+        const ImputationService::ServedModel served = service.served();
+        ASSERT_NE(served.model, nullptr);
         const Mask& mask = masks[(t * observes_per_thread + i) %
                                  masks.size()];
-        monitor.ObserveInput("m", model, *shared.data, mask);
-        if (monitor.SelfScoreDue("m")) {
-          monitor.SelfScore("m", model, shared.data, mask,
+        monitor.ObserveInput(*served.model, served.generation, *shared.data,
+                             mask);
+        if (monitor.SelfScoreDue()) {
+          monitor.SelfScore(*served.model, served.generation, shared.data,
+                            mask,
                             /*seed=*/static_cast<uint64_t>(t * 1000 + i),
                             "race-" + std::to_string(i));
         }
@@ -421,8 +419,7 @@ TEST(RaceStressTest, QualityMonitorObserveSelfScoreSnapshotStorm) {
   }
   std::thread reloader([&] {
     for (int i = 0; i < reloads; ++i) {
-      ASSERT_TRUE(
-          registry.LoadFromFile("m", shared.checkpoint_path).ok());
+      ASSERT_TRUE(service.Load(shared.checkpoint_path).ok());
     }
   });
   std::thread scraper([&] {
@@ -431,7 +428,6 @@ TEST(RaceStressTest, QualityMonitorObserveSelfScoreSnapshotStorm) {
       ASSERT_LE(snapshot.models.size(), 1u);
       if (snapshot.models.empty()) continue;
       const serve::ModelQualitySnapshot& m = snapshot.models[0];
-      EXPECT_EQ(m.model, "m");
       EXPECT_TRUE(m.has_reference);
       EXPECT_GE(m.requests_observed, 0);
       EXPECT_GE(m.cells_observed, 0);

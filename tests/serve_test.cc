@@ -1,9 +1,9 @@
 // Tests for the train-once/serve-many split: TrainedDeepMvi (Fit /
-// Predict / Save / Load) and the src/serve layer (registry, service and
-// its metrics, workload helpers). The central contract is determinism:
-// Predict consumes no randomness, so repeated calls, loaded checkpoints,
-// and any thread count or interleaving of concurrent callers must all
-// produce bit-identical matrices.
+// Predict / Save / Load) and the src/serve layer (the service that owns
+// the served model, its metrics, workload helpers). The central contract
+// is determinism: Predict consumes no randomness, so repeated calls,
+// loaded checkpoints, and any thread count or interleaving of concurrent
+// callers must all produce bit-identical matrices.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "baselines/simple.h"
+#include "common/mutex.h"
 #include "core/deepmvi.h"
 #include "core/quality_profile.h"
 #include "obs/flight_recorder.h"
@@ -234,9 +235,8 @@ TEST(TrainedDeepMviTest, RejectsSeriesShorterThanOneWindow) {
   EXPECT_TRUE(c.model.Predict(one_window, one_window_mask).AllFinite());
 
   serve::ImputationService service;
-  ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
+  ASSERT_TRUE(service.Swap(std::move(c.model)).ok());
   serve::ImputationRequest request;
-  request.model = "m";
   request.data = std::make_shared<const DataTensor>(short_data);
   request.mask = short_mask;
   serve::ImputationResponse response = service.Impute(request);
@@ -295,51 +295,25 @@ TEST(DeepMviImputerTest, TrainStatsResetAtTopOfEveryCall) {
 
 // ---- ImputationService ------------------------------------------------------
 
-TEST(ImputationServiceTest, UnknownModelYieldsNotFound) {
+TEST(ImputationServiceTest, NoLoadedModelYieldsFailedPrecondition) {
   serve::ImputationService service;
   serve::ImputationRequest request;
-  request.model = "missing";
   serve::ImputationResponse response = service.Impute(request);
   EXPECT_FALSE(response.status.ok());
-  EXPECT_EQ(response.status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(CounterValue(service, "dmvi_failures_total"), 1);
 }
 
 TEST(ImputationServiceTest, BadShapeYieldsErrorResponseNotCrash) {
   TrainedCase c = MakeTrainedCase();
   serve::ImputationService service;
-  ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
+  ASSERT_TRUE(service.Swap(std::move(c.model)).ok());
   serve::ImputationRequest request;
-  request.model = "m";
   request.data = std::make_shared<const DataTensor>(c.data_case.data);
   request.mask = Mask(2, 7);  // Nonsense shape.
   serve::ImputationResponse response = service.Impute(request);
   EXPECT_FALSE(response.status.ok());
   EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ImputationServiceTest, RegistryListsAndSwapsModels) {
-  serve::ImputationService service;
-  EXPECT_EQ(service.registry().size(), 0);
-  EXPECT_EQ(service.registry().Get("m"), nullptr);
-  EXPECT_FALSE(
-      service.registry().Register("", TrainedDeepMvi()).ok());  // Empty name.
-  EXPECT_FALSE(
-      service.registry().Register("m", TrainedDeepMvi()).ok());  // Untrained.
-
-  TrainedCase c = MakeTrainedCase();
-  ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
-  const TrainedDeepMvi* first = service.registry().Get("m");
-  ASSERT_NE(first, nullptr);
-
-  // Re-register (deployment update): old pointer must stay valid.
-  TrainedCase updated = MakeTrainedCase(36);
-  ASSERT_TRUE(service.registry().Register("m", std::move(updated.model)).ok());
-  EXPECT_EQ(service.registry().size(), 1);
-  EXPECT_NE(service.registry().Get("m"), first);
-  EXPECT_GT(first->num_parameters(), 0);  // Retired, not destroyed.
-  EXPECT_EQ(service.registry().Names(),
-            std::vector<std::string>{std::string("m")});
 }
 
 /// The workload used by the determinism suites: distinct block queries.
@@ -353,7 +327,7 @@ std::vector<serve::ImputationRequest> MakeWorkloadRequests(
   requests.reserve(queries.size());
   for (const serve::WorkloadQuery& query : queries) {
     requests.push_back(
-        serve::MakeQueryRequest("m", shared_data, c.data_case.mask, query));
+        serve::MakeQueryRequest(shared_data, c.data_case.mask, query));
   }
   return requests;
 }
@@ -377,6 +351,76 @@ std::vector<serve::ImputationResponse> ImputeConcurrently(
   return responses;
 }
 
+/// Holds the thread that records the first "cache.probe" span until
+/// Release(): a request paused there has taken its model but not yet run
+/// Predict.
+class PauseAtCacheProbe : public obs::TraceSink {
+ public:
+  void Record(obs::SpanRecord record) override {
+    if (record.name != "cache.probe") return;
+    MutexLock lock(&mutex_);
+    if (paused_) return;
+    paused_ = true;
+    changed_.SignalAll();
+    while (!released_) changed_.Wait(&mutex_);
+  }
+  void WaitUntilPaused() {
+    MutexLock lock(&mutex_);
+    while (!paused_) changed_.Wait(&mutex_);
+  }
+  void Release() {
+    MutexLock lock(&mutex_);
+    released_ = true;
+    changed_.SignalAll();
+  }
+
+ private:
+  Mutex mutex_;
+  CondVar changed_;
+  bool paused_ DMVI_GUARDED_BY(mutex_) = false;
+  bool released_ DMVI_GUARDED_BY(mutex_) = false;
+};
+
+TEST(ImputationServiceTest, SwapFreesTheReplacedModelOnceNoRequestHoldsIt) {
+  serve::ServiceConfig config;
+  config.cache_mb = 4.0;  // The cache probe is where the request pauses.
+  serve::ImputationService service(config);
+  EXPECT_EQ(service.served().model, nullptr);
+  EXPECT_EQ(service.served().generation, 0);
+  EXPECT_FALSE(service.Swap(TrainedDeepMvi()).ok());  // Untrained.
+  EXPECT_EQ(service.served().generation, 0);
+
+  TrainedCase c = MakeTrainedCase();
+  TrainedCase updated = MakeTrainedCase(36);
+  const std::vector<serve::ImputationRequest> requests =
+      MakeWorkloadRequests(c, 1);
+  const Matrix old_bits =
+      c.model.Predict(*requests[0].data, requests[0].mask);
+  ASSERT_TRUE(service.Swap(std::move(c.model)).ok());
+  std::weak_ptr<const TrainedDeepMvi> old_model = service.served().model;
+  ASSERT_FALSE(old_model.expired());
+
+  // A request takes the old model, then pauses before Predict while the
+  // model is swapped underneath it.
+  PauseAtCacheProbe pause;
+  obs::Tracer tracer(&pause);
+  serve::ImputationResponse held;
+  {
+    ScopedProcessTracer scoped(&tracer);
+    std::thread request([&] { held = service.Impute(requests[0]); });
+    pause.WaitUntilPaused();
+    ASSERT_TRUE(service.Swap(std::move(updated.model)).ok());
+    EXPECT_EQ(service.served().generation, 2);
+    EXPECT_FALSE(old_model.expired()) << "freed under a running request";
+    pause.Release();
+    request.join();
+  }
+  // The request finished on the old weights, and nothing holds them now.
+  ASSERT_TRUE(held.status.ok()) << held.status.ToString();
+  ExpectMatricesBitIdentical(held.imputed, old_bits, "request across swap");
+  EXPECT_TRUE(old_model.expired()) << "replaced model was kept alive";
+}
+
 TEST(ImputationServiceTest, ConcurrentBatchesMatchSingleThreadBitForBit) {
   TrainedCase c = MakeTrainedCase();
   std::vector<serve::ImputationRequest> requests = MakeWorkloadRequests(c, 10);
@@ -387,7 +431,7 @@ TEST(ImputationServiceTest, ConcurrentBatchesMatchSingleThreadBitForBit) {
   serve::ImputationService serial(serial_config);
   {
     TrainedCase ref = MakeTrainedCase();
-    ASSERT_TRUE(serial.registry().Register("m", std::move(ref.model)).ok());
+    ASSERT_TRUE(serial.Swap(std::move(ref.model)).ok());
   }
   std::vector<Matrix> reference;
   for (const auto& request : requests) {
@@ -400,7 +444,7 @@ TEST(ImputationServiceTest, ConcurrentBatchesMatchSingleThreadBitForBit) {
   serve::ServiceConfig parallel_config;
   parallel_config.threads = 4;
   serve::ImputationService parallel(parallel_config);
-  ASSERT_TRUE(parallel.registry().Register("m", std::move(c.model)).ok());
+  ASSERT_TRUE(parallel.Swap(std::move(c.model)).ok());
   std::vector<serve::ImputationResponse> batched =
       parallel.ImputeBatch(requests);
   ASSERT_EQ(batched.size(), requests.size());
@@ -423,9 +467,10 @@ TEST(ImputationServiceTest, ConcurrentBatchesMatchSingleThreadBitForBit) {
 
   // One failed request: counted as a request and a failure, and it adds
   // no rows or cells.
-  serve::ImputationRequest unknown = requests[0];
-  unknown.model = "missing";
-  EXPECT_EQ(parallel.Impute(unknown).status.code(), StatusCode::kNotFound);
+  serve::ImputationRequest no_data = requests[0];
+  no_data.data = nullptr;
+  EXPECT_EQ(parallel.Impute(no_data).status.code(),
+            StatusCode::kInvalidArgument);
 
   // The counters hold exactly what the responses report.
   int64_t rows = 0;
@@ -468,7 +513,7 @@ TEST(ImputationServiceTest, DegradedResponsesUseFallbackAndAreMarked) {
   config.degrade_watermark = 1;
   config.threads = 2;
   serve::ImputationService service(config);
-  ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
+  ASSERT_TRUE(service.Swap(std::move(c.model)).ok());
   // A probe pinned far above the watermark: every request is admitted on
   // the degraded rung — deterministic, no timing needed.
   service.SetPressureProbe([] { return 100; });
@@ -491,26 +536,6 @@ TEST(ImputationServiceTest, DegradedResponsesUseFallbackAndAreMarked) {
   EXPECT_EQ(CounterValue(service, "dmvi_failures_total"), 0);
 }
 
-TEST(ImputationServiceTest, MeanDegradeMethodIsHonored) {
-  TrainedCase c = MakeTrainedCase();
-  std::vector<serve::ImputationRequest> requests = MakeWorkloadRequests(c, 1);
-  MeanImputer fallback;
-  const Matrix expected = fallback.Impute(*requests[0].data, requests[0].mask);
-
-  serve::ServiceConfig config;
-  config.degrade_watermark = 1;
-  config.degrade_method = "Mean";
-  serve::ImputationService service(config);
-  ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
-  service.SetPressureProbe([] { return 100; });
-
-  serve::ImputationResponse response = service.Impute(requests[0]);
-  ASSERT_TRUE(response.status.ok());
-  EXPECT_TRUE(response.degraded);
-  EXPECT_EQ(response.degrade_method, "Mean");
-  ExpectMatricesBitIdentical(response.imputed, expected, "Mean fallback");
-}
-
 TEST(ImputationServiceTest, ShedBeyondWatermarkIsFailedPrecondition) {
   TrainedCase c = MakeTrainedCase();
   std::vector<serve::ImputationRequest> requests = MakeWorkloadRequests(c, 2);
@@ -519,7 +544,7 @@ TEST(ImputationServiceTest, ShedBeyondWatermarkIsFailedPrecondition) {
   config.degrade_watermark = 1;
   config.shed_watermark = 50;
   serve::ImputationService service(config);
-  ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
+  ASSERT_TRUE(service.Swap(std::move(c.model)).ok());
   service.SetPressureProbe([] { return 100; });  // Above both rungs.
 
   for (const serve::ImputationResponse& response :
@@ -554,7 +579,7 @@ TEST(ImputationServiceTest, LadderInactiveBelowWatermarks) {
   config.degrade_watermark = 1000;
   config.shed_watermark = 2000;
   serve::ImputationService service(config);
-  ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
+  ASSERT_TRUE(service.Swap(std::move(c.model)).ok());
   std::vector<serve::ImputationResponse> responses =
       ImputeConcurrently(service, requests, 2);
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -577,7 +602,7 @@ TEST(ImputationServiceTest, ArrivingRequestDoesNotCountItselfAsPressure) {
   serve::ServiceConfig config;
   config.degrade_watermark = 1;
   serve::ImputationService service(config);
-  ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
+  ASSERT_TRUE(service.Swap(std::move(c.model)).ok());
   service.SetPressureProbe([] { return 0; });
 
   // Alone, with the probe at 0, the pressure is 0: below the watermark.
@@ -620,38 +645,38 @@ TEST(ResponseCacheTest, HitsMissesAndLruEvictionUnderByteBudget) {
       8 * 8 * static_cast<int64_t>(sizeof(double)) +
       static_cast<int64_t>(sizeof(serve::CachedResponse));
   serve::ResponseCache cache(2 * entry_bytes + 16);
-  const int model_a = 0, model_b = 0;  // Distinct addresses.
+  const int64_t model_a = 1, model_b = 2;  // Load generations.
 
-  EXPECT_EQ(cache.Get({&model_a, 1, 1}), nullptr);  // Miss.
-  Put(cache, {&model_a, 1, 1}, MakeCached(8, 8, 1.0));
-  serve::ResponseCache::ValuePtr hit = cache.Get({&model_a, 1, 1});
+  EXPECT_EQ(cache.Get({model_a, 1, 1}), nullptr);  // Miss.
+  Put(cache, {model_a, 1, 1}, MakeCached(8, 8, 1.0));
+  serve::ResponseCache::ValuePtr hit = cache.Get({model_a, 1, 1});
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->imputed(0, 0), 1.0);
 
   // Same fingerprints under another model are a different key.
-  EXPECT_EQ(cache.Get({&model_b, 1, 1}), nullptr);
-  Put(cache, {&model_b, 1, 1}, MakeCached(8, 8, 2.0));
+  EXPECT_EQ(cache.Get({model_b, 1, 1}), nullptr);
+  Put(cache, {model_b, 1, 1}, MakeCached(8, 8, 2.0));
   // Different mask fingerprint is a different key too.
-  EXPECT_EQ(cache.Get({&model_a, 1, 2}), nullptr);
+  EXPECT_EQ(cache.Get({model_a, 1, 2}), nullptr);
 
   // Budget holds two entries; inserting a third evicts the LRU (model_a's,
   // since model_b's was inserted later and model_a's was touched earlier).
-  cache.Get({&model_b, 1, 1});  // model_b entry is now most recent.
-  Put(cache, {&model_a, 9, 9}, MakeCached(8, 8, 3.0));
+  cache.Get({model_b, 1, 1});  // model_b entry is now most recent.
+  Put(cache, {model_a, 9, 9}, MakeCached(8, 8, 3.0));
   serve::ResponseCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1);
   EXPECT_LE(stats.bytes_cached, cache.byte_budget());
-  EXPECT_EQ(cache.Get({&model_a, 1, 1}), nullptr);      // Evicted.
-  EXPECT_NE(cache.Get({&model_b, 1, 1}), nullptr);      // Survived.
-  EXPECT_NE(cache.Get({&model_a, 9, 9}), nullptr);      // New entry.
+  EXPECT_EQ(cache.Get({model_a, 1, 1}), nullptr);      // Evicted.
+  EXPECT_NE(cache.Get({model_b, 1, 1}), nullptr);      // Survived.
+  EXPECT_NE(cache.Get({model_a, 9, 9}), nullptr);      // New entry.
 
   // An entry larger than the whole budget is never retained, and an
   // outstanding pointer survives Clear().
-  Put(cache, {&model_a, 7, 7}, MakeCached(64, 64, 4.0));
-  EXPECT_EQ(cache.Get({&model_a, 7, 7}), nullptr);
-  serve::ResponseCache::ValuePtr pinned = cache.Get({&model_b, 1, 1});
+  Put(cache, {model_a, 7, 7}, MakeCached(64, 64, 4.0));
+  EXPECT_EQ(cache.Get({model_a, 7, 7}), nullptr);
+  serve::ResponseCache::ValuePtr pinned = cache.Get({model_b, 1, 1});
   cache.Clear();
-  EXPECT_EQ(cache.Get({&model_b, 1, 1}), nullptr);
+  EXPECT_EQ(cache.Get({model_b, 1, 1}), nullptr);
   EXPECT_EQ(pinned->imputed(0, 0), 2.0);
   EXPECT_GT(cache.stats().peak_bytes, 0);
 }
@@ -670,20 +695,31 @@ TEST(ResponseCacheTest, FingerprintsSeparateDataMaskAndShape) {
             serve::FingerprintMask(Mask(3, 2)));
 }
 
+/// True when `x` and `y` hold the same shape and cell values.
+bool SameBits(const Matrix& x, const Matrix& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (int r = 0; r < x.rows(); ++r) {
+    for (int t = 0; t < x.cols(); ++t) {
+      if (x(r, t) != y(r, t)) return false;
+    }
+  }
+  return true;
+}
+
 TEST(ImputationServiceTest, CachedResponsesAreBitIdenticalAndCounted) {
   TrainedCase c = MakeTrainedCase();
   serve::ServiceConfig cached_config;
   cached_config.cache_mb = 16.0;
   cached_config.threads = 1;
   serve::ImputationService cached(cached_config);
-  ASSERT_TRUE(cached.registry().Register("m", std::move(c.model)).ok());
+  ASSERT_TRUE(cached.Swap(std::move(c.model)).ok());
 
   serve::ServiceConfig plain_config;
   plain_config.threads = 1;
   serve::ImputationService plain(plain_config);
   {
     TrainedCase ref = MakeTrainedCase();
-    ASSERT_TRUE(plain.registry().Register("m", std::move(ref.model)).ok());
+    ASSERT_TRUE(plain.Swap(std::move(ref.model)).ok());
   }
 
   std::vector<serve::ImputationRequest> requests = MakeWorkloadRequests(c, 6);
@@ -706,11 +742,19 @@ TEST(ImputationServiceTest, CachedResponsesAreBitIdenticalAndCounted) {
   EXPECT_EQ(cached.response_cache()->stats().hits, 2);
   EXPECT_EQ(plain.response_cache(), nullptr);
 
-  // A model swap changes the cache key (pointer identity): the same
-  // request misses instead of serving the old weights' answer.
+  // A model swap changes the cache key (load generation): the same
+  // request misses and answers with the new weights' bytes.
   TrainedCase swapped = MakeTrainedCase(37);
-  ASSERT_TRUE(cached.registry().Register("m", std::move(swapped.model)).ok());
-  ASSERT_TRUE(cached.Impute(requests[0]).status.ok());
+  const Matrix new_bits =
+      swapped.model.Predict(*requests[0].data, requests[0].mask);
+  const Matrix old_bits = plain.Impute(requests[0]).imputed;
+  ASSERT_FALSE(SameBits(new_bits, old_bits))
+      << "seeds 31 and 37 trained identical models; the check is vacuous";
+  ASSERT_TRUE(cached.Swap(std::move(swapped.model)).ok());
+  serve::ImputationResponse after_swap = cached.Impute(requests[0]);
+  ASSERT_TRUE(after_swap.status.ok()) << after_swap.status.ToString();
+  EXPECT_FALSE(after_swap.cache_hit);
+  ExpectMatricesBitIdentical(after_swap.imputed, new_bits, "after swap");
   EXPECT_EQ(CounterValue(cached, "dmvi_cache_misses_total"), 7);
   EXPECT_EQ(CounterValue(cached, "dmvi_cache_hits_total"), 2);
 }
@@ -733,16 +777,7 @@ TEST(ImputationServiceTest, CacheThrashDuringReloadRaceNeverServesStaleBytes) {
     expect_a.push_back(c.model.Predict(*request.data, request.mask));
     expect_b.push_back(model_b.Predict(*request.data, request.mask));
   }
-  auto same_bits = [](const Matrix& x, const Matrix& y) {
-    if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
-    for (int r = 0; r < x.rows(); ++r) {
-      for (int t = 0; t < x.cols(); ++t) {
-        if (x(r, t) != y(r, t)) return false;
-      }
-    }
-    return true;
-  };
-  ASSERT_FALSE(same_bits(expect_a[0], expect_b[0]))
+  ASSERT_FALSE(SameBits(expect_a[0], expect_b[0]))
       << "seeds 77 and 99 trained identical models; race test is vacuous";
 
   const std::string path_a = TempPath("reload_race_a.dmvi");
@@ -754,14 +789,14 @@ TEST(ImputationServiceTest, CacheThrashDuringReloadRaceNeverServesStaleBytes) {
   config.cache_mb = 0.01;  // ~10KB: each 5x120 matrix is 4800B, so ~2 fit.
   config.threads = 2;
   serve::ImputationService service(config);
-  ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
+  ASSERT_TRUE(service.Swap(std::move(c.model)).ok());
 
   std::atomic<bool> stop{false};
   std::thread reloader([&] {
     int flip = 0;
     while (!stop.load()) {
       const std::string& path = (flip++ % 2 == 0) ? path_b : path_a;
-      Status status = service.registry().LoadFromFile("m", path);
+      Status status = service.Load(path);
       ASSERT_TRUE(status.ok()) << status.ToString();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -775,8 +810,8 @@ TEST(ImputationServiceTest, CacheThrashDuringReloadRaceNeverServesStaleBytes) {
         const size_t i = static_cast<size_t>(iter) % requests.size();
         serve::ImputationResponse response = service.Impute(requests[i]);
         ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-        if (!same_bits(response.imputed, expect_a[i]) &&
-            !same_bits(response.imputed, expect_b[i])) {
+        if (!SameBits(response.imputed, expect_a[i]) &&
+            !SameBits(response.imputed, expect_b[i])) {
           mismatches.fetch_add(1);
         }
       }
@@ -803,7 +838,6 @@ std::vector<Matrix> ImputeSixConcurrently(serve::ImputationService& service,
   auto data = std::make_shared<const DataTensor>(c.data_case.data);
   std::vector<serve::ImputationRequest> requests(6);
   for (int i = 0; i < 6; ++i) {
-    requests[i].model = "default";
     requests[i].data = data;
     requests[i].mask = c.data_case.mask;
     requests[i].request_id = "req-" + std::to_string(i);
@@ -825,7 +859,7 @@ TEST(ImputationServiceTest, TracingAndMetricsDoNotChangeResponseBytes) {
     serve::ImputationService service(config);
     // Fit is deterministic, so a re-trained copy is the identical model.
     EXPECT_TRUE(
-        service.registry().Register("default", MakeTrainedCase().model).ok());
+        service.Swap(MakeTrainedCase().model).ok());
     // Only the serving calls run under the process tracer.
     ScopedProcessTracer scoped(tracer);
     return ImputeSixConcurrently(service, c);
@@ -874,7 +908,7 @@ TEST(ImputationServiceTest, FlightRecorderSeesEveryOutcomeKind) {
   config.cache_mb = 4.0;
   config.shed_watermark = 1;
   serve::ImputationService service(config);
-  ASSERT_TRUE(service.registry().Register("m", std::move(c.model)).ok());
+  ASSERT_TRUE(service.Swap(std::move(c.model)).ok());
 
   // Full predict, then the identical request again: a cache hit.
   requests[0].request_id = "fr-predict";
@@ -885,10 +919,9 @@ TEST(ImputationServiceTest, FlightRecorderSeesEveryOutcomeKind) {
   requests[1].request_id = "fr-second";
   ASSERT_TRUE(service.Impute(requests[1]).status.ok());
   // Failure.
-  serve::ImputationRequest unknown;
-  unknown.model = "missing";
-  unknown.request_id = "fr-failed";
-  EXPECT_FALSE(service.Impute(unknown).status.ok());
+  serve::ImputationRequest no_data;
+  no_data.request_id = "fr-failed";
+  EXPECT_FALSE(service.Impute(no_data).status.ok());
   // Shed at admission.
   service.SetPressureProbe([] { return 100; });
   requests[2].request_id = "fr-shed";
@@ -907,7 +940,7 @@ TEST(ImputationServiceTest, FlightRecorderSeesEveryOutcomeKind) {
   EXPECT_FALSE(predicted.cache_hit);
   EXPECT_GT(predicted.predict_seconds, 0.0);
   EXPECT_GT(predicted.cells_imputed, 0);
-  EXPECT_EQ(predicted.model, "m");
+  EXPECT_EQ(predicted.model, "default");
   const obs::RequestRecord& cached = by_id.at("fr-cached");
   EXPECT_TRUE(cached.ok);
   EXPECT_TRUE(cached.cache_hit);
@@ -918,7 +951,7 @@ TEST(ImputationServiceTest, FlightRecorderSeesEveryOutcomeKind) {
   EXPECT_GE(second.latency_seconds, second.predict_seconds);
   const obs::RequestRecord& failed = by_id.at("fr-failed");
   EXPECT_FALSE(failed.ok);
-  EXPECT_NE(failed.status.find("NotFound"), std::string::npos);
+  EXPECT_NE(failed.status.find("InvalidArgument"), std::string::npos);
   const obs::RequestRecord& shed = by_id.at("fr-shed");
   EXPECT_TRUE(shed.shed);
   EXPECT_FALSE(shed.ok);
@@ -934,7 +967,7 @@ TEST(ImputationServiceTest, ProfilerAndRecorderDoNotChangeResponseBytes) {
   auto run = [&](serve::ServiceConfig config) {
     serve::ImputationService service(config);
     EXPECT_TRUE(
-        service.registry().Register("default", MakeTrainedCase().model).ok());
+        service.Swap(MakeTrainedCase().model).ok());
     return ImputeSixConcurrently(service, c);
   };
 
@@ -964,7 +997,7 @@ TEST(QualityMonitorTest, MatchedInputStaysQuietDriftedInputScores) {
   serve::QualityMonitor monitor;
 
   // Matched: the training data itself flows back in.
-  monitor.ObserveInput("m", &c.model, c.data_case.data, c.data_case.mask);
+  monitor.ObserveInput(c.model, 1, c.data_case.data, c.data_case.mask);
   serve::QualitySnapshot quiet = monitor.Snapshot();
   ASSERT_EQ(quiet.models.size(), 1u);
   EXPECT_TRUE(quiet.models[0].has_reference);
@@ -983,7 +1016,7 @@ TEST(QualityMonitorTest, MatchedInputStaysQuietDriftedInputScores) {
       ApplyScenarioTransform(drift, c.data_case.data.values());
   const DataTensor shifted_data = DataTensor::FromMatrix(shifted);
   serve::QualityMonitor fresh;
-  fresh.ObserveInput("m", &c.model, shifted_data, c.data_case.mask);
+  fresh.ObserveInput(c.model, 1, shifted_data, c.data_case.mask);
   serve::QualitySnapshot drifted = fresh.Snapshot();
   ASSERT_EQ(drifted.models.size(), 1u);
   EXPECT_GT(drifted.models[0].drift_score, 0.2);
@@ -998,19 +1031,26 @@ TEST(QualityMonitorTest, MatchedInputStaysQuietDriftedInputScores) {
   EXPECT_NEAR(model_snapshot.input_missing_rate, 0.1, 0.05);
 }
 
-TEST(QualityMonitorTest, ReloadedModelPointerResetsLiveState) {
+TEST(QualityMonitorTest, NewerGenerationResetsLiveStateOlderIsDropped) {
   TrainedCase c = MakeTrainedCase(47);
   serve::QualityMonitor monitor;
-  monitor.ObserveInput("m", &c.model, c.data_case.data, c.data_case.mask);
-  monitor.ObserveInput("m", &c.model, c.data_case.data, c.data_case.mask);
+  EXPECT_TRUE(monitor.Snapshot().models.empty());
+  monitor.ObserveInput(c.model, 1, c.data_case.data, c.data_case.mask);
+  monitor.ObserveInput(c.model, 1, c.data_case.data, c.data_case.mask);
   EXPECT_EQ(monitor.Snapshot().models[0].requests_observed, 2);
 
-  // A different TrainedDeepMvi instance for the same name is a registry
-  // reload: live distributions restart against the new reference.
+  // A newer load generation is a reload: live distributions restart
+  // against the new reference.
   TrainedCase reloaded = MakeTrainedCase(47);
-  monitor.ObserveInput("m", &reloaded.model, reloaded.data_case.data,
+  monitor.ObserveInput(reloaded.model, 2, reloaded.data_case.data,
                        reloaded.data_case.mask);
+  EXPECT_EQ(monitor.Snapshot().models[0].requests_observed, 1);
+
+  // A request that took the old model before the reload is not counted
+  // against the new one, and does not restart the state either.
+  monitor.ObserveInput(c.model, 1, c.data_case.data, c.data_case.mask);
   serve::QualitySnapshot snapshot = monitor.Snapshot();
+  ASSERT_EQ(snapshot.models.size(), 1u);
   EXPECT_EQ(snapshot.models[0].requests_observed, 1);
 }
 
@@ -1020,7 +1060,7 @@ TEST(QualityMonitorTest, SelfScoreIsDeterministicForFixedSeed) {
 
   auto run_once = [&](uint64_t seed) {
     serve::QualityMonitor monitor;
-    monitor.SelfScore("m", &c.model, data, c.data_case.mask, seed, "req-0");
+    monitor.SelfScore(c.model, 1, data, c.data_case.mask, seed, "req-0");
     serve::QualitySnapshot snapshot = monitor.Snapshot();
     EXPECT_EQ(snapshot.models.size(), 1u);
     EXPECT_EQ(snapshot.models[0].selfscore_rounds, 1);
@@ -1047,11 +1087,9 @@ TEST(QualityMonitorTest, SelfScoreCadenceFollowsOption) {
   serve::QualityMonitor monitor(options);
   std::vector<bool> due;
   due.reserve(9);
-  for (int i = 0; i < 9; ++i) due.push_back(monitor.SelfScoreDue("m"));
+  for (int i = 0; i < 9; ++i) due.push_back(monitor.SelfScoreDue());
   EXPECT_EQ(due, std::vector<bool>({false, false, true, false, false, true,
                                     false, false, true}));
-  // Per-model counters: a second model has its own cadence.
-  EXPECT_FALSE(monitor.SelfScoreDue("other"));
 }
 
 TEST(QualityMonitorTest, LegacyModelWithoutProfileStillSelfScores) {
@@ -1077,10 +1115,10 @@ TEST(QualityMonitorTest, LegacyModelWithoutProfileStillSelfScores) {
   ASSERT_EQ(legacy->quality_profile(), nullptr);
 
   serve::QualityMonitor monitor;
-  monitor.ObserveInput("m", &legacy.value(), c.data_case.data,
+  monitor.ObserveInput(legacy.value(), 1, c.data_case.data,
                        c.data_case.mask);
   auto data = std::make_shared<const DataTensor>(c.data_case.data);
-  monitor.SelfScore("m", &legacy.value(), data, c.data_case.mask, 99,
+  monitor.SelfScore(legacy.value(), 1, data, c.data_case.mask, 99,
                     "req-legacy");
   serve::QualitySnapshot snapshot = monitor.Snapshot();
   ASSERT_EQ(snapshot.models.size(), 1u);
@@ -1101,12 +1139,9 @@ TEST(ImputationServiceTest, QualityMonitorDoesNotChangeResponseBytes) {
   auto run = [&](serve::ServiceConfig config) {
     serve::ImputationService service(config);
     EXPECT_TRUE(
-        service.registry().Register("default", MakeTrainedCase().model).ok());
+        service.Swap(MakeTrainedCase().model).ok());
     std::vector<serve::ImputationRequest> requests =
         MakeWorkloadRequests(c, 12);
-    for (serve::ImputationRequest& request : requests) {
-      request.model = "default";
-    }
     std::vector<Matrix> imputed;
     for (serve::ImputationResponse& response :
          ImputeConcurrently(service, requests, 2)) {
@@ -1138,26 +1173,28 @@ TEST(ImputationServiceTest, QualityMonitorDoesNotChangeResponseBytes) {
   EXPECT_EQ(snapshot.models[0].selfscore_rounds, 3);
 }
 
-TEST(RegistryTest, ReloadInfoCountsRegistrationsAndSwaps) {
-  serve::ModelRegistry registry;
-  serve::ModelRegistry::ReloadInfo empty = registry.reload_info();
+TEST(ImputationServiceTest, ReloadInfoCountsLoadsAndSwaps) {
+  serve::ImputationService service;
+  serve::ImputationService::ReloadInfo empty = service.reload_info();
   EXPECT_EQ(empty.registrations, 0);
   EXPECT_EQ(empty.reloads, 0);
-  EXPECT_EQ(empty.model_age_seconds, -1.0);  // Nothing registered yet.
+  EXPECT_EQ(empty.model_age_seconds, -1.0);  // Nothing loaded yet.
 
-  ASSERT_TRUE(registry.Register("a", MakeTrainedCase().model).ok());
-  serve::ModelRegistry::ReloadInfo first = registry.reload_info();
+  ASSERT_TRUE(service.Swap(MakeTrainedCase().model).ok());
+  serve::ImputationService::ReloadInfo first = service.reload_info();
   EXPECT_EQ(first.registrations, 1);
   EXPECT_EQ(first.reloads, 0);
-  EXPECT_EQ(first.last_model, "a");
   EXPECT_GE(first.model_age_seconds, 0.0);
 
-  ASSERT_TRUE(registry.Register("b", MakeTrainedCase().model).ok());
-  ASSERT_TRUE(registry.Register("a", MakeTrainedCase().model).ok());  // Swap.
-  serve::ModelRegistry::ReloadInfo after = registry.reload_info();
-  EXPECT_EQ(after.registrations, 3);
+  ASSERT_TRUE(service.Swap(MakeTrainedCase().model).ok());  // Swap.
+  // Failed loads count nothing and keep the served model.
+  EXPECT_FALSE(service.Swap(TrainedDeepMvi()).ok());
+  EXPECT_FALSE(service.Load("/nonexistent/model.dmvi").ok());
+  serve::ImputationService::ReloadInfo after = service.reload_info();
+  EXPECT_EQ(after.registrations, 2);
   EXPECT_EQ(after.reloads, 1);
-  EXPECT_EQ(after.last_model, "a");
+  EXPECT_EQ(service.served().generation, 2);
+  EXPECT_NE(service.served().model, nullptr);
 }
 
 TEST(WorkloadTest, FileRoundTripAndErrors) {

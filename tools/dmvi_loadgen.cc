@@ -77,6 +77,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -84,6 +85,7 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "data/io.h"
 #include "net/client.h"
 #include "net/codec.h"
 #include "net/server.h"
@@ -200,49 +202,6 @@ void RunWorker(const LoadgenOptions& options,
       result->latency_by_id.emplace_back(request_id, latency);
     }
   }
-}
-
-/// Parses a WriteDataTensor-format CSV body ('#'-prefixed dimension header
-/// lines, then one comma-separated row of numbers per series) into a
-/// Matrix. The loadgen keeps its own tiny parser because data/io.h reads
-/// from paths, not strings, and the body never leaves memory here.
-StatusOr<Matrix> ParseCsvBody(const std::string& body) {
-  std::vector<std::vector<double>> rows;
-  size_t pos = 0;
-  while (pos < body.size()) {
-    size_t end = body.find('\n', pos);
-    if (end == std::string::npos) end = body.size();
-    if (end > pos && body[pos] != '#') {
-      std::vector<double> row;
-      const char* cursor = body.c_str() + pos;
-      const char* line_end = body.c_str() + end;
-      while (cursor < line_end) {
-        char* after = nullptr;
-        row.push_back(std::strtod(cursor, &after));
-        if (after == cursor) {
-          return Status::InvalidArgument("unparseable CSV cell at byte " +
-                                         std::to_string(cursor - body.c_str()));
-        }
-        cursor = after;
-        if (cursor < line_end && *cursor == ',') ++cursor;
-      }
-      if (!rows.empty() && row.size() != rows.front().size()) {
-        return Status::InvalidArgument("ragged CSV row " +
-                                       std::to_string(rows.size()));
-      }
-      if (!row.empty()) rows.push_back(std::move(row));
-    }
-    pos = end + 1;
-  }
-  if (rows.empty()) return Status::InvalidArgument("CSV body holds no rows");
-  Matrix values(static_cast<int>(rows.size()),
-                static_cast<int>(rows.front().size()));
-  for (int r = 0; r < values.rows(); ++r) {
-    for (int t = 0; t < values.cols(); ++t) {
-      values(r, t) = rows[static_cast<size_t>(r)][static_cast<size_t>(t)];
-    }
-  }
-  return values;
 }
 
 /// Inline-values /v1/impute body: the full matrix rendered at %.17g with
@@ -538,13 +497,14 @@ int Run(int argc, char** argv) {
                              : base.status().ToString().c_str());
       return 1;
     }
-    StatusOr<Matrix> parsed = ParseCsvBody(base->body);
+    std::istringstream body(base->body);
+    StatusOr<DataTensor> parsed = ReadDataTensor(body, "served CSV");
     if (!parsed.ok()) {
       std::fprintf(stderr, "cannot parse served CSV: %s\n",
                    parsed.status().ToString().c_str());
       return 1;
     }
-    Matrix values = std::move(parsed).value();
+    Matrix values = parsed->values();
     if (options.check_quality == "drifted") {
       ScenarioConfig drift;
       drift.kind = ScenarioKind::kDrift;

@@ -13,10 +13,10 @@
 // The replay answers the queries with ImputeBatch, --threads at a time.
 // Service knobs: --threads, --cache-mb (response cache; 0 = off).
 // Overload ladder: --degrade-watermark N answers a request with the cheap
-// --degrade-method imputer (LinearInterp/Mean) once the pressure it
-// arrives at (requests already in flight + HTTP connections waiting for a
-// worker) reaches N; --shed-watermark M rejects with 503 at pressure M.
-// 0 (default) disables a rung.
+// LinearInterp imputer once the pressure it arrives at (requests already
+// in flight + HTTP connections waiting for a worker) reaches N;
+// --shed-watermark M rejects with 503 at pressure M. 0 (default) disables
+// a rung.
 // Reports p50/p95/max latency and req/rows/cells per second, computed
 // from the replay's own responses and wall clock.
 //
@@ -27,7 +27,9 @@
 // it. --http-workers sets the connection pool width,
 // --port-file writes the bound HOST:PORT (port 0 picks a free one) for
 // scripts, and --reload-on-sighup makes SIGHUP warm-reload the checkpoint
-// from --model without dropping connections.
+// from --model without dropping connections. POST /admin/reload loads the
+// body's "path", or --model's. Either way the service serves one model,
+// as "default", and frees a replaced one when its last request ends.
 // Bind/listen failures exit non-zero instead of aborting.
 // Observability: --trace-out FILE exports Chrome trace-event JSON of the
 // per-request span tree on shutdown (open in Perfetto); every response
@@ -162,8 +164,6 @@ int Run(int argc, char** argv) {
                                    &service_config.shed_watermark)) {
         return 2;
       }
-    } else if ((value = next("--degrade-method"))) {
-      service_config.degrade_method = value;
     } else if ((value = next("--listen"))) {
       listen_address = value;
     } else if ((value = next("--http-workers"))) {
@@ -242,7 +242,6 @@ int Run(int argc, char** argv) {
           "                   [--workload-seed S]]\n"
           "                  [--threads N] [--cache-mb MB]\n"
           "                  [--degrade-watermark N] [--shed-watermark N]\n"
-          "                  [--degrade-method LinearInterp|Mean]\n"
           "                  [--impute-csv out.csv]\n"
           "                  [--listen HOST:PORT [--http-workers N]\n"
           "                   [--port-file PATH] [--reload-on-sighup]]\n"
@@ -312,13 +311,13 @@ int Run(int argc, char** argv) {
 
   // ---- Bring the service up with the checkpoint. -------------------------
   serve::ImputationService service(service_config);
-  Status loaded = service.registry().LoadFromFile("default", model_path);
+  Status loaded = service.Load(model_path);
   if (!loaded.ok()) {
     std::fprintf(stderr, "error loading %s: %s\n", model_path.c_str(),
                  loaded.ToString().c_str());
     return 1;
   }
-  const TrainedDeepMvi* model = service.registry().Get("default");
+  const std::shared_ptr<const TrainedDeepMvi> model = service.served().model;
   std::printf("serving %s: %lld parameters, %d series, window %d\n",
               model_path.c_str(),
               static_cast<long long>(model->num_parameters()),
@@ -327,7 +326,6 @@ int Run(int argc, char** argv) {
   // ---- One-shot full imputation (cross-process exactness check). ---------
   if (!impute_csv.empty()) {
     serve::ImputationRequest request;
-    request.model = "default";
     request.data = data;
     request.mask = mask;
     serve::ImputationResponse response = service.Impute(request);
@@ -366,7 +364,7 @@ int Run(int argc, char** argv) {
     std::vector<serve::ImputationRequest> requests;
     requests.reserve(queries.size());
     for (const serve::WorkloadQuery& query : queries) {
-      requests.push_back(serve::MakeQueryRequest("default", data, mask, query));
+      requests.push_back(serve::MakeQueryRequest(data, mask, query));
     }
     // The report describes this call alone: its responses and its wall
     // clock, not checkpoint load or the one-shot --impute-csv request.
@@ -418,15 +416,7 @@ int Run(int argc, char** argv) {
     context.trace_sink = trace_sink.get();
     context.drift_threshold = drift_threshold;
     context.build_commit = DMVI_GIT_COMMIT;
-    context.reload = [&service, model_path](const std::string& model,
-                                            const std::string& path) {
-      // Atomic registry swap: requests already running finish against the
-      // old weights, new requests see the new ones. The response cache
-      // keys on the model pointer, so it can never serve the old weights'
-      // results for the new model.
-      return service.registry().LoadFromFile(
-          model, path.empty() ? model_path : path);
-    };
+    context.model_path = model_path;
     net::RegisterServingEndpoints(&server, context);
     // Admission control should see connection pressure before those
     // requests reach a worker: fold the accept-queue depth into the
@@ -460,7 +450,7 @@ int Run(int argc, char** argv) {
     while (!g_shutdown) {
       if (g_sighup) {
         g_sighup = 0;
-        Status reloaded = context.reload("default", "");
+        Status reloaded = service.Load(model_path);
         if (reloaded.ok()) {
           std::printf("SIGHUP: reloaded %s\n", model_path.c_str());
         } else {
