@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the substrates: dense matmul,
 // Jacobi SVD, centroid decomposition, autodiff attention forward/backward,
 // kernel regression features, one training sample's forward and backward
-// pass, concurrent Predict calls, and one pass of the offline Predict +
-// per-store PredictCells call pattern.
+// pass, one Adam step of training samples, concurrent Predict calls, and
+// one pass of the offline Predict + per-store PredictCells call pattern.
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
@@ -18,6 +18,7 @@
 #include "data/presets.h"
 #include "linalg/centroid.h"
 #include "linalg/svd.h"
+#include "nn/adam.h"
 #include "nn/layers.h"
 #include "scenario/scenarios.h"
 #include "tensor/matmul_kernel.h"
@@ -77,55 +78,125 @@ void BM_MatMulTranspose(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTranspose)->Arg(64)->Arg(128)->Arg(256);
 
-// One training sample's forward and backward pass on a reused tape, as
-// Fit runs it (PredictPositions, WeightedMseLoss, Backward), without
-// Fit's sampling schedule and Adam step. Arg 0 is a
+// The model and chunk of BM_TrainSample and BM_TrainStep. Arg 0 is a
 // JanataHack-shaped chunk (134 steps: 13 windows of 10, 2 dims), Arg 1 an
-// AirQ-shaped one (600 steps: 60 windows). The sample hides a 10-step
-// block of row 3 and predicts its cells; the transformer decodes only the
-// windows that hold them (`decoded_windows`: 1 of 13, since Arg 0's chunk
-// starts at step 2 and the block falls in one window, and 2 of 60).
-void BM_TrainSample(benchmark::State& state) {
-  const DataTensor data = MakeDataset(state.range(0) == 0 ? "JanataHack" : "AirQ",
-                                      DatasetScale::kReduced, /*seed=*/1);
-  DeepMviConfig config;
-  config.window = 10;
-  Rng rng(config.seed);
-  nn::ParameterStore store;
-  const internal::DeepMviModules model =
-      internal::BuildDeepMviModules(&store, config, data.dims(), rng);
-  const Mask mask(data.num_series(), data.num_times());
-  const int row = 3, block_start = data.num_times() / 2 - 5, block_len = 10;
-  std::vector<uint8_t> block_rows(data.num_series(), 0);
-  block_rows[row] = 1;
-  const MaskOverlay synthetic(mask, block_start, block_start + block_len,
-                              block_rows);
-  const internal::Chunk chunk =
-      internal::MakeChunk(data.num_times(), config.window, config.max_context,
-                          block_start + block_len / 2);
-  std::vector<int> targets;
-  for (int t = block_start; t < block_start + block_len; ++t) targets.push_back(t);
-  Matrix truth(block_len, 1);
-  for (int i = 0; i < block_len; ++i) truth(i, 0) = data.values()(row, targets[i]);
-  const Matrix weight(block_len, 1, 1.0);
-  ad::Tape tape;
-  for (auto _ : state) {
-    tape.Reset();
+// AirQ-shaped one (600 steps: 60 windows), each under an untrained
+// default model. A sample hides a 10-step block of one row and predicts
+// its cells; the transformer decodes only the windows that hold them
+// (`decoded_windows`: 1 of 13, since Arg 0's chunk starts at step 2 and
+// the block falls in one window, and 2 of 60).
+struct TrainChunkFixture {
+  explicit TrainChunkFixture(int64_t arg)
+      : data(MakeDataset(arg == 0 ? "JanataHack" : "AirQ",
+                         DatasetScale::kReduced, /*seed=*/1)),
+        mask(data.num_series(), data.num_times()) {
+    config.window = 10;
+    Rng rng(config.seed);
+    model = internal::BuildDeepMviModules(&store, config, data.dims(), rng);
+    block_start = data.num_times() / 2 - 5;
+    chunk = internal::MakeChunk(data.num_times(), config.window,
+                                config.max_context, block_start + block_len / 2);
+    for (int t = block_start; t < block_start + block_len; ++t) {
+      targets.push_back(t);
+    }
+  }
+
+  /// One sample's forward pass and loss on `tape`, as Fit's sample_loss
+  /// builds them, for the block hidden in `row`.
+  ad::Var SampleLoss(ad::Tape& tape, int row) const {
+    std::vector<uint8_t> block_rows(data.num_series(), 0);
+    block_rows[row] = 1;
+    const MaskOverlay synthetic(mask, block_start, block_start + block_len,
+                                block_rows);
     ad::Var pred = internal::PredictPositions(tape, model, config, data,
                                               data.values(), synthetic, row,
                                               chunk, targets);
-    ad::Var loss = ad::WeightedMseLoss(pred, truth, weight);
+    Matrix truth(block_len, 1);
+    for (int i = 0; i < block_len; ++i) {
+      truth(i, 0) = data.values()(row, targets[i]);
+    }
+    return ad::WeightedMseLoss(pred, truth, Matrix(block_len, 1, 1.0));
+  }
+
+  DataTensor data;
+  DeepMviConfig config;
+  nn::ParameterStore store;
+  internal::DeepMviModules model;
+  Mask mask;
+  int block_start = 0;
+  int block_len = 10;
+  internal::Chunk chunk;
+  std::vector<int> targets;
+};
+
+// One training sample's forward and backward pass on a reused tape, as
+// Fit runs it (PredictPositions, WeightedMseLoss, Backward), without
+// Fit's sampling schedule and Adam step; the block is row 3's. The plain
+// Reset drops the weight transposes, so every sample packs them again.
+void BM_TrainSample(benchmark::State& state) {
+  TrainChunkFixture f(state.range(0));
+  const int row = 3;
+  ad::Tape tape;
+  for (auto _ : state) {
+    tape.Reset();
+    ad::Var loss = f.SampleLoss(tape, row);
     tape.Backward(loss);
     benchmark::DoNotOptimize(loss.scalar());
   }
   std::vector<int> decoded;
-  for (int t : targets) decoded.push_back((t - chunk.start) / config.window);
+  for (int t : f.targets) decoded.push_back((t - f.chunk.start) / f.config.window);
   decoded.erase(std::unique(decoded.begin(), decoded.end()), decoded.end());
-  state.counters["windows"] = chunk.len / config.window;
+  state.counters["windows"] = f.chunk.len / f.config.window;
   state.counters["decoded_windows"] = static_cast<double>(decoded.size());
   state.counters["tape_nodes"] = tape.num_nodes();
 }
 BENCHMARK(BM_TrainSample)->Arg(0)->Arg(1);
+
+// One Adam step of Fit's work on BM_TrainSample's chunks: batch_size (4)
+// samples, the blocks of rows 3 to 6, on one reused tape, each sample's
+// parameter gradients folded into per-parameter sums in sample order, the
+// sums scaled by 1 / batch_size, then StepWithGrads. As in Fit, only the
+// step's first sample resets with Weights::kMayHaveChanged; the others
+// promise unchanged weights, so each weight's transpose is packed once
+// per step rather than once per sample.
+void BM_TrainStep(benchmark::State& state) {
+  TrainChunkFixture f(state.range(0));
+  nn::Adam adam(&f.store, {.learning_rate = f.config.learning_rate});
+  const auto& params = f.store.params();
+  std::vector<Matrix> grad_sums;
+  for (const auto& p : params) {
+    grad_sums.emplace_back(p->value().rows(), p->value().cols());
+  }
+  std::vector<const Matrix*> grad_ptrs(params.size(), nullptr);
+  const int batch = f.config.batch_size;
+  ad::Tape tape;
+  for (auto _ : state) {
+    for (int s = 0; s < batch; ++s) {
+      tape.Reset(s == 0 ? ad::Tape::Weights::kMayHaveChanged
+                        : ad::Tape::Weights::kUnchanged);
+      ad::Var loss = f.SampleLoss(tape, (3 + s) % f.data.num_series());
+      tape.Backward(loss);
+      for (size_t pi = 0; pi < params.size(); ++pi) {
+        const int leaf = tape.LeafIndexFor(params[pi].get());
+        const Matrix* g = leaf < 0 ? nullptr : tape.AllocatedGrad(leaf);
+        if (g == nullptr) continue;
+        if (grad_ptrs[pi] == nullptr) {
+          grad_sums[pi] = *g;
+          grad_ptrs[pi] = &grad_sums[pi];
+        } else {
+          grad_sums[pi] += *g;
+        }
+      }
+    }
+    for (size_t pi = 0; pi < params.size(); ++pi) {
+      if (grad_ptrs[pi] != nullptr) grad_sums[pi] *= 1.0 / batch;
+    }
+    benchmark::DoNotOptimize(adam.StepWithGrads(grad_ptrs));
+    std::fill(grad_ptrs.begin(), grad_ptrs.end(), nullptr);
+  }
+  state.counters["samples"] = batch;
+}
+BENCHMARK(BM_TrainStep)->Arg(0)->Arg(1);
 
 // Predict with the model of CI's AirQ recipe (dmvi_train --preset AirQ
 // --max-epochs 2 --samples 32: reduced AirQ, MCAR over every series,

@@ -290,12 +290,20 @@ Var Abs(const Var& a) {
 namespace {
 
 /// The gradients of the product node a * b that reads gout: d/da = gout
-/// b^T (b^T packed into the tape's pack buffer) and d/db = a^T gout, the
-/// products Matrix::MatMulTranspose and Matrix::TransposeMatMul form.
+/// b^T and d/db = a^T gout, the products Matrix::MatMulTranspose and
+/// Matrix::TransposeMatMul form. A weight b (a keyed leaf) is multiplied
+/// through the transpose the tape keeps of it until the weights change;
+/// any other b is packed into the tape's pack buffer per call. Either way
+/// the kernel runs the same product on the same packed bytes.
 void MatMulBackward(Tape& t, int ia, int ib, const Matrix& gout) {
   const Matrix& av = t.value(ia);
   const Matrix& bv = t.value(ib);
   AccumulateProduct(t, ia, av.rows(), av.cols(), [&](double* c) {
+    if (const double* b_t = t.LeafTranspose(ib)) {
+      internal::MatMulBlocked(gout.data(), b_t, c, gout.rows(), gout.cols(),
+                              bv.rows());
+      return;
+    }
     internal::MatMulTransposeBlocked(gout.data(), bv.data(), c, gout.rows(),
                                      gout.cols(), bv.rows(),
                                      t.PackBuffer(bv.size()));

@@ -1,5 +1,7 @@
 #include "autodiff/tape.h"
 
+#include "tensor/matmul_kernel.h"
+
 namespace deepmvi {
 namespace ad {
 
@@ -39,6 +41,7 @@ Var Tape::LeafFor(const void* key, const Matrix& value) {
   Node& node = NextNode();
   node.value = Matrix();  // Read in place: the slot's own buffer goes.
   node.borrowed = &value;
+  node.key = key;
   node.needs_grad = true;
   keyed_leaves_.emplace(key, num_nodes_);
   return Var(this, num_nodes_++);
@@ -90,14 +93,16 @@ void Tape::Backward(const Var& loss) {
   }
 }
 
-void Tape::Reset() {
+void Tape::Reset(Weights weights) {
   DMVI_CHECK(!value_pending_) << "Reset between NewValue and MakeNode";
+  if (weights == Weights::kMayHaveChanged) ++transpose_epoch_;
   // Slots past the dropped graph hold storage it did not use.
   nodes_.resize(num_nodes_);
   for (Node& node : nodes_) {
     if (!node.grad_allocated) node.grad = Matrix();
     node.grad_allocated = false;
     node.borrowed = nullptr;
+    node.key = nullptr;
     node.needs_grad = false;
     node.backward = nullptr;
   }
@@ -125,6 +130,24 @@ double* Tape::PackBuffer(int64_t size) {
     pack_buffer_.resize(static_cast<size_t>(size));
   }
   return pack_buffer_.data();
+}
+
+const double* Tape::LeafTranspose(int index) {
+  DMVI_CHECK_LT(index, num_nodes_);
+  const Node& node = nodes_[index];
+  if (node.key == nullptr) return nullptr;
+  const Matrix& w = *node.borrowed;
+  PackedTranspose& packed = transposes_[node.key];
+  if (packed.epoch != transpose_epoch_ || packed.source != &w ||
+      packed.rows != w.rows() || packed.cols != w.cols()) {
+    packed.data.resize(static_cast<size_t>(w.size()));
+    internal::PackTranspose(w.data(), w.rows(), w.cols(), packed.data.data());
+    packed.source = &w;
+    packed.rows = w.rows();
+    packed.cols = w.cols();
+    packed.epoch = transpose_epoch_;
+  }
+  return packed.data.data();
 }
 
 Matrix& Tape::ProductBuffer(int rows, int cols) {

@@ -1,6 +1,7 @@
 #ifndef DEEPMVI_AUTODIFF_TAPE_H_
 #define DEEPMVI_AUTODIFF_TAPE_H_
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <unordered_map>
@@ -48,11 +49,12 @@ class Var {
 /// back through the Var handles. Reset() clears the graph between steps
 /// but keeps its storage: node i of the next graph takes the value and
 /// gradient buffers node i had, reshaped in place, so a loop that builds
-/// one similar graph per step (a chunk walk, a training slot) allocates
+/// one similar graph per step (a chunk walk, a training sample) allocates
 /// node storage once rather than once per step. A tape holds at most the
-/// buffers of one graph, the last one, plus two buffers its ops borrow
-/// (PackBuffer, ProductBuffer), and frees them with itself; a tape is
-/// used by one thread at a time.
+/// buffers of one graph, the last one, two buffers its ops borrow
+/// (PackBuffer, ProductBuffer) and one packed transpose per keyed leaf a
+/// backward pass multiplied by (LeafTranspose), and frees them with
+/// itself; a tape is used by one thread at a time.
 class Tape {
  public:
   Tape() = default;
@@ -71,7 +73,9 @@ class Tape {
   /// The leaf reads `value` in place instead of copying it: `value` must
   /// outlive the tape (or its next Reset) and must not change before the
   /// tape's last Backward. Training satisfies this by running the
-  /// optimizer only after every backward pass of the batch.
+  /// optimizer only after every backward pass of the batch. The transpose
+  /// a backward pass packs of `value` (LeafTranspose) outlives the graph
+  /// only through Reset(Weights::kUnchanged).
   Var LeafFor(const void* key, const Matrix& value);
 
   /// Node index of the keyed leaf, or -1 when `key` never materialized on
@@ -86,10 +90,23 @@ class Tape {
   /// seed gradient is 1. May be called once per graph.
   void Backward(const Var& loss);
 
+  /// What Reset may assume about the values keyed leaves read (LeafFor).
+  enum class Weights {
+    /// They may have changed since the dropped graph was built, as after an
+    /// optimizer step: the transposes packed of them are dropped.
+    kMayHaveChanged,
+    /// Each key's value is the same matrix, unchanged since the dropped
+    /// graph was built: its packed transpose stays valid for the next graph.
+    kUnchanged,
+  };
+
   /// Drops all nodes. Invalidates every Var created since construction or
   /// the previous Reset. Keeps the value and gradient buffers the dropped
-  /// graph used for the next graph's nodes and frees the rest.
-  void Reset();
+  /// graph used for the next graph's nodes and frees the rest. The keyed
+  /// leaves' packed transposes keep their storage and, only when `weights`
+  /// is kUnchanged, their contents. The default is always safe; passing
+  /// kUnchanged when a value did change makes later gradients wrong.
+  void Reset(Weights weights = Weights::kMayHaveChanged);
 
   int num_nodes() const { return num_nodes_; }
 
@@ -144,6 +161,14 @@ class Tape {
   /// b^T). Valid until the next call; not zero-filled.
   double* PackBuffer(int64_t size);
 
+  /// The transpose of keyed leaf `index`'s value (cols x rows, row-major,
+  /// as internal::PackTranspose writes it), or nullptr when node `index`
+  /// is not a keyed leaf. Packed on the first call since the value last
+  /// may have changed (see Reset) and kept by the tape for its key, so the
+  /// backward passes of every graph between two optimizer steps share one
+  /// pack. Valid until the next Reset.
+  const double* LeafTranspose(int index);
+
   /// A zero-filled rows x cols matrix for a GEMM product bound for a
   /// gradient that already holds a contribution, added in once it is
   /// formed. Valid until the next call.
@@ -154,6 +179,7 @@ class Tape {
     Matrix value;
     // Set for keyed leaves, whose value is read in place (see LeafFor).
     const Matrix* borrowed = nullptr;
+    const void* key = nullptr;
     Matrix grad;
     bool grad_allocated = false;
     bool needs_grad = false;
@@ -173,6 +199,19 @@ class Tape {
   Matrix empty_grad_;
   std::vector<double> pack_buffer_;
   Matrix product_buffer_;
+
+  /// One keyed leaf's transpose: valid while `epoch` is the tape's
+  /// transpose_epoch_ and the key still reads the matrix it was packed of.
+  struct PackedTranspose {
+    std::vector<double> data;
+    const Matrix* source = nullptr;
+    int rows = 0;
+    int cols = 0;
+    uint64_t epoch = 0;
+  };
+  std::unordered_map<const void*, PackedTranspose> transposes_;
+  // Advanced by every Reset that may follow a change of the weights.
+  uint64_t transpose_epoch_ = 1;
 };
 
 }  // namespace ad

@@ -224,8 +224,12 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
   // storage once. Samples are drawn from the single `rng` stream, each
   // training sample's parameter gradients fold into per-parameter sums in
   // sample order, and the Adam step sees one already-reduced gradient per
-  // parameter.
+  // parameter. The tape also keeps the weight transposes its backward
+  // passes pack, for every sample until the next Adam step.
   Tape tape;
+  // True when Adam has stepped since the tape's last graph: the next Reset
+  // then drops the packed transposes of the old weights.
+  bool adam_stepped = true;
 
   // Resets the tape and runs forward + loss for one sample on it; an
   // invalid Var when no target falls inside the sample's chunk. Reads go
@@ -234,7 +238,9 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
   // historical per-sample full-mask copy was O(num_series x num_times)
   // bytes).
   auto sample_loss = [&](const TrainSample& sample) -> StatusOr<Var> {
-    tape.Reset();
+    tape.Reset(adam_stepped ? Tape::Weights::kMayHaveChanged
+                            : Tape::Weights::kUnchanged);
+    adam_stepped = false;
     Chunk chunk = MakeChunk(t_len, config.window, config.max_context,
                             sample.block_start + sample.block_len / 2);
     // Keep only targets inside the chunk.
@@ -342,6 +348,7 @@ StatusOr<TrainedDeepMvi> DeepMviImputer::Fit(const storage::DataSource& source,
         if (grad_ptrs[pi] != nullptr) grad_sums[pi] *= inv_count;
       }
       adam.StepWithGrads(grad_ptrs);
+      adam_stepped = true;
       std::fill(grad_ptrs.begin(), grad_ptrs.end(), nullptr);
       train_loss += batch_loss;
       ++train_batches;

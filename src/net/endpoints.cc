@@ -345,8 +345,12 @@ HttpMessage HandleReload(const ServingContext& ctx,
     if (Status model = CheckModelField(*parsed); !model.ok()) {
       return ErrorResponse(model);
     }
-    if (parsed->at("path").is_string()) {
-      path = parsed->at("path").string_value();
+    const JsonValue& path_field = parsed->at("path");
+    if (path_field.is_string()) {
+      path = path_field.string_value();
+    } else if (!path_field.is_null()) {
+      return ErrorResponse(
+          Status::InvalidArgument("field 'path' must be a string"));
     }
   }
   // Requests already running finish on the old weights; the response

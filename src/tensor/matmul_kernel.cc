@@ -151,19 +151,26 @@ DMVI_KERNEL_BODY void TransposeMatMulBody(const double* a, const double* b,
   StridedMatMulBody(a, 1, m, b, c, m, k, n);
 }
 
-/// b is n x k: packing its transpose (k x n) into the caller's `b_t` lets
-/// the product run the row-streaming MatMulBody, whose vector lanes are
-/// output columns, where row-times-row dot products would have to gather
-/// across B's rows. Each output is still one ascending-k chain started
-/// from the zeroed `c`. The pack writes each b_t row as one contiguous run;
-/// each cache line it reads from a row of b serves eight b_t rows in turn.
-DMVI_KERNEL_BODY void MatMulTransposeBody(const double* a, const double* b,
-                                          double* c, int m, int k, int n,
-                                          double* __restrict b_t) {
+/// Writes the transpose of b (n x k) into b_t (k x n). Each b_t row is
+/// one contiguous run; each cache line it reads from a row of b serves
+/// eight b_t rows in turn.
+DMVI_KERNEL_BODY void PackTransposeBody(const double* b, int n, int k,
+                                        double* __restrict b_t) {
   for (int kk = 0; kk < k; ++kk) {
     double* dst = b_t + static_cast<long long>(kk) * n;
     for (int j = 0; j < n; ++j) dst[j] = b[static_cast<long long>(j) * k + kk];
   }
+}
+
+/// b is n x k: packing its transpose (k x n) into the caller's `b_t` lets
+/// the product run the row-streaming MatMulBody, whose vector lanes are
+/// output columns, where row-times-row dot products would have to gather
+/// across B's rows. Each output is still one ascending-k chain started
+/// from the zeroed `c`.
+DMVI_KERNEL_BODY void MatMulTransposeBody(const double* a, const double* b,
+                                          double* c, int m, int k, int n,
+                                          double* __restrict b_t) {
+  PackTransposeBody(b, n, k, b_t);
   MatMulBody(a, b_t, c, m, k, n);
 }
 
@@ -213,7 +220,7 @@ void AdamUpdatePortable(double* value, double* m, double* v, const double* g,
 }
 
 #if defined(__x86_64__) || defined(__i386__)
-#define DMVI_AVX2_KERNELS 1
+#define DMVI_X86_KERNELS 1
 
 __attribute__((target("avx2"))) void MatMulAvx2(const double* a,
                                                 const double* b, double* c,
@@ -242,17 +249,44 @@ __attribute__((target("avx2"))) void AdamUpdateAvx2(double* value, double* m,
                                                     const AdamStep& step) {
   AdamUpdateBody(value, m, v, g, n, step);
 }
+
+__attribute__((target("avx512f"))) void MatMulAvx512(const double* a,
+                                                     const double* b, double* c,
+                                                     int m, int k, int n) {
+  MatMulBody(a, b, c, m, k, n);
+}
+
+__attribute__((target("avx512f"))) void TransposeMatMulAvx512(
+    const double* a, const double* b, double* c, int m, int k, int n) {
+  TransposeMatMulBody(a, b, c, m, k, n);
+}
+
+__attribute__((target("avx512f"))) void MatMulTransposeAvx512(
+    const double* a, const double* b, double* c, int m, int k, int n,
+    double* b_t) {
+  MatMulTransposeBody(a, b, c, m, k, n, b_t);
+}
+
+__attribute__((target("avx512f"))) void AdamUpdateAvx512(
+    double* value, double* m, double* v, const double* g, long long n,
+    const AdamStep& step) {
+  AdamUpdateBody(value, m, v, g, n, step);
+}
 #endif
 
 std::vector<MatMulKernelSet> DetectKernelSets() {
   std::vector<MatMulKernelSet> sets = {
       {"portable", &MatMulPortable, &TransposeMatMulPortable,
        &MatMulTransposePortable, &AdamUpdatePortable}};
-#ifdef DMVI_AVX2_KERNELS
+#ifdef DMVI_X86_KERNELS
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) {
     sets.push_back({"avx2", &MatMulAvx2, &TransposeMatMulAvx2,
                     &MatMulTransposeAvx2, &AdamUpdateAvx2});
+  }
+  if (__builtin_cpu_supports("avx512f")) {
+    sets.push_back({"avx512", &MatMulAvx512, &TransposeMatMulAvx512,
+                    &MatMulTransposeAvx512, &AdamUpdateAvx512});
   }
 #endif
   return sets;
@@ -292,6 +326,11 @@ void MatMulTransposeBlocked(const double* a, const double* b, double* c, int m,
   obs::Span span = obs::KernelSpan("matmul.transpose_b");
   AnnotateDims(span, m, k, n);
   ActiveMatMulKernelSet().mat_mul_transpose(a, b, c, m, k, n, b_t);
+}
+
+void PackTranspose(const double* b, int n, int k, double* b_t) {
+  obs::ProfileLabelScope profile_label("matmul.pack_transpose");
+  PackTransposeBody(b, n, k, b_t);
 }
 
 void AdamUpdate(double* value, double* m, double* v, const double* g,

@@ -18,11 +18,12 @@
 //
 // The kernel bodies are compiled into more than one set: a portable one
 // for baseline x86-64 (or any other target), and on x86 one for AVX2,
-// whose vectors hold four doubles instead of two. The public functions run
-// the widest set the CPU supports, picked once per process. Vector lanes
-// are independent output columns, so every set keeps the per-output order
-// above, and matmul_kernel.cc is built with -ffp-contract=off so no set
-// fuses a multiply-add: all sets are bit-identical to MatMulNaive.
+// whose vectors hold four doubles instead of two, and one for AVX-512F,
+// whose vectors hold eight. The public functions run the widest set the
+// CPU supports, picked once per process. Vector lanes are independent
+// output columns, so every set keeps the per-output order above, and
+// matmul_kernel.cc is built with -ffp-contract=off so no set fuses a
+// multiply-add: all sets are bit-identical to MatMulNaive.
 //
 // Each set also carries the Adam update (nn::Adam's per-element step).
 // Its lanes are independent parameter elements, and IEEE add, multiply,
@@ -44,9 +45,15 @@ void TransposeMatMulBlocked(const double* a, const double* b, double* c, int m,
 /// c[m x n] += a * b^T with a[m x k], b[n x k]. b^T is packed into `b_t`,
 /// k * n doubles of storage the caller owns (an autodiff tape's pack
 /// buffer, or a buffer local to Matrix::MatMulTranspose), so the kernel
-/// allocates nothing.
+/// allocates nothing. The result is bit-identical to
+/// PackTranspose(b, n, k, b_t) followed by MatMulBlocked(a, b_t, c, m, k, n):
+/// a caller that multiplies by one b many times may pack it once.
 void MatMulTransposeBlocked(const double* a, const double* b, double* c, int m,
                             int k, int n, double* b_t);
+
+/// Writes the transpose of b[n x k] into b_t[k x n]: the pack
+/// MatMulTransposeBlocked runs before its product.
+void PackTranspose(const double* b, int n, int k, double* b_t);
 
 /// Textbook ijk triple loop, kept as the bit-exact reference the blocked
 /// kernels are tested and benchmarked against.
@@ -76,7 +83,7 @@ void AdamUpdate(double* value, double* m, double* v, const double* g,
 /// One compiled set of the three blocked kernels and the Adam update,
 /// without the profile labels and trace spans the public functions add.
 struct MatMulKernelSet {
-  const char* name;  // "portable" or "avx2".
+  const char* name;  // "portable", "avx2" or "avx512".
   void (*mat_mul)(const double* a, const double* b, double* c, int m, int k,
                   int n);
   void (*transpose_mat_mul)(const double* a, const double* b, double* c, int m,

@@ -480,6 +480,110 @@ TEST(OpsTest, AffineEqualsAddRowVectorOfMatMulBitForBit) {
   ExpectSameResult(RunAffine(reused, true, x, w, b), expected, "reset tape");
 }
 
+// ---- Weight transposes kept by the tape ------------------------------------
+
+/// The input and weight gradients of a two-layer graph: Affine(x, w, b),
+/// Affine again through the same w and b, then MatMul by w2, so every d/dx
+/// and d/dh multiplies by a weight's transpose and w's twice. `keyed`
+/// materializes the weights as keyed leaves, whose backward reads the
+/// transposes the tape keeps; otherwise as copied Leafs, packed per call.
+std::vector<Matrix> RunWeightGraph(Tape& tape, bool keyed, const Matrix& x,
+                                   const Matrix& w, const Matrix& b,
+                                   const Matrix& w2) {
+  auto weight = [&](const Matrix& value) {
+    return keyed ? tape.LeafFor(&value, value) : tape.Leaf(value);
+  };
+  Var xv = tape.Leaf(x);
+  Var wv = weight(w);
+  Var bv = weight(b);
+  Var w2v = weight(w2);
+  Var h = Tanh(Affine(xv, wv, bv));
+  Var y = MatMul(Tanh(Affine(h, wv, bv)), w2v);
+  tape.Backward(Sum(Square(y)));
+  return {xv.grad(), wv.grad(), bv.grad(), w2v.grad()};
+}
+
+void ExpectSameGradients(const std::vector<Matrix>& actual,
+                         const std::vector<Matrix>& expected,
+                         const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ExpectSameBits(actual[i], expected[i],
+                   what + " gradient " + std::to_string(i));
+  }
+}
+
+struct WeightGraphInputs {
+  Matrix x = TestInput(5, 6, 60);
+  Matrix w = TestInput(6, 6, 61);
+  Matrix b = TestInput(1, 6, 62);
+  Matrix w2 = TestInput(6, 3, 63);
+};
+
+TEST(TapeTest, KeptWeightTransposeGivesTheBitsOfAPerCallPack) {
+  const WeightGraphInputs in;
+  Tape copied;
+  const std::vector<Matrix> expected =
+      RunWeightGraph(copied, false, in.x, in.w, in.b, in.w2);
+  Tape keyed;
+  ExpectSameGradients(RunWeightGraph(keyed, true, in.x, in.w, in.b, in.w2),
+                      expected, "keyed leaves");
+}
+
+TEST(TapeTest, PlainResetDropsTransposesOfWeightsChangedInPlace) {
+  WeightGraphInputs in;
+  Tape reused;
+  RunWeightGraph(reused, true, in.x, in.w, in.b, in.w2);
+  // An optimizer step: every weight changes in place, at the same address
+  // and shape, between the two graphs.
+  for (Matrix* m : {&in.w, &in.b, &in.w2}) {
+    for (int64_t i = 0; i < m->size(); ++i) m->data()[i] -= 0.03 * (i % 7);
+  }
+  reused.Reset();
+  const Matrix x2 = TestInput(4, 6, 64);
+  const std::vector<Matrix> got =
+      RunWeightGraph(reused, true, x2, in.w, in.b, in.w2);
+  Tape fresh;
+  ExpectSameGradients(got, RunWeightGraph(fresh, true, x2, in.w, in.b, in.w2),
+                      "after an in-place step and a plain reset");
+}
+
+TEST(TapeTest, UnchangedWeightsResetKeepsTransposesAndMatchesAFreshTape) {
+  const WeightGraphInputs in;
+  Tape reused;
+  RunWeightGraph(reused, true, in.x, in.w, in.b, in.w2);
+  reused.Reset(Tape::Weights::kUnchanged);
+  const Matrix x2 = TestInput(4, 6, 64);
+  const std::vector<Matrix> got =
+      RunWeightGraph(reused, true, x2, in.w, in.b, in.w2);
+  Tape fresh;
+  ExpectSameGradients(got, RunWeightGraph(fresh, true, x2, in.w, in.b, in.w2),
+                      "second graph on unchanged weights");
+}
+
+TEST(TapeTest, LeafTransposeIsPackedOnceUntilTheWeightsMayChange) {
+  Matrix w = TestInput(3, 4, 65);
+  Tape tape;
+  EXPECT_EQ(tape.LeafTranspose(tape.Leaf(w).index()), nullptr);
+  const double* packed = tape.LeafTranspose(tape.LeafFor(&w, w).index());
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 4; ++c) EXPECT_EQ(packed[c * 3 + r], w(r, c));
+  }
+  // Reset(kUnchanged) keeps the pack without reading the value again, so
+  // a change it was promised not to see stays unseen; a plain Reset
+  // repacks, into the same storage.
+  const double before = w(0, 1);
+  w(0, 1) = before + 1.0;
+  tape.Reset(Tape::Weights::kUnchanged);
+  const double* kept = tape.LeafTranspose(tape.LeafFor(&w, w).index());
+  EXPECT_EQ(kept, packed);
+  EXPECT_EQ(kept[3], before);
+  tape.Reset();
+  const double* repacked = tape.LeafTranspose(tape.LeafFor(&w, w).index());
+  EXPECT_EQ(repacked, packed);
+  EXPECT_EQ(repacked[3], before + 1.0);
+}
+
 TEST(GradCheck, Affine) {
   ExpectGradientsMatch(
       [](Tape&, const std::vector<Var>& v) {

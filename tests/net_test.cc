@@ -980,8 +980,8 @@ TEST(ServingEndpointsTest, AdminEndpointsHealthMetricsReload) {
   EXPECT_EQ(client.Get("/metrics.json")->status_code, 404);
 
   // Reload: the configured path, the default model by name with an empty
-  // path (the configured one again), an explicit path. Each loads a fresh
-  // copy and bumps the load generation.
+  // or null path (the configured one again), an explicit path. Each loads
+  // a fresh copy and bumps the load generation.
   std::weak_ptr<const TrainedDeepMvi> first = served.service.served().model;
   EXPECT_EQ(client.Post("/admin/reload", "", "application/json")
                 ->status_code,
@@ -994,13 +994,17 @@ TEST(ServingEndpointsTest, AdminEndpointsHealthMetricsReload) {
                 ->status_code,
             200);
   EXPECT_EQ(client
+                .Post("/admin/reload", R"({"path": null})", "application/json")
+                ->status_code,
+            200);
+  EXPECT_EQ(client
                 .Post("/admin/reload",
                       R"({"model": "default", "path": ")" + model_path +
                           R"("})",
                       "application/json")
                 ->status_code,
             200);
-  EXPECT_EQ(served.service.reload_info().reloads, 3);
+  EXPECT_EQ(served.service.reload_info().reloads, 4);
   // A missing checkpoint fails and keeps serving.
   EXPECT_NE(client
                 .Post("/admin/reload", R"({"path": "/nonexistent.dmvi"})",
@@ -1008,7 +1012,7 @@ TEST(ServingEndpointsTest, AdminEndpointsHealthMetricsReload) {
                 ->status_code,
             200);
   // Any other model name is 404 and registers nothing; a non-string model
-  // and a malformed body are 400.
+  // or path and a malformed body are 400.
   StatusOr<net::HttpMessage> ghost = client.Post(
       "/admin/reload", R"({"model": "ghost"})", "application/json");
   ASSERT_TRUE(ghost.ok());
@@ -1020,10 +1024,17 @@ TEST(ServingEndpointsTest, AdminEndpointsHealthMetricsReload) {
                 .Post("/admin/reload", R"({"model": 7})", "application/json")
                 ->status_code,
             400);
+  StatusOr<net::HttpMessage> numeric_path =
+      client.Post("/admin/reload", R"({"path": 7})", "application/json");
+  ASSERT_TRUE(numeric_path.ok());
+  EXPECT_EQ(numeric_path->status_code, 400);
+  EXPECT_NE(numeric_path->body.find("field 'path' must be a string"),
+            std::string::npos)
+      << numeric_path->body;
   EXPECT_EQ(client.Post("/admin/reload", "{not json", "application/json")
                 ->status_code,
             400);
-  EXPECT_EQ(served.service.reload_info().reloads, 3);
+  EXPECT_EQ(served.service.reload_info().reloads, 4);
   EXPECT_EQ(served_models(), std::vector<std::string>{"default"});
   server.Stop();
   std::remove(model_path.c_str());

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -165,10 +166,27 @@ TEST(MatMulKernelTest, KernelSetsArePortableFirstAndActiveLast) {
   ASSERT_FALSE(sets.empty());
   EXPECT_STREQ(sets.front().name, "portable");
   EXPECT_EQ(&internal::ActiveMatMulKernelSet(), &sets.back());
+  // Each set appears at most once, in the order portable -> avx2 -> avx512.
+  const std::vector<std::string> order = {"portable", "avx2", "avx512"};
+  std::vector<std::string> names;
+  size_t last = 0;
   for (const internal::MatMulKernelSet& set : sets) {
     const std::string name = set.name;
-    EXPECT_TRUE(name == "portable" || name == "avx2") << name;
+    const size_t rank = static_cast<size_t>(
+        std::find(order.begin(), order.end(), name) - order.begin());
+    ASSERT_LT(rank, order.size()) << "unknown kernel set " << name;
+    if (!names.empty()) {
+      EXPECT_GT(rank, last) << name << " out of order";
+    }
+    last = rank;
+    names.push_back(name);
   }
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  const bool has_avx512 =
+      std::find(names.begin(), names.end(), "avx512") != names.end();
+  EXPECT_EQ(has_avx512, __builtin_cpu_supports("avx512f") != 0);
+#endif
 }
 
 TEST(MatMulKernelTest, BlockedMatchesNaiveOnRandomShapes) {
